@@ -8,49 +8,24 @@ This package enumerates the index sets, assembles and integrates the
 coefficient system, evaluates moments and error curves against closed
 forms, and cross-checks everything with Monte Carlo sampling and an Euler
 scheme.
+
+The names below solve and check one model; everything else is imported
+from its module (``chaossde.multiindex``, ``chaossde.basis``, ...).
 """
 
 __version__ = "0.1.0"
 
 from . import errors
-from .analysis import (ErrorCurve, bound_shape, error_curve, gbm_mean_exact,
-                       gbm_variance_exact, gbm_variance_order_limit,
-                       loglog_fit, moment_curves, moments, rate_fit,
-                       third_moment)
-from .basis import (BasisSpec, breakpoints, composite_simpson, eval_E, eval_e,
-                    element_values, antiderivative_grid, haar_flat_index,
-                    haar_level_shift, kl_partial, kl_partial_grid, make_basis,
-                    tail_sum)
-from .hermite import (hermite_n, hermite_table, psi, triple_multi,
-                      triple_scalar)
-from .integrator import ToleranceSpec, integrate
-from .multiindex import (FullTruncation, IndexSet, MultiIndex,
-                         SparseFirstOrder, SparseSecondOrder, TruncationSpec,
-                         characteristic_set, count_indices, decrement,
-                         enumerate_indices, format_sparse_text,
-                         parse_sparse_text)
-from .oracle import (RngSpec, SampleStats, euler_maruyama, kl_path_check,
-                     normal_draws, sample_expansion)
-from .presets import BENCHMARK_ROWS, SPARSE_PRESETS, BenchmarkRow
-from .propagator import (ChaosSolution, PropagatorSystem, SdeModel, build_rhs,
-                         closed_form_bm, closed_form_gbm, closed_form_gbm_grid,
-                         initial_state, solve)
+from .analysis import error_curve, moments, third_moment
+from .basis import make_basis
+from .integrator import ToleranceSpec
+from .multiindex import FullTruncation, SparseFirstOrder, SparseSecondOrder
+from .oracle import RngSpec, euler_maruyama, sample_expansion
+from .propagator import SdeModel, solve
 
 __all__ = [
-    "BENCHMARK_ROWS", "BasisSpec", "BenchmarkRow", "ChaosSolution",
-    "ErrorCurve", "FullTruncation", "IndexSet", "MultiIndex",
-    "PropagatorSystem", "RngSpec", "SPARSE_PRESETS", "SampleStats",
-    "SdeModel", "SparseFirstOrder", "SparseSecondOrder", "ToleranceSpec",
-    "TruncationSpec", "antiderivative_grid", "bound_shape", "breakpoints",
-    "build_rhs", "characteristic_set", "closed_form_bm", "closed_form_gbm",
-    "closed_form_gbm_grid", "composite_simpson", "count_indices",
-    "decrement", "element_values", "enumerate_indices", "error_curve",
-    "errors", "eval_E", "eval_e", "euler_maruyama", "format_sparse_text",
-    "gbm_mean_exact", "gbm_variance_exact", "gbm_variance_order_limit",
-    "haar_flat_index", "haar_level_shift", "hermite_n", "hermite_table",
-    "initial_state", "integrate", "kl_partial", "kl_partial_grid",
-    "kl_path_check", "loglog_fit", "make_basis", "moment_curves", "moments",
-    "normal_draws", "parse_sparse_text", "psi", "rate_fit",
-    "sample_expansion", "solve", "tail_sum", "third_moment", "triple_multi",
-    "triple_scalar",
+    "__version__", "errors", "FullTruncation", "RngSpec", "SdeModel",
+    "SparseFirstOrder", "SparseSecondOrder", "ToleranceSpec", "error_curve",
+    "euler_maruyama", "make_basis", "moments", "sample_expansion", "solve",
+    "third_moment",
 ]

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from . import __version__
 from .analysis import (error_curve, gbm_variance_exact, gbm_variance_order_limit,
                        loglog_fit, moments)
-from .basis import make_basis, tail_sum
+from .basis import KINDS, make_basis, tail_sum
 from .errors import ChaosError, IntegratorFailure
 from .integrator import ToleranceSpec
 from .multiindex import (FullTruncation, SparseFirstOrder, TruncationSpec,
@@ -36,7 +35,6 @@ from .oracle import RngSpec, euler_maruyama, sample_expansion
 from .presets import BENCHMARK_ROWS, BenchmarkRow
 from .propagator import SdeModel, solve
 
-BASIS_TOKENS = ("trig", "haar", "klcos")
 BENCHMARK_BASES = ("klcos", "haar")
 
 
@@ -110,12 +108,14 @@ def read_report_csv(path: str) -> list[ExperimentReport]:
     return [ExperimentReport.from_fields(row) for row in rows[1:]]
 
 
-def write_curve_csv(path: str, curve) -> None:
-    lines = ["t,exact_var,approx_var,abs_err"]
+def write_curve_csv(path: str, curve, extra: dict | None = None) -> None:
+    """Write an error curve; ``extra`` appends named per-time columns."""
+    columns = {"t": curve.grid, "exact_var": curve.exact_var,
+               "approx_var": curve.approx_var, "abs_err": curve.values,
+               **(extra or {})}
+    lines = [",".join(columns)]
     for m in range(len(curve.grid)):
-        lines.append(",".join(_fmt(float(v)) for v in (
-            curve.grid[m], curve.exact_var[m], curve.approx_var[m],
-            curve.values[m])))
+        lines.append(",".join(_fmt(col[m].item()) for col in columns.values()))
     _write_lines(path, lines)
 
 
@@ -219,11 +219,11 @@ def _parse_row_filter(text: str):
     return accept
 
 
-def _pool_size() -> int:
-    env = os.environ.get("CHAOS_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(os.cpu_count() or 1, 8))
+def _check_bases(tokens: list[str], parser) -> list[str]:
+    for token in tokens:
+        if token not in KINDS:
+            parser.error(f"unknown basis {token!r}")
+    return tokens
 
 
 def run_benchmark_row(row: BenchmarkRow, basis_token: str, model: SdeModel,
@@ -247,18 +247,12 @@ def cmd_table1(args, parser) -> int:
         accept = _parse_row_filter(args.rows)
     except ValueError as exc:
         parser.error(str(exc))
-    bases = args.basis.split(",") if args.basis else list(BENCHMARK_BASES)
-    for token in bases:
-        if token not in BASIS_TOKENS:
-            parser.error(f"unknown basis {token!r}")
+    bases = (_check_bases(args.basis.split(","), parser) if args.basis
+             else list(BENCHMARK_BASES))
     model = SdeModel.gbm(args.mu, args.sigma, args.x0)
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
-    jobs = [(row, token) for row in BENCHMARK_ROWS if accept(row)
-            for token in bases]
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        futures = [pool.submit(run_benchmark_row, row, token, model, tol)
-                   for row, token in jobs]
-        reports = [f.result() for f in futures]
+    reports = [run_benchmark_row(row, token, model, tol)
+               for row in BENCHMARK_ROWS if accept(row) for token in bases]
     if args.format == "csv":
         write_report_csv(args.out, reports)
     else:
@@ -269,10 +263,7 @@ def cmd_table1(args, parser) -> int:
 
 
 def cmd_fig1(args, parser) -> int:
-    bases = args.basis.split(",")
-    for token in bases:
-        if token not in BASIS_TOKENS:
-            parser.error(f"unknown basis {token!r}")
+    bases = _check_bases(args.basis.split(","), parser)
     ps = [int(v) for v in args.p.split(",")]
     ks = [int(v) for v in args.k.split(",")]
     model = SdeModel.gbm(args.mu, args.sigma, args.x0)
@@ -287,7 +278,7 @@ def cmd_fig1(args, parser) -> int:
                 sol = solve(model, FullTruncation(p=p, k=k), basis, grid, tol)
                 curve = error_curve(
                     sol, lambda t: gbm_variance_exact(mu, sigma, model.x0, t))
-                path = os.path.join(args.out, f"fig1_{token}_p{p}_k{k}.csv")
+                extra = None
                 if token == "haar":
                     limit = gbm_variance_order_limit(mu, sigma, model.x0, p, grid)
                     n_level = (k - 1).bit_length() if k > 1 else 0
@@ -297,18 +288,11 @@ def cmd_fig1(args, parser) -> int:
                     # dyadic resolution of the truncation
                     if (len(grid) - 1) % cells == 0:
                         dyadic[::(len(grid) - 1) // cells] = 1
-                    lines = ["t,exact_var,approx_var,abs_err,order_limit_var,"
-                             "basis_component_err,is_dyadic"]
-                    comp = np.abs(curve.approx_var - limit)
-                    for m in range(len(grid)):
-                        lines.append(",".join(
-                            [_fmt(float(v)) for v in (
-                                grid[m], curve.exact_var[m], curve.approx_var[m],
-                                curve.values[m], limit[m], comp[m])]
-                            + [str(int(dyadic[m]))]))
-                    _write_lines(path, lines)
-                else:
-                    write_curve_csv(path, curve)
+                    extra = {"order_limit_var": limit,
+                             "basis_component_err": np.abs(curve.approx_var - limit),
+                             "is_dyadic": dyadic}
+                write_curve_csv(
+                    os.path.join(args.out, f"fig1_{token}_p{p}_k{k}.csv"), curve, extra)
     return 0
 
 
@@ -352,8 +336,7 @@ def cmd_mc(args, parser) -> int:
 
 
 def cmd_rates(args, parser) -> int:
-    if args.basis not in BASIS_TOKENS:
-        parser.error(f"unknown basis {args.basis!r}")
+    _check_bases([args.basis], parser)
     ks = [int(v) for v in args.k.split(",")]
     if len(ks) < 3:
         parser.error("need at least 3 k values for a slope fit")
@@ -400,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="integrate one configuration")
     ps.add_argument("--sde", choices=("gbm", "bm"), default="gbm")
     ps.add_argument("--b", type=float, default=1.0)
-    ps.add_argument("--basis", choices=BASIS_TOKENS, required=True)
+    ps.add_argument("--basis", choices=KINDS, required=True)
     ps.add_argument("--p", type=int, required=True)
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--trunc", choices=("full", "sp1", "sp2"), default="full")
@@ -430,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("mc", help="Monte Carlo cross-check")
     pm.add_argument("--sde", choices=("gbm", "bm"), default="gbm")
     pm.add_argument("--b", type=float, default=1.0)
-    pm.add_argument("--basis", choices=BASIS_TOKENS, required=True)
+    pm.add_argument("--basis", choices=KINDS, required=True)
     pm.add_argument("--p", type=int, required=True)
     pm.add_argument("--k", type=int, required=True)
     pm.add_argument("--trunc", choices=("full", "sp1", "sp2"), default="full")

@@ -122,16 +122,6 @@ class MultiIndex:
         return self.label()
 
 
-def decrement(alpha: MultiIndex, coordinate: int) -> MultiIndex:
-    """Functional form of :meth:`MultiIndex.decremented`."""
-    return alpha.decremented(coordinate)
-
-
-def characteristic_set(alpha: MultiIndex) -> tuple[int, ...]:
-    """Functional form of :meth:`MultiIndex.characteristic_set`."""
-    return alpha.characteristic_set()
-
-
 @dataclass(frozen=True)
 class FullTruncation:
     """All indices with total order <= p supported on the first k coordinates."""
@@ -227,10 +217,6 @@ class IndexSet:
 
     def __getitem__(self, ordinal: int) -> MultiIndex:
         return self.indices[ordinal]
-
-    @property
-    def position(self) -> dict[MultiIndex, int]:
-        return self._position_map()
 
     def _position_map(self) -> dict[MultiIndex, int]:
         cached = getattr(self, "_pos_cache", None)

@@ -54,10 +54,20 @@ def normal_draws(gen: np.random.Generator, shape) -> np.ndarray:
 
 
 def _thread_count() -> int:
+    """Chunk-pool size: ``CHAOS_THREADS`` if set, else the usable cores."""
     env = os.environ.get("CHAOS_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(os.cpu_count() or 1, 8))
+    if not env:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity interface on this platform
+            return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"CHAOS_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def _map_chunks(worker, n_paths: int):

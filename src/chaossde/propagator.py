@@ -219,26 +219,14 @@ def solve(model: SdeModel, spec: TruncationSpec, basis: BasisSpec,
                          basis=basis, model=model, truncation=spec)
 
 
-def closed_form_gbm(model: SdeModel, alpha: MultiIndex, basis: BasisSpec,
-                    t: float) -> float:
-    """Exact coefficient of geometric Brownian motion.
+def closed_form_gbm_grid(model: SdeModel, index_set: IndexSet, basis: BasisSpec,
+                         ts) -> np.ndarray:
+    """Exact coefficients of geometric Brownian motion, shape (len(ts), n).
 
     x_a(t) = x0 sigma^|a| exp(mu t) prod_j E_j(t)^{a_j} / sqrt(a!).
     The recursion behind it is triangular, so the expression is exact for
     every index of any truncated set.
     """
-    if model.preset != "gbm":
-        raise NotGbm("closed form requires the gbm preset")
-    mu, sigma = model.param("mu"), model.param("sigma")
-    value = model.x0 * np.exp(mu * t) * sigma ** alpha.order / np.sqrt(alpha.factorial())
-    for coord, a in alpha:
-        value *= basis_mod.eval_E(basis, coord, t) ** a
-    return float(value)
-
-
-def closed_form_gbm_grid(model: SdeModel, index_set: IndexSet, basis: BasisSpec,
-                         ts) -> np.ndarray:
-    """Exact GBM coefficients for a whole index set on a time grid."""
     if model.preset != "gbm":
         raise NotGbm("closed form requires the gbm preset")
     ts = np.asarray(ts, dtype=float)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chaossde import cli
+from chaossde.analysis import gbm_variance_order_limit
 from chaossde.errors import StepSizeUnderflow
 
 
@@ -98,6 +99,14 @@ class TestExitCodes:
                  "--k", "2", "--grid", "1", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    def test_bad_thread_count_is_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CHAOS_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            run(["mc", "--basis", "trig", "--p", "1", "--k", "2", "--paths", "10",
+                 "--steps", "2", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "CHAOS_THREADS" in capsys.readouterr().err
+
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch):
         def exploding_solve(*args, **kwargs):
             raise StepSizeUnderflow("step size underflow", time=0.42)
@@ -168,6 +177,26 @@ class TestFig1Command:
         on_dyadic = haar["is_dyadic"] == 1
         assert on_dyadic.sum() == 5
         assert haar["basis_component_err"][on_dyadic].max() <= 1e-6
+
+    def test_haar_diagnostic_columns(self, tmp_path):
+        out = tmp_path / "fig"
+        assert run(["fig1", "--basis", "haar", "--p", "2", "--k", "4,8",
+                    "--grid", "201", "--out", str(out)]) == 0
+        grid = np.linspace(0.0, 1.0, 201)
+        limit = gbm_variance_order_limit(1.0, 1.0, 1.0, 2, grid)
+        for k, cells in ((4, 4), (8, 8)):
+            path = out / f"fig1_haar_p2_k{k}.csv"
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines[0] == ("t,exact_var,approx_var,abs_err,order_limit_var,"
+                                "basis_component_err,is_dyadic")
+            assert {ln.rsplit(",", 1)[1] for ln in lines[1:]} == {"0", "1"}
+            haar = cli.read_curve_csv(str(path))
+            # flagged exactly where t is a multiple of 1/2^level
+            scaled = haar["t"] * cells
+            assert np.array_equal(haar["is_dyadic"] == 1, scaled == np.round(scaled))
+            assert np.array_equal(haar["order_limit_var"], limit)
+            assert np.array_equal(haar["basis_component_err"],
+                                  np.abs(haar["approx_var"] - haar["order_limit_var"]))
 
     def test_curve_round_trip(self, tmp_path):
         out = tmp_path / "fig"

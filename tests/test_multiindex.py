@@ -4,9 +4,9 @@ import pytest
 
 from chaossde.errors import CoordinateNotPositive, EmptyIndex, InvalidSparseIndex
 from chaossde.multiindex import (FullTruncation, MultiIndex, SparseFirstOrder,
-                                 SparseSecondOrder, characteristic_set,
-                                 count_indices, decrement, enumerate_indices,
-                                 format_sparse_text, parse_sparse_text)
+                                 SparseSecondOrder, count_indices,
+                                 enumerate_indices, format_sparse_text,
+                                 parse_sparse_text)
 from chaossde.presets import SPARSE_PRESETS
 
 
@@ -37,33 +37,33 @@ class TestMultiIndex:
 
 class TestDecrement:
     def test_basic(self):
-        assert decrement(dense(2, 0, 1), 1) == dense(1, 0, 1)
+        assert dense(2, 0, 1).decremented(1) == dense(1, 0, 1)
 
     def test_support_shrinks(self):
-        assert decrement(dense(1), 1) == MultiIndex.zero()
+        assert dense(1).decremented(1) == MultiIndex.zero()
 
     def test_zero_coordinate_rejected(self):
         with pytest.raises(CoordinateNotPositive):
-            decrement(dense(0, 3), 1)
+            dense(0, 3).decremented(1)
 
 
 class TestCharacteristicSet:
     def test_worked_example(self):
-        assert characteristic_set(dense(2, 0, 1, 4)) == (1, 1, 3, 4, 4, 4, 4)
+        assert dense(2, 0, 1, 4).characteristic_set() == (1, 1, 3, 4, 4, 4, 4)
 
     def test_unit_vector(self):
-        assert characteristic_set(MultiIndex.unit(7)) == (7,)
+        assert MultiIndex.unit(7).characteristic_set() == (7,)
 
     def test_second_coordinate(self):
-        assert characteristic_set(dense(0, 2)) == (2, 2)
+        assert dense(0, 2).characteristic_set() == (2, 2)
 
     def test_zero_index_rejected(self):
         with pytest.raises(EmptyIndex):
-            characteristic_set(MultiIndex.zero())
+            MultiIndex.zero().characteristic_set()
 
     def test_last_entry_is_degree(self):
         a = dense(1, 0, 0, 2, 1)
-        assert characteristic_set(a)[-1] == a.degree
+        assert a.characteristic_set()[-1] == a.degree
 
 
 class TestEnumerate:

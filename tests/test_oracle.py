@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from chaossde.basis import kl_partial, make_basis
 from chaossde.integrator import ToleranceSpec
 from chaossde.multiindex import FullTruncation
 from chaossde.oracle import (RngSpec, SampleStats, _chunk_generator,
-                             euler_maruyama, kl_path_check, normal_draws,
-                             sample_expansion)
+                             _thread_count, euler_maruyama, kl_path_check,
+                             normal_draws, sample_expansion)
 from chaossde.propagator import SdeModel, solve
 
 GRID = np.linspace(0.0, 1.0, 101)
@@ -53,6 +54,22 @@ class TestNormalDraws:
             RngSpec(seed=-1)
         with pytest.raises(ValueError):
             RngSpec(seed=0, stream=2 ** 64)
+
+
+class TestThreadCount:
+    def test_default_is_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("CHAOS_THREADS", raising=False)
+        assert _thread_count() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_invalid_value_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("CHAOS_THREADS", value)
+        with pytest.raises(ValueError, match="CHAOS_THREADS"):
+            _thread_count()
+        # the samplers check it before any chunk runs
+        with pytest.raises(ValueError, match="CHAOS_THREADS"):
+            euler_maruyama(SdeModel.gbm(1.0, 1.0, 1.0), n_steps=2, n_paths=10,
+                           rng=RngSpec(seed=0))
 
 
 class TestSampleExpansion:

@@ -6,10 +6,11 @@ import pytest
 from chaossde.basis import eval_E, eval_e, make_basis
 from chaossde.errors import NotBm, NotGbm, TimeNotOnGrid
 from chaossde.integrator import ToleranceSpec
-from chaossde.multiindex import FullTruncation, MultiIndex, enumerate_indices
+from chaossde.multiindex import (FullTruncation, IndexSet, MultiIndex,
+                                 enumerate_indices)
 from chaossde.propagator import (ChaosSolution, SdeModel, build_rhs,
-                                 closed_form_bm, closed_form_gbm,
-                                 closed_form_gbm_grid, initial_state, solve)
+                                 closed_form_bm, closed_form_gbm_grid,
+                                 initial_state, solve)
 
 TIGHT = ToleranceSpec(rtol=1e-10, atol=1e-12)
 GRID = np.linspace(0.0, 1.0, 101)
@@ -17,6 +18,12 @@ GRID = np.linspace(0.0, 1.0, 101)
 
 def gbm():
     return SdeModel.gbm(1.0, 1.0, 1.0)
+
+
+def gbm_coefficient(model, alpha, basis, t):
+    """One GBM coefficient at one time, from a one-index set."""
+    index_set = IndexSet((alpha,), k=max(alpha.degree, 1))
+    return closed_form_gbm_grid(model, index_set, basis, [t])[0, 0]
 
 
 class TestAssembledSystem:
@@ -97,7 +104,7 @@ class TestClosedForms:
     def test_gbm_zero_index(self):
         model = SdeModel.gbm(0.7, 1.3, 2.0)
         for t in (0.0, 0.4, 1.0):
-            got = closed_form_gbm(model, MultiIndex.zero(), make_basis("trig"), t)
+            got = gbm_coefficient(model, MultiIndex.zero(), make_basis("trig"), t)
             assert got == pytest.approx(2.0 * math.exp(0.7 * t), rel=1e-14)
 
     def test_gbm_double_index_constant_element(self):
@@ -105,7 +112,7 @@ class TestClosedForms:
         model = SdeModel.gbm(1.0, 0.5, 1.5)
         alpha = MultiIndex.from_dense((2,))
         t = 0.8
-        got = closed_form_gbm(model, alpha, make_basis("trig"), t)
+        got = gbm_coefficient(model, alpha, make_basis("trig"), t)
         assert got == pytest.approx(
             1.5 * 0.25 * math.exp(t) * t ** 2 / math.sqrt(2), rel=1e-12)
 
@@ -113,7 +120,7 @@ class TestClosedForms:
         model = gbm()
         for dense in ((1,), (0, 2), (1, 0, 1)):
             alpha = MultiIndex.from_dense(dense)
-            assert closed_form_gbm(model, alpha, make_basis("haar"), 0.0) == 0.0
+            assert gbm_coefficient(model, alpha, make_basis("haar"), 0.0) == 0.0
 
     def test_bm_unit_coefficients(self):
         model = SdeModel.bm(0.4, 2.0, 0.3)
@@ -135,7 +142,7 @@ class TestClosedForms:
 
     def test_preset_guards(self):
         with pytest.raises(NotGbm):
-            closed_form_gbm(SdeModel.bm(1, 1, 1), MultiIndex.zero(),
+            gbm_coefficient(SdeModel.bm(1, 1, 1), MultiIndex.zero(),
                             make_basis("trig"), 0.5)
         with pytest.raises(NotBm):
             closed_form_bm(gbm(), MultiIndex.zero(), make_basis("trig"), 0.5)
