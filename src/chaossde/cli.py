@@ -283,11 +283,9 @@ def cmd_fig1(args, parser) -> int:
                     limit = gbm_variance_order_limit(mu, sigma, model.x0, p, grid)
                     n_level = (k - 1).bit_length() if k > 1 else 0
                     cells = 2 ** n_level
-                    dyadic = np.zeros(len(grid), dtype=int)
-                    # flag grid points only when they land exactly on the
-                    # dyadic resolution of the truncation
-                    if (len(grid) - 1) % cells == 0:
-                        dyadic[::(len(grid) - 1) // cells] = 1
+                    # grid point m sits at t = m / (len(grid) - 1): flag it
+                    # when t is a multiple of 1 / cells, in exact integers
+                    dyadic = (np.arange(len(grid)) * cells % (len(grid) - 1) == 0).astype(int)
                     extra = {"order_limit_var": limit,
                              "basis_component_err": np.abs(curve.approx_var - limit),
                              "is_dyadic": dyadic}

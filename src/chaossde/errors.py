@@ -9,6 +9,10 @@ class InvalidSparseIndex(ChaosError):
     """Sparse index violates the required monotonicity or shape."""
 
 
+class IndexSetTooLarge(ChaosError):
+    """Truncation has more indices, or a higher order, than the supported caps."""
+
+
 class CoordinateNotPositive(ChaosError):
     """Tried to decrement a multi-index coordinate that is zero."""
 

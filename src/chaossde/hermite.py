@@ -2,18 +2,20 @@
 
 ``hermite_n`` evaluates H_n with E[H_n(xi)^2] = 1 for standard normal xi.
 ``triple_scalar``/``triple_multi`` give expectations of products of two and
-three basis functionals, which drive higher-moment formulas and the Galerkin
-projection of quadratic coefficients.
+three basis functionals; ``galerkin_tensor`` collects them over an index
+set for the Galerkin projection of quadratic coefficients and the third
+moment.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, OrderTooLarge
-from .multiindex import MultiIndex
+from .multiindex import INDEX_DTYPE, IndexSet, MultiIndex
 
 MAX_ORDER = 64
 
@@ -122,3 +124,69 @@ def product_expansion(beta: MultiIndex, gamma: MultiIndex):
             yield from rec(pos + 1, pairs + ((i, a),) if a else pairs, w * t)
 
     yield from rec(0, (), 1.0)
+
+
+class GalerkinTensor(NamedTuple):
+    """Entries of Psi^b Psi^c = sum_a weight * Psi^a projected onto a set.
+
+    Entry e couples ordinals ``left[e] <= right[e]`` into ``targets[e]``;
+    ``weights[e]`` is E[Psi^a Psi^b Psi^c], doubled when b != c so that
+    sum_e weights[e] x[left[e]] x[right[e]] over the entries with
+    ``targets[e] == a`` is the a-th coefficient of X^2.
+    """
+
+    targets: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    weights: np.ndarray
+
+
+def galerkin_tensor(index_set: IndexSet) -> GalerkinTensor:
+    """The Galerkin tensor of ``index_set``, built once per set.
+
+    Entries come ordered by b, then c, then a in ascending lexicographic
+    order, with weights multiplied coordinate by coordinate from the left,
+    exactly as summing ``product_expansion(b, c)`` over the pairs b <= c
+    would give them.
+    """
+    return index_set.cached("galerkin", _build_galerkin_tensor)
+
+
+def _build_galerkin_tensor(index_set: IndexSet) -> GalerkinTensor:
+    # Psi^b Psi^c = sum over m <= min(b, c) of weight * Psi^(b + c - 2m):
+    # per coordinate, orders run from |b_i - c_i| to b_i + c_i in steps of
+    # two.  Coordinates outside supp(b) contribute the factor
+    # triple_scalar(0, c_i, c_i) = 1.0 exactly, so only supp(b) enters.
+    dense = index_set.dense
+    n, p = len(index_set), index_set.max_order
+    if p > MAX_ORDER:
+        raise OrderTooLarge(f"order {p} exceeds the cap {MAX_ORDER}")
+    table = np.array([[[triple_scalar(a, b, c) for c in range(p + 1)]
+                       for b in range(p + 1)] for a in range(p + 1)])
+    orders = dense.sum(axis=1)
+    parts = []
+    for b_ord in range(n):
+        beta = dense[b_ord]
+        support = np.flatnonzero(beta)
+        # every m <= beta on its support, lexicographically descending, so
+        # that a = b + c - 2m ascends
+        lowered = list(itertools.product(*(range(v, -1, -1) for v in beta[support])))
+        lowered = np.array(lowered, dtype=INDEX_DTYPE).reshape(len(lowered), len(support))
+        gammas = dense[b_ord:, support]
+        fits = (lowered[None, :, :] <= gammas[:, None, :]).all(axis=2)
+        fits &= (orders[b_ord] + orders[b_ord:, None]
+                 - 2 * lowered.sum(axis=1)[None, :]) <= p
+        c_off, m_ord = np.nonzero(fits)
+        alpha = dense[b_ord + c_off]
+        alpha[:, support] += beta[support] - 2 * lowered[m_ord]
+        targets = index_set.positions(alpha)
+        found = targets >= 0
+        c_off, alpha, targets = c_off[found], alpha[found], targets[found]
+        weights = np.ones(len(targets))
+        for i in support:
+            weights = weights * table[beta[i], dense[b_ord + c_off, i], alpha[:, i]]
+        keep = weights != 0.0
+        c_off, targets, weights = c_off[keep], targets[keep], weights[keep]
+        parts.append((targets, np.full(len(targets), b_ord, dtype=np.intp),
+                      b_ord + c_off, np.where(c_off == 0, weights, 2.0 * weights)))
+    return GalerkinTensor(*(np.concatenate(column) for column in zip(*parts)))

