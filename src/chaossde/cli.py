@@ -31,7 +31,7 @@ from .errors import ChaosError, IntegratorFailure
 from .integrator import ToleranceSpec
 from .multiindex import (FullTruncation, SparseFirstOrder, TruncationSpec,
                          format_sparse_text, parse_sparse_text)
-from .oracle import RngSpec, euler_maruyama, sample_expansion
+from .oracle import RngSpec, euler_maruyama, pool_size, sample_expansion
 from .presets import BENCHMARK_ROWS, BenchmarkRow
 from .propagator import SdeModel, solve
 
@@ -301,6 +301,7 @@ def cmd_mc(args, parser) -> int:
     scheme on the same model; the report carries both sets of statistics
     next to the coefficient-based moments.
     """
+    pool_size(args.paths, args.steps)  # bad sizes or CHAOS_THREADS fail before the solve
     model = _make_model(args, parser)
     spec = _resolve_truncation(args, parser)
     basis = make_basis(args.basis, args.t_end)

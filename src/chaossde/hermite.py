@@ -40,7 +40,11 @@ def hermite_n(n: int, x: float) -> float:
 
 
 def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Values H_0(x)..H_{n_max}(x), stacked along the first axis."""
+    """Values H_0(x)..H_{n_max}(x), stacked along the first axis.
+
+    The result is C-contiguous whatever the layout of ``x``; the recurrence
+    reads x back from ``out[1]``, so a transposed view costs one copy.
+    """
     if n_max > MAX_ORDER:
         raise OrderTooLarge(f"order {n_max} exceeds the cap {MAX_ORDER}")
     x = np.asarray(x, dtype=float)
@@ -49,7 +53,7 @@ def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
     if n_max >= 1:
         out[1] = x
     for m in range(1, n_max):
-        out[m + 1] = (x * out[m] - math.sqrt(m) * out[m - 1]) / math.sqrt(m + 1)
+        out[m + 1] = (out[1] * out[m] - math.sqrt(m) * out[m - 1]) / math.sqrt(m + 1)
     return out
 
 

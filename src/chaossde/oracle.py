@@ -20,10 +20,20 @@ import numpy as np
 from scipy.special import ndtri
 
 from .basis import BasisSpec, antiderivative_grid, kl_partial_grid
+from .errors import IndexSetTooLarge
 from .hermite import hermite_table
 from .propagator import ChaosSolution, SdeModel
 
 CHUNK = 1 << 16  # paths per substream; fixed so results never depend on threading
+# Largest chunk pool.  Chunks are numpy work, so threads beyond the cores
+# gain nothing; the cap keeps a mistyped CHAOS_THREADS from starting
+# thousands of threads.
+MAX_THREADS = 64
+# Largest working set of expansion sampling: the normal draws and the
+# Hermite table of every chunk the pool holds at once.  Far below the
+# memory of a workstation, far above any acceptance-size run (p=5, k=8
+# needs 29 MB per chunk).
+MAX_SAMPLE_BYTES = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -54,32 +64,44 @@ def normal_draws(gen: np.random.Generator, shape) -> np.ndarray:
 
 
 def _thread_count() -> int:
-    """Chunk-pool size: ``CHAOS_THREADS`` if set, else the usable cores."""
+    """``CHAOS_THREADS`` if set, else the usable cores, at most MAX_THREADS."""
     env = os.environ.get("CHAOS_THREADS")
     if not env:
         try:
-            return len(os.sched_getaffinity(0))
+            cores = len(os.sched_getaffinity(0))
         except AttributeError:  # no affinity interface on this platform
-            return os.cpu_count() or 1
+            cores = os.cpu_count() or 1
+        return min(cores, MAX_THREADS)
     try:
         threads = int(env)
     except ValueError:
         threads = 0
-    if threads < 1:
-        raise ValueError(f"CHAOS_THREADS must be a positive integer, got {env!r}")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(
+            f"CHAOS_THREADS must be an integer from 1 to {MAX_THREADS}, got {env!r}")
     return threads
 
 
-def _map_chunks(worker, n_paths: int):
-    """Run ``worker(chunk_index, size)`` over all path chunks.
+def pool_size(n_paths: int, n_steps: int = 1) -> int:
+    """Validate the run sizes and CHAOS_THREADS; return the chunk-pool size.
+
+    The pool never holds more workers than there are chunks.
+    """
+    for name, value in (("n_paths", n_paths), ("n_steps", n_steps)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    return min(_thread_count(), -(-n_paths // CHUNK))
+
+
+def _map_chunks(worker, n_paths: int, threads: int):
+    """Run ``worker(chunk_index, size)`` over all path chunks on ``threads``.
 
     Results are reduced in chunk order regardless of completion order, so
     the reduction is deterministic under any thread count.
     """
     sizes = [(i, min(CHUNK, n_paths - i * CHUNK))
              for i in range((n_paths + CHUNK - 1) // CHUNK)]
-    threads = _thread_count()
-    if threads == 1 or len(sizes) == 1:
+    if threads == 1:
         return [worker(i, s) for i, s in sizes]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(worker, i, s) for i, s in sizes]
@@ -127,35 +149,63 @@ def _power_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _expansion_terms(indices, row: np.ndarray) -> list:
+    """``(coeff, [(a, j), ...])`` per index with a non-zero coefficient.
+
+    The factors H_a(xi_j) come in ascending coordinate order, the order of
+    the index's ``MultiIndex`` pairs, with 0-based coordinates j.
+    """
+    nz_rows, nz_cols = np.nonzero(indices.dense)
+    orders = indices.dense[nz_rows, nz_cols]
+    starts = np.searchsorted(nz_rows, np.arange(len(indices) + 1))
+    factors = list(zip(orders.tolist(), nz_cols.tolist()))
+    return [(coeff, factors[starts[n]:starts[n + 1]])
+            for n, coeff in enumerate(row.tolist()) if coeff != 0.0]
+
+
 def sample_expansion(sol: ChaosSolution, t: float, n_paths: int,
                      rng: RngSpec) -> SampleStats:
     """Sample the truncated expansion at a grid time.
 
     Each path draws k independent standard normals, evaluates every basis
     functional through a shared Hermite value table, and contracts with the
-    coefficient vector at ``t``.
+    coefficient vector at ``t``.  The table is laid out ``(p+1, k, size)``,
+    so each factor H_a(xi_j) over a chunk is one contiguous row; a term is
+    formed in a reused buffer as ``coeff * factor_1 * factor_2 * ...`` in
+    ascending coordinate order and added to the path values in index order.
+    A run whose draws and tables would exceed ``MAX_SAMPLE_BYTES`` raises
+    ``IndexSetTooLarge`` before anything is drawn.
     """
     row = sol.coeffs[sol.grid_position(t)]
     indices = sol.index_set
     k = indices.k
     p_max = indices.max_order
+    threads = pool_size(n_paths)
+    needed = 8 * k * min(CHUNK, n_paths) * (p_max + 2) * threads
+    if needed > MAX_SAMPLE_BYTES:
+        raise IndexSetTooLarge(
+            f"sampling p={p_max}, k={k} needs {needed} bytes of draws and Hermite "
+            f"tables on {threads} thread(s), above the cap of {MAX_SAMPLE_BYTES}")
+    terms = _expansion_terms(indices, row)
 
     def worker(chunk_index: int, size: int) -> np.ndarray:
         gen = _chunk_generator(rng, chunk_index)
         xi = normal_draws(gen, (size, k))
-        table = hermite_table(p_max, xi)  # (p+1, size, k)
+        table = hermite_table(p_max, xi.T)  # (p+1, k, size)
         values = np.zeros(size)
-        for n_ord, alpha in enumerate(indices):
-            coeff = row[n_ord]
-            if coeff == 0.0:
+        term = np.empty(size)
+        for coeff, factors in terms:
+            if not factors:  # the zero index
+                values += coeff
                 continue
-            term = np.full(size, coeff)
-            for coord, a in alpha:
-                term = term * table[a, :, coord - 1]
+            (a, j), *rest = factors
+            np.multiply(coeff, table[a, j], out=term)
+            for a, j in rest:
+                term *= table[a, j]
             values += term
         return _power_sums(values)
 
-    partials = _map_chunks(worker, n_paths)
+    partials = _map_chunks(worker, n_paths, threads)
     total = np.zeros(6)
     for part in partials:
         total += part
@@ -169,6 +219,7 @@ def euler_maruyama(model: SdeModel, n_steps: int, n_paths: int, rng: RngSpec,
     Per step the coefficients are frozen at the left grid point:
     X <- X + b(t_i, X) dt + sigma(t_i, X) sqrt(dt) Z.
     """
+    threads = pool_size(n_paths, n_steps)
     dt = t_end / n_steps
     sqrt_dt = math.sqrt(dt)
     drift_vals = [model.drift_at(i * dt) for i in range(n_steps)]
@@ -190,7 +241,7 @@ def euler_maruyama(model: SdeModel, n_steps: int, n_paths: int, rng: RngSpec,
             x = x + drift * dt + diff * (sqrt_dt * z)
         return _power_sums(x)
 
-    partials = _map_chunks(worker, n_paths)
+    partials = _map_chunks(worker, n_paths, threads)
     total = np.zeros(6)
     for part in partials:
         total += part
@@ -205,6 +256,7 @@ def kl_path_check(basis: BasisSpec, k: int, t_grid, n_paths: int,
     variance against kl_partial(k, t); the return value is the largest
     |deviation| / se over the grid.
     """
+    threads = pool_size(n_paths)
     t_grid = np.asarray(t_grid, dtype=float)
     E = antiderivative_grid(basis, k, t_grid)  # (G, k)
     target = kl_partial_grid(basis, k, t_grid)
@@ -216,7 +268,7 @@ def kl_path_check(basis: BasisSpec, k: int, t_grid, n_paths: int,
         return np.stack([paths.sum(axis=0), (paths ** 2).sum(axis=0),
                          (paths ** 4).sum(axis=0)])
 
-    partials = _map_chunks(worker, n_paths)
+    partials = _map_chunks(worker, n_paths, threads)
     total = np.zeros((3, len(t_grid)))
     for part in partials:
         total += part

@@ -107,6 +107,27 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "CHAOS_THREADS" in capsys.readouterr().err
 
+    def test_thread_count_above_cap_is_2(self, tmp_path, monkeypatch, capsys):
+        # refused by the size checks ahead of the solve: no pool is started
+        monkeypatch.setenv("CHAOS_THREADS", "100000")
+        with pytest.raises(SystemExit) as exc:
+            run(["mc", "--basis", "trig", "--p", "1", "--k", "2", "--paths", "10",
+                 "--steps", "2", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "CHAOS_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--paths", "0", "n_paths"), ("--paths", "-5", "n_paths"),
+        ("--steps", "0", "n_steps"), ("--steps", "-3", "n_steps")])
+    def test_mc_sizes_below_one_are_2(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:  # the last --paths / --steps wins
+            run(["mc", "--basis", "trig", "--p", "1", "--k", "2", "--paths", "10",
+                 "--steps", "2", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_index_set_is_2(self, tmp_path, capsys):
         # p=10, k=64 is 7.2e11 indices: refused from the count, not enumerated
         with pytest.raises(SystemExit) as exc:

@@ -8,9 +8,10 @@ from chaossde.analysis import moments
 from chaossde.basis import kl_partial, make_basis
 from chaossde.integrator import ToleranceSpec
 from chaossde.multiindex import FullTruncation
-from chaossde.oracle import (RngSpec, SampleStats, _chunk_generator,
-                             _thread_count, euler_maruyama, kl_path_check,
-                             normal_draws, sample_expansion)
+from chaossde.oracle import (CHUNK, MAX_THREADS, RngSpec, SampleStats,
+                             _chunk_generator, _thread_count, euler_maruyama,
+                             kl_path_check, normal_draws, pool_size,
+                             sample_expansion)
 from chaossde.propagator import SdeModel, solve
 
 GRID = np.linspace(0.0, 1.0, 101)
@@ -70,6 +71,36 @@ class TestThreadCount:
         with pytest.raises(ValueError, match="CHAOS_THREADS"):
             euler_maruyama(SdeModel.gbm(1.0, 1.0, 1.0), n_steps=2, n_paths=10,
                            rng=RngSpec(seed=0))
+
+    @pytest.mark.parametrize("value", [str(MAX_THREADS + 1), "100000"])
+    def test_above_cap_rejected(self, monkeypatch, value):
+        # only the parsing runs: no pool is started
+        monkeypatch.setenv("CHAOS_THREADS", value)
+        with pytest.raises(ValueError, match=f"1 to {MAX_THREADS}"):
+            _thread_count()
+
+    def test_pool_never_exceeds_chunks(self, monkeypatch):
+        monkeypatch.setenv("CHAOS_THREADS", str(MAX_THREADS))
+        assert _thread_count() == MAX_THREADS
+        assert pool_size(1) == 1
+        assert pool_size(3 * CHUNK) == 3
+        assert pool_size(3 * CHUNK + 1) == 4
+        assert pool_size(1000 * CHUNK) == MAX_THREADS
+
+
+class TestRunSizes:
+    @pytest.mark.parametrize("n_paths", [0, -5])
+    def test_paths_below_one_rejected(self, n_paths):
+        sol = gbm_solution(p=1, k=2)
+        with pytest.raises(ValueError, match="n_paths"):
+            sample_expansion(sol, 1.0, n_paths, RngSpec(seed=0))
+        with pytest.raises(ValueError, match="n_paths"):
+            euler_maruyama(SdeModel.gbm(1.0, 1.0, 1.0), 4, n_paths, RngSpec(seed=0))
+
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_steps_below_one_rejected(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            euler_maruyama(SdeModel.gbm(1.0, 1.0, 1.0), n_steps, 10, RngSpec(seed=0))
 
 
 class TestSampleExpansion:

@@ -1,0 +1,116 @@
+"""Contiguous expansion sampling against the per-index loop it replaced.
+
+The oracle below is the old sampler: a Hermite table laid out
+``(p+1, size, k)``, and per index a fresh ``np.full(size, coeff)``
+multiplied by one strided factor column per coordinate.  The new sampler
+performs the same floating-point operations in the same order, so every
+statistic must agree bit for bit.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_index_arrays import specs
+
+from chaossde import oracle
+from chaossde.basis import make_basis
+from chaossde.errors import IndexSetTooLarge
+from chaossde.hermite import hermite_table
+from chaossde.integrator import ToleranceSpec
+from chaossde.multiindex import INDEX_DTYPE, FullTruncation, IndexSet, enumerate_indices
+from chaossde.oracle import (RngSpec, _chunk_generator, _power_sums,
+                             _stats_from_power_sums, normal_draws, sample_expansion)
+from chaossde.propagator import ChaosSolution, SdeModel, solve
+
+GRID = np.array([0.0, 1.0])
+
+
+def old_sample_expansion(sol, t, n_paths, rng):
+    """The per-index ``np.full`` loop, run serially over the chunks."""
+    row = sol.coeffs[sol.grid_position(t)]
+    indices = sol.index_set
+    k, p_max = indices.k, indices.max_order
+    chunk = oracle.CHUNK
+    total = np.zeros(6)
+    for chunk_index in range(-(-n_paths // chunk)):
+        size = min(chunk, n_paths - chunk_index * chunk)
+        xi = normal_draws(_chunk_generator(rng, chunk_index), (size, k))
+        table = hermite_table(p_max, xi)  # (p+1, size, k)
+        values = np.zeros(size)
+        for n_ord, alpha in enumerate(indices):
+            coeff = row[n_ord]
+            if coeff == 0.0:
+                continue
+            term = np.full(size, coeff)
+            for coord, a in alpha:
+                term = term * table[a, :, coord - 1]
+            values += term
+        total += _power_sums(values)
+    return _stats_from_power_sums(n_paths, total)
+
+
+def stats_hex(stats):
+    return {key: float(value).hex() for key, value in vars(stats).items()}
+
+
+@st.composite
+def solutions(draw):
+    """A random truncation with a coefficient row that has zeros, or is all zero."""
+    spec = draw(specs())
+    index_set = enumerate_indices(spec)
+    n = len(index_set)
+    if draw(st.booleans()):
+        row = [0.0] * n
+    else:
+        entry = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_nan=False))
+        row = draw(st.lists(entry, min_size=n, max_size=n))
+    coeffs = np.stack([np.zeros(n), np.asarray(row, dtype=float)])
+    return ChaosSolution(index_set, GRID, coeffs, make_basis("trig"), truncation=spec)
+
+
+class TestBitIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(solutions(), st.integers(1, 5 * 64 + 7), st.sampled_from(("1", "2")),
+           st.integers(0, 2 ** 32))
+    def test_matches_old_loop(self, sol, n_paths, threads, seed):
+        # a 64-path chunk makes most path counts span several ragged chunks
+        rng = RngSpec(seed=seed, stream=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "CHUNK", 64)
+            mp.setenv("CHAOS_THREADS", threads)
+            got = sample_expansion(sol, 1.0, n_paths, rng)
+            want = old_sample_expansion(sol, 1.0, n_paths, rng)
+        assert stats_hex(got) == stats_hex(want)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_matches_old_loop_at_full_chunk(self, monkeypatch, threads):
+        # two full-size chunks, the second ragged, on a solved GBM expansion
+        sol = solve(SdeModel.gbm(1.0, 1.0, 1.0), FullTruncation(p=3, k=4),
+                    make_basis("trig"), GRID, ToleranceSpec(rtol=1e-8, atol=1e-11))
+        rng = RngSpec(seed=99)
+        n_paths = oracle.CHUNK + 4097
+        monkeypatch.setenv("CHAOS_THREADS", threads)
+        got = sample_expansion(sol, 1.0, n_paths, rng)
+        assert stats_hex(got) == stats_hex(old_sample_expansion(sol, 1.0, n_paths, rng))
+
+
+class TestMemoryBound:
+    def test_oversized_table_raises_before_drawing(self, monkeypatch):
+        # the zero and first unit index of FullTruncation(p=1, k=100_000): the
+        # full set's 100,001 dense rows would themselves take 20 GB, and only
+        # p and k enter the bound
+        k = 100_000
+        dense = np.zeros((2, k), dtype=INDEX_DTYPE)
+        dense[1, 0] = 1
+        sol = ChaosSolution(IndexSet(dense, k=k), GRID, np.zeros((2, 2)),
+                            make_basis("trig"), truncation=FullTruncation(p=1, k=k))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew or tabulated before the size check")
+
+        for name in ("_chunk_generator", "normal_draws", "hermite_table"):
+            monkeypatch.setattr(oracle, name, refuse)
+        monkeypatch.setenv("CHAOS_THREADS", "1")
+        needed = 8 * k * oracle.CHUNK * 3
+        with pytest.raises(IndexSetTooLarge, match=f"p=1, k={k} needs {needed} bytes"):
+            sample_expansion(sol, 1.0, oracle.CHUNK, RngSpec(seed=0))
