@@ -105,27 +105,14 @@ def gbm_variance_order_limit(mu: float, sigma: float, x0: float, p: int, t) -> n
     return x0 * x0 * np.exp(2.0 * mu * t) * s
 
 
-def error_curve(sol: ChaosSolution, exact_var, grid=None) -> ErrorCurve:
-    """Pointwise |exact - approximated| variance over ``grid``.
+def error_curve(sol: ChaosSolution, exact_var) -> ErrorCurve:
+    """Pointwise |exact - approximated| variance over the solution grid.
 
-    ``exact_var`` is a callable of time (vectorized or scalar); ``grid``
-    defaults to the full solution grid and must be a subset of it.
+    ``exact_var`` is a vectorized callable of time.
     """
-    if grid is None:
-        grid = sol.grid
-        rows = np.arange(len(grid))
-    else:
-        grid = np.asarray(grid, dtype=float)
-        rows = np.array([sol.grid_position(t) for t in grid])
-    _, variances = moment_curves(sol)
-    approx = variances[rows]
-    try:
-        exact = np.asarray(exact_var(grid), dtype=float)
-        if exact.shape != grid.shape:
-            raise TypeError
-    except TypeError:
-        exact = np.array([float(exact_var(t)) for t in grid])
-    return ErrorCurve(grid=grid, values=np.abs(exact - approx),
+    _, approx = moment_curves(sol)
+    exact = np.asarray(exact_var(sol.grid), dtype=float)
+    return ErrorCurve(grid=sol.grid, values=np.abs(exact - approx),
                       exact_var=exact, approx_var=approx)
 
 

@@ -16,17 +16,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__
 from .analysis import (error_curve, gbm_variance_exact, gbm_variance_order_limit,
                        loglog_fit, moments)
-from .basis import KINDS, make_basis, tail_sum
+from .basis import KINDS, breakpoints, make_basis, tail_sum
 from .errors import ChaosError, IntegratorFailure
 from .integrator import ToleranceSpec
 from .multiindex import (FullTruncation, SparseFirstOrder, TruncationSpec,
@@ -73,22 +75,17 @@ class ExperimentReport:
     rtol: float
     atol: float
 
-    FIELDS = ("basis", "k", "p", "truncation", "sparse", "n_coeff",
-              "error_at_T", "error_max", "wall_time_s", "rtol", "atol")
-
     def to_fields(self) -> list[str]:
-        return [self.basis, str(self.k), str(self.p), self.truncation,
-                self.sparse, str(self.n_coeff), _fmt(self.error_at_T),
-                _fmt(self.error_max), _fmt(self.wall_time_s), _fmt(self.rtol),
-                _fmt(self.atol)]
+        return [_fmt(getattr(self, name)) for name in self.FIELDS]
 
     @classmethod
     def from_fields(cls, parts: list[str]) -> "ExperimentReport":
-        return cls(basis=parts[0], k=int(parts[1]), p=int(parts[2]),
-                   truncation=parts[3], sparse=parts[4], n_coeff=int(parts[5]),
-                   error_at_T=float(parts[6]), error_max=float(parts[7]),
-                   wall_time_s=float(parts[8]), rtol=float(parts[9]),
-                   atol=float(parts[10]))
+        types = typing.get_type_hints(cls)
+        return cls(*(types[name](v) for name, v in zip(cls.FIELDS, parts)))
+
+
+# the CSV header: the report's fields in declaration order
+ExperimentReport.FIELDS = tuple(f.name for f in fields(ExperimentReport))
 
 
 def write_report_csv(path: str, reports: list[ExperimentReport]) -> None:
@@ -145,25 +142,26 @@ def _resolve_truncation(args, parser) -> TruncationSpec:
     return spec
 
 
-def _make_model(args, parser) -> SdeModel:
-    if args.sde == "gbm":
-        return SdeModel.gbm(args.mu, args.sigma, args.x0)
-    if args.sde == "bm":
-        return SdeModel.bm(args.b, args.sigma, args.x0)
-    parser.error(f"unknown model {args.sde!r}")
+def _solve_problem(args, parser):
+    """Build the model, truncation, basis and grid of ``solve``/``mc``; solve.
 
-
-def cmd_solve(args, parser) -> int:
-    model = _make_model(args, parser)
+    Returns the model, the tolerances and the solution.
+    """
+    model = (SdeModel.gbm(args.mu, args.sigma, args.x0) if args.sde == "gbm"
+             else SdeModel.bm(args.b, args.sigma, args.x0))
     spec = _resolve_truncation(args, parser)
     basis = make_basis(args.basis, args.t_end)
     grid = np.linspace(0.0, args.t_end, args.grid)
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
-    sol = solve(model, spec, basis, grid, tol)
+    return model, tol, solve(model, spec, basis, grid, tol)
+
+
+def cmd_solve(args, parser) -> int:
+    _, tol, sol = _solve_problem(args, parser)
     labels = sol.index_set.labels()
     if args.format == "csv":
         lines = ["t," + ",".join(labels)]
-        for m, t in enumerate(grid):
+        for m, t in enumerate(sol.grid):
             lines.append(",".join([_fmt(float(t))]
                                   + [_fmt(float(v)) for v in sol.coeffs[m]]))
         _write_lines(args.out, lines)
@@ -171,9 +169,16 @@ def cmd_solve(args, parser) -> int:
         payload = {"metadata": _metadata(tol),
                    "header": ["t"] + labels,
                    "rows": [[float(t)] + [float(v) for v in sol.coeffs[m]]
-                            for m, t in enumerate(grid)]}
+                            for m, t in enumerate(sol.grid)]}
         _write_lines(args.out, [json.dumps(payload)])
     return 0
+
+
+# Row filter keys and comparisons; "<=" and ">=" are tried before "=".
+_FILTER_KEYS = {"k": operator.attrgetter("k"), "p": operator.attrgetter("p"),
+                "n": operator.attrgetter("n_coeff"),
+                "type": operator.attrgetter("trunc_label")}
+_FILTER_OPS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
 
 
 def _parse_row_filter(text: str):
@@ -185,34 +190,18 @@ def _parse_row_filter(text: str):
     clauses = []
     for raw in text.split(","):
         raw = raw.strip()
-        for op in ("<=", ">=", "="):
-            if op in raw:
-                key, value = raw.split(op, 1)
-                clauses.append((key.strip(), op, value.strip()))
-                break
-        else:
+        op = next((op for op in _FILTER_OPS if op in raw), None)
+        if op is None:
             raise ValueError(f"cannot parse row filter clause {raw!r}")
-
-    def getter(row: BenchmarkRow, key: str):
-        if key == "k":
-            return row.k
-        if key == "p":
-            return row.p
-        if key == "n":
-            return row.n_coeff
-        if key == "type":
-            return row.trunc_label
-        raise ValueError(f"unknown row filter key {key!r}")
+        key, value = raw.split(op, 1)
+        clauses.append((key.strip(), _FILTER_OPS[op], value.strip()))
 
     def accept(row: BenchmarkRow) -> bool:
-        for key, op, value in clauses:
-            actual = getter(row, key)
-            want = int(value) if isinstance(actual, int) else value
-            if op == "=" and actual != want:
-                return False
-            if op == "<=" and not actual <= want:
-                return False
-            if op == ">=" and not actual >= want:
+        for key, compare, value in clauses:
+            if key not in _FILTER_KEYS:
+                raise ValueError(f"unknown row filter key {key!r}")
+            actual = _FILTER_KEYS[key](row)
+            if not compare(actual, int(value) if isinstance(actual, int) else value):
                 return False
         return True
 
@@ -227,9 +216,9 @@ def _check_bases(tokens: list[str], parser) -> list[str]:
 
 
 def run_benchmark_row(row: BenchmarkRow, basis_token: str, model: SdeModel,
-                      tol: ToleranceSpec, n_grid: int = 1001) -> ExperimentReport:
+                      tol: ToleranceSpec) -> ExperimentReport:
     basis = make_basis(basis_token, 1.0)
-    grid = np.linspace(0.0, 1.0, n_grid)
+    grid = np.linspace(0.0, 1.0, 1001)
     started = time.perf_counter()
     sol = solve(model, row.spec, basis, grid, tol)
     mu, sigma = model.param("mu"), model.param("sigma")
@@ -281,8 +270,7 @@ def cmd_fig1(args, parser) -> int:
                 extra = None
                 if token == "haar":
                     limit = gbm_variance_order_limit(mu, sigma, model.x0, p, grid)
-                    n_level = (k - 1).bit_length() if k > 1 else 0
-                    cells = 2 ** n_level
+                    cells = len(breakpoints(basis, k)) + 1
                     # grid point m sits at t = m / (len(grid) - 1): flag it
                     # when t is a multiple of 1 / cells, in exact integers
                     dyadic = (np.arange(len(grid)) * cells % (len(grid) - 1) == 0).astype(int)
@@ -302,12 +290,7 @@ def cmd_mc(args, parser) -> int:
     next to the coefficient-based moments.
     """
     pool_size(args.paths, args.steps)  # bad sizes or CHAOS_THREADS fail before the solve
-    model = _make_model(args, parser)
-    spec = _resolve_truncation(args, parser)
-    basis = make_basis(args.basis, args.t_end)
-    grid = np.linspace(0.0, args.t_end, args.grid)
-    tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
-    sol = solve(model, spec, basis, grid, tol)
+    model, tol, sol = _solve_problem(args, parser)
     mean, variance = moments(sol, args.t_end)
     rng = RngSpec(seed=args.seed, stream=args.stream)
     sampled = sample_expansion(sol, args.t_end, args.paths, rng)
@@ -379,16 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    def add_problem(p):
+        p.add_argument("--sde", choices=("gbm", "bm"), default="gbm")
+        p.add_argument("--b", type=float, default=1.0)
+        p.add_argument("--basis", choices=KINDS, required=True)
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--trunc", choices=("full", "sp1", "sp2"), default="full")
+        p.add_argument("--sparse", default="")
+        p.add_argument("--t-end", type=float, default=1.0)
+        p.add_argument("--grid", type=int, default=101)
+
     ps = sub.add_parser("solve", help="integrate one configuration")
-    ps.add_argument("--sde", choices=("gbm", "bm"), default="gbm")
-    ps.add_argument("--b", type=float, default=1.0)
-    ps.add_argument("--basis", choices=KINDS, required=True)
-    ps.add_argument("--p", type=int, required=True)
-    ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--trunc", choices=("full", "sp1", "sp2"), default="full")
-    ps.add_argument("--sparse", default="")
-    ps.add_argument("--t-end", type=float, default=1.0)
-    ps.add_argument("--grid", type=int, default=101)
+    add_problem(ps)
     add_common(ps)
 
     pt = sub.add_parser("table1", help="run the benchmark grid")
@@ -410,15 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(pr)
 
     pm = sub.add_parser("mc", help="Monte Carlo cross-check")
-    pm.add_argument("--sde", choices=("gbm", "bm"), default="gbm")
-    pm.add_argument("--b", type=float, default=1.0)
-    pm.add_argument("--basis", choices=KINDS, required=True)
-    pm.add_argument("--p", type=int, required=True)
-    pm.add_argument("--k", type=int, required=True)
-    pm.add_argument("--trunc", choices=("full", "sp1", "sp2"), default="full")
-    pm.add_argument("--sparse", default="")
-    pm.add_argument("--t-end", type=float, default=1.0)
-    pm.add_argument("--grid", type=int, default=101)
+    add_problem(pm)
     pm.add_argument("--paths", type=int, default=100_000)
     pm.add_argument("--steps", type=int, default=1024)
     pm.add_argument("--seed", type=int, default=0)

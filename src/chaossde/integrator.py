@@ -55,13 +55,10 @@ class ToleranceSpec:
     rtol: float = 1e-3
     atol: float = 1e-6
     max_steps: int = 10_000_000
-    initial_step: float | None = None
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.initial_step is not None and self.initial_step <= 0:
-            raise ValueError("initial step must be positive")
 
 
 def _rms(v: np.ndarray) -> float:
@@ -125,10 +122,7 @@ def integrate(rhs, y0, t_span, output_grid, tol: ToleranceSpec | None = None,
 
     t = t0
     f_now = np.asarray(rhs(t, y), dtype=float)
-    if tol.initial_step is not None:
-        h_prop = tol.initial_step
-    else:
-        h_prop = _initial_step(rhs, t0, y, f_now, t_end, tol)
+    h_prop = _initial_step(rhs, t0, y, f_now, t_end, tol)
 
     k = np.empty((7, n))
     n_attempts = 0
@@ -154,8 +148,7 @@ def integrate(rhs, y0, t_span, output_grid, tol: ToleranceSpec | None = None,
                 ts = math.nextafter(t_new, t)
             ys = y + h * sum(_A[s][m] * k[m] for m in range(s))
             k[s] = rhs(ts, ys)
-        y_new = y + h * (_A[6][0] * k[0] + _A[6][2] * k[2] + _A[6][3] * k[3]
-                         + _A[6][4] * k[4] + _A[6][5] * k[5])
+        y_new = ys  # FSAL: the last stage is evaluated at the fifth-order solution
         err_vec = h * (_E[0] * k[0] + _E[2] * k[2] + _E[3] * k[3]
                        + _E[4] * k[4] + _E[5] * k[5] + _E[6] * k[6])
         sc = tol.atol + tol.rtol * np.maximum(np.abs(y), np.abs(y_new))

@@ -210,6 +210,9 @@ MAX_STORED_ORDER = np.iinfo(INDEX_DTYPE).max // 2
 # runs; far larger sets would exhaust memory in the coefficient trajectories
 # (8 bytes per index per grid point) long before the solve finished.
 MAX_INDICES = 200_000
+# Largest dense array enumerated, in cells (64 MiB of int16): every set
+# within MAX_INDICES on up to 167 coordinates fits, p=1 on k=100,000 not.
+MAX_DENSE_CELLS = 1 << 25
 
 
 class IndexSet:
@@ -339,12 +342,13 @@ def _capped_levels(caps: Sequence[int], p: int) -> list[np.ndarray]:
     dropping a row above its cap loses no row within the caps.
     """
     caps = np.asarray(caps)
-    k = len(caps)
-    level = np.zeros((1, k), dtype=INDEX_DTYPE)
+    # caps never increase, so only the leading non-zero ones can be raised
+    raisable = np.count_nonzero(caps)
+    level = np.zeros((1, len(caps)), dtype=INDEX_DTYPE)
     last = np.zeros(1, dtype=np.intp)
     levels = [level]
     for _ in range(p):
-        counts = k - last
+        counts = raisable - last
         parent = np.repeat(np.arange(len(level)), counts)
         child = np.arange(len(parent))
         coord = child - np.repeat(np.cumsum(counts) - counts - last, counts)
@@ -362,8 +366,9 @@ def enumerate_indices(spec: TruncationSpec) -> IndexSet:
     Full: all indices with |a| <= p supported on the first k coordinates.
     First order sparse: additionally a_i <= r_i for every coordinate.
     Second order sparse: an index of total order j obeys a_i <= r^j_i.
-    Sets above ``MAX_INDICES`` indices or ``MAX_STORED_ORDER`` raise
-    ``IndexSetTooLarge`` before anything is allocated.
+    Sets above ``MAX_INDICES`` indices, ``MAX_DENSE_CELLS`` dense cells or
+    ``MAX_STORED_ORDER`` raise ``IndexSetTooLarge`` before anything is
+    allocated.
     """
     if spec.p > MAX_STORED_ORDER:
         raise IndexSetTooLarge(f"order {spec.p} exceeds the cap {MAX_STORED_ORDER}")
@@ -371,6 +376,9 @@ def enumerate_indices(spec: TruncationSpec) -> IndexSet:
     if n > MAX_INDICES:
         raise IndexSetTooLarge(f"truncation p={spec.p}, k={spec.k} has {n} indices, "
                                f"above the cap of {MAX_INDICES}")
+    if n * spec.k > MAX_DENSE_CELLS:
+        raise IndexSetTooLarge(f"truncation p={spec.p}, k={spec.k} needs {n * spec.k} "
+                               f"dense cells, above the cap of {MAX_DENSE_CELLS}")
     if isinstance(spec, FullTruncation):
         levels = _capped_levels([spec.p] * spec.k, spec.p)
     elif isinstance(spec, SparseFirstOrder):
@@ -379,8 +387,7 @@ def enumerate_indices(spec: TruncationSpec) -> IndexSet:
         levels = [np.zeros((1, spec.k), dtype=INDEX_DTYPE)]
         levels += [_capped_levels(row, j)[-1] for j, row in enumerate(spec.rows, start=1)]
     dense = np.concatenate(levels)
-    keys = [dense[:, i] for i in range(spec.k - 1, -1, -1)] + [dense.sum(axis=1)]
-    return IndexSet(dense[np.lexsort(keys)], k=spec.k)
+    return IndexSet(dense[np.argsort(IndexSet(dense, k=spec.k).keys)], k=spec.k)
 
 
 def _capped_counts(caps: Sequence[int], p: int) -> list[int]:

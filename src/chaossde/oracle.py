@@ -93,19 +93,17 @@ def pool_size(n_paths: int, n_steps: int = 1) -> int:
     return min(_thread_count(), -(-n_paths // CHUNK))
 
 
-def _map_chunks(worker, n_paths: int, threads: int):
-    """Run ``worker(chunk_index, size)`` over all path chunks on ``threads``.
+def _chunk_sums(worker, rng: RngSpec, n_paths: int, threads: int):
+    """Sum ``worker(generator, size)`` over all path chunks on ``threads``.
 
-    Results are reduced in chunk order regardless of completion order, so
-    the reduction is deterministic under any thread count.
+    Chunk i draws from its own Philox substream; results are added in chunk
+    order regardless of completion order, so the sum is bit-identical under
+    any thread count.
     """
-    sizes = [(i, min(CHUNK, n_paths - i * CHUNK))
-             for i in range((n_paths + CHUNK - 1) // CHUNK)]
-    if threads == 1:
-        return [worker(i, s) for i, s in sizes]
+    sizes = [min(CHUNK, n_paths - i * CHUNK) for i in range(-(-n_paths // CHUNK))]
+    generators = [_chunk_generator(rng, i) for i in range(len(sizes))]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, i, s) for i, s in sizes]
-        return [f.result() for f in futures]
+        return sum(pool.map(worker, generators, sizes), 0.0)
 
 
 @dataclass(frozen=True)
@@ -188,8 +186,7 @@ def sample_expansion(sol: ChaosSolution, t: float, n_paths: int,
             f"tables on {threads} thread(s), above the cap of {MAX_SAMPLE_BYTES}")
     terms = _expansion_terms(indices, row)
 
-    def worker(chunk_index: int, size: int) -> np.ndarray:
-        gen = _chunk_generator(rng, chunk_index)
+    def worker(gen: np.random.Generator, size: int) -> np.ndarray:
         xi = normal_draws(gen, (size, k))
         table = hermite_table(p_max, xi.T)  # (p+1, k, size)
         values = np.zeros(size)
@@ -205,11 +202,7 @@ def sample_expansion(sol: ChaosSolution, t: float, n_paths: int,
             values += term
         return _power_sums(values)
 
-    partials = _map_chunks(worker, n_paths, threads)
-    total = np.zeros(6)
-    for part in partials:
-        total += part
-    return _stats_from_power_sums(n_paths, total)
+    return _stats_from_power_sums(n_paths, _chunk_sums(worker, rng, n_paths, threads))
 
 
 def euler_maruyama(model: SdeModel, n_steps: int, n_paths: int, rng: RngSpec,
@@ -225,8 +218,7 @@ def euler_maruyama(model: SdeModel, n_steps: int, n_paths: int, rng: RngSpec,
     drift_vals = [model.drift_at(i * dt) for i in range(n_steps)]
     diff_vals = [model.diffusion_at(i * dt) for i in range(n_steps)]
 
-    def worker(chunk_index: int, size: int) -> np.ndarray:
-        gen = _chunk_generator(rng, chunk_index)
+    def worker(gen: np.random.Generator, size: int) -> np.ndarray:
         x = np.full(size, float(model.x0))
         for i in range(n_steps):
             b0, b1, b2 = drift_vals[i]
@@ -241,11 +233,7 @@ def euler_maruyama(model: SdeModel, n_steps: int, n_paths: int, rng: RngSpec,
             x = x + drift * dt + diff * (sqrt_dt * z)
         return _power_sums(x)
 
-    partials = _map_chunks(worker, n_paths, threads)
-    total = np.zeros(6)
-    for part in partials:
-        total += part
-    return _stats_from_power_sums(n_paths, total)
+    return _stats_from_power_sums(n_paths, _chunk_sums(worker, rng, n_paths, threads))
 
 
 def kl_path_check(basis: BasisSpec, k: int, t_grid, n_paths: int,
@@ -261,17 +249,13 @@ def kl_path_check(basis: BasisSpec, k: int, t_grid, n_paths: int,
     E = antiderivative_grid(basis, k, t_grid)  # (G, k)
     target = kl_partial_grid(basis, k, t_grid)
 
-    def worker(chunk_index: int, size: int) -> np.ndarray:
-        gen = _chunk_generator(rng, chunk_index)
+    def worker(gen: np.random.Generator, size: int) -> np.ndarray:
         xi = normal_draws(gen, (size, k))
         paths = xi @ E.T  # (size, G)
         return np.stack([paths.sum(axis=0), (paths ** 2).sum(axis=0),
                          (paths ** 4).sum(axis=0)])
 
-    partials = _map_chunks(worker, n_paths, threads)
-    total = np.zeros((3, len(t_grid)))
-    for part in partials:
-        total += part
+    total = _chunk_sums(worker, rng, n_paths, threads)
     mean = total[0] / n_paths
     m2 = np.maximum(total[1] / n_paths - mean ** 2, 0.0)
     # the process is centered, so the raw fourth moment is the central one

@@ -141,7 +141,7 @@ class PropagatorSystem:
                                      "lowered by one unit is missing")
         self.ladder_weights = np.sqrt(dense[rows, js].astype(float))
 
-        self.needs_quadratic = not (_is_zero(model.drift[2]) and _is_zero(model.diffusion[2]))
+        self.needs_quadratic = not model.is_affine
         if self.needs_quadratic:
             (self.quad_targets, self.quad_left, self.quad_right,
              self.quad_weights) = galerkin_tensor(index_set)

@@ -119,14 +119,6 @@ class TestErrorCurve:
         curve = error_curve(sol, self.exact())
         assert curve.error_at_T == pytest.approx(0.01, abs=0.005)
 
-    def test_subgrid(self):
-        sol = gbm_solution()
-        sub = GRID[::10]
-        curve = error_curve(sol, self.exact(), sub)
-        assert curve.grid.shape == sub.shape
-        assert curve.error_at_T == curve.values[-1]
-        assert np.all(curve.values >= 0)
-
     def test_variance_monotone_under_nesting(self):
         # sums of squares over a superset dominate the subset sums
         big = gbm_solution(p=3, k=4)

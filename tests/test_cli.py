@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from chaossde import cli
+from chaossde import cli, multiindex
 from chaossde.analysis import gbm_variance_order_limit
 from chaossde.errors import StepSizeUnderflow
 
@@ -137,6 +137,20 @@ class TestExitCodes:
         assert "indices, above the cap" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_oversized_dense_array_is_2(self, tmp_path, capsys, monkeypatch):
+        # p=1, k=100,000 has 100,001 indices, within MAX_INDICES, but its
+        # dense array would need 10^10 int16 cells
+        def refuse(*args):
+            raise AssertionError("enumerated an oversized set")
+
+        monkeypatch.setattr(multiindex, "_capped_levels", refuse)
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--basis", "trig", "--p", "1", "--k", "100000",
+                 "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "dense cells, above the cap" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch):
         def exploding_solve(*args, **kwargs):
             raise StepSizeUnderflow("step size underflow", time=0.42)
@@ -187,6 +201,20 @@ class TestTable1Command:
         with pytest.raises(SystemExit) as exc:
             run(["table1", "--rows", "bogus~3", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    # an unparseable clause is a usage error; an unknown key is found while
+    # rows are matched and reported without a usage line
+    @pytest.mark.parametrize("rows,last,usage", [
+        ("bogus~3", "chaossde: error: cannot parse row filter clause 'bogus~3'", True),
+        ("x=1", "error: unknown row filter key 'x'", False)])
+    def test_bad_filter_messages(self, tmp_path, capsys, rows, last, usage):
+        with pytest.raises(SystemExit) as exc:
+            run(["table1", "--rows", rows, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1] == last
+        assert lines[0].startswith("usage: chaossde ") == usage
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestFig1Command:

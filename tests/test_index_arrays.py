@@ -8,6 +8,7 @@ three, so they must agree bit for bit; the third moment sums in another
 order and is held to a relative 1e-12.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from chaossde.analysis import third_moment
 from chaossde.basis import make_basis
 from chaossde.errors import IndexSetTooLarge, InvalidSparseIndex
 from chaossde.hermite import galerkin_tensor, product_expansion
-from chaossde.multiindex import (MAX_INDICES, FullTruncation, IndexSet, MultiIndex,
+from chaossde.multiindex import (MAX_DENSE_CELLS, MAX_INDICES, FullTruncation, IndexSet, MultiIndex,
                                  SparseFirstOrder, SparseSecondOrder,
                                  count_indices, enumerate_indices)
 from chaossde.presets import SPARSE_PRESETS
@@ -182,6 +183,21 @@ class TestEnumeration:
         with pytest.raises(IndexSetTooLarge):
             enumerate_indices(FullTruncation(p=20_000, k=1))
         assert count_indices(FullTruncation(p=6, k=16)) == 74_613 <= MAX_INDICES
+
+    def test_full_p6_k16_within_dense_cap(self):
+        assert count_indices(FullTruncation(p=6, k=16)) * 16 <= MAX_DENSE_CELLS
+
+    def test_zero_caps_grow_no_children(self):
+        # two indices on 3,000 coordinates: no k-by-k intermediate array
+        spec = SparseFirstOrder((1,) + (0,) * 2999)
+        tracemalloc.start()
+        try:
+            index_set = enumerate_indices(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(index_set) == 2
+        assert peak < 2_000_000
 
 
 class TestLadder:

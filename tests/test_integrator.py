@@ -146,19 +146,6 @@ def test_nan_rhs_terminates_with_underflow():
     assert exc.value.time <= 1.0
 
 
-def test_initial_step_honored():
-    calls = []
-
-    def rhs(t, y):
-        calls.append(t)
-        return y
-
-    integrate(rhs, np.array([1.0]), (0, 1), np.array([0.0, 1.0]),
-              ToleranceSpec(initial_step=0.25))
-    # second stage of the first attempted step sits at c2 * h0 = 0.05
-    assert calls[1] == pytest.approx(0.25 / 5)
-
-
 def test_grid_validation():
     with pytest.raises(ValueError):
         integrate(lambda t, y: y, np.array([1.0]), (0, 1), np.array([0.0, 0.5]))

@@ -203,3 +203,12 @@ class TestKlPathCheck:
         worst = kl_path_check(basis, 64, np.array([1.0]), 50_000, RngSpec(seed=16))
         assert worst <= 4.0
         assert kl_partial(basis, 64, 1.0) == pytest.approx(1.0, abs=1e-14)
+
+    def test_thread_count_invariant(self, monkeypatch):
+        # 70,000 paths are two chunks, summed in chunk order on any pool
+        args = (make_basis("klcos"), 8, np.linspace(0.1, 1.0, 4), 70_000,
+                RngSpec(seed=17))
+        monkeypatch.setenv("CHAOS_THREADS", "1")
+        serial = kl_path_check(*args)
+        monkeypatch.setenv("CHAOS_THREADS", "2")
+        assert kl_path_check(*args).hex() == serial.hex()
