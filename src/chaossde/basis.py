@@ -127,6 +127,8 @@ def element_values(spec: BasisSpec, k: int, t: float) -> np.ndarray:
 
 def antiderivative_grid(spec: BasisSpec, k: int, ts: np.ndarray) -> np.ndarray:
     """Matrix E_l(t) with shape ``(len(ts), k)``, closed form per element."""
+    if k < 1:
+        raise ValueError(f"need k >= 1 basis elements, got {k}")
     ts = np.asarray(ts, dtype=float)
     if ts.size and (ts.min() < 0.0 or ts.max() > spec.horizon):
         raise OutOfDomain("grid extends outside the basis horizon")

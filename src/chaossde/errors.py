@@ -17,10 +17,6 @@ class CoordinateNotPositive(ChaosError):
     """Tried to decrement a multi-index coordinate that is zero."""
 
 
-class EmptyIndex(ChaosError):
-    """Operation requires a multi-index of order at least one."""
-
-
 class OutOfDomain(ChaosError):
     """Time argument outside the basis horizon [0, T]."""
 

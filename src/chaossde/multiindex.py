@@ -16,8 +16,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import (CoordinateNotPositive, EmptyIndex, IndexSetTooLarge,
-                     InvalidSparseIndex)
+from .errors import CoordinateNotPositive, IndexSetTooLarge, InvalidSparseIndex
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,6 @@ class MultiIndex:
     @classmethod
     def zero(cls) -> "MultiIndex":
         return cls(())
-
-    @classmethod
-    def unit(cls, coordinate: int) -> "MultiIndex":
-        return cls(((coordinate, 1),))
 
     def __getitem__(self, coordinate: int) -> int:
         for i, v in self.pairs:
@@ -80,14 +75,6 @@ class MultiIndex:
             out *= math.factorial(v)
         return out
 
-    def dense(self, k: int) -> tuple[int, ...]:
-        """Dense tuple of the first ``k`` coordinates."""
-        out = [0] * k
-        for i, v in self.pairs:
-            if i <= k:
-                out[i - 1] = v
-        return tuple(out)
-
     def decremented(self, coordinate: int) -> "MultiIndex":
         """Return the index with ``coordinate`` reduced by one.
 
@@ -103,28 +90,6 @@ class MultiIndex:
             else:
                 out.append((i, v))
         return MultiIndex(tuple(out))
-
-    def characteristic_set(self) -> tuple[int, ...]:
-        """Non-decreasing coordinate list with multiplicity a_i per coordinate.
-
-        For a = (2,0,1,4) this is (1,1,3,4,4,4,4); the last entry equals the
-        degree.  Raises ``EmptyIndex`` for the zero index.
-        """
-        if self.is_zero:
-            raise EmptyIndex("characteristic set of the zero index is undefined")
-        out: list[int] = []
-        for i, v in self.pairs:
-            out.extend([i] * v)
-        return tuple(out)
-
-    def label(self) -> str:
-        """Compact text form: ``"0"`` for the zero index, else ``"a1:2|a3:1"``."""
-        if self.is_zero:
-            return "0"
-        return "|".join(f"a{i}:{v}" for i, v in self.pairs)
-
-    def __str__(self) -> str:
-        return self.label()
 
 
 @dataclass(frozen=True)
@@ -218,48 +183,30 @@ MAX_DENSE_CELLS = 1 << 25
 class IndexSet:
     """Deterministically ordered multi-index set with ordinal lookup.
 
-    Row n of ``dense``, an (n, k) small-int array, is the dense coordinate
-    tuple of the n-th index.  Rows are sorted ascending by total order, then
-    lexicographically, so coefficient vectors are reproducible across runs;
-    the zero index, when present, is first.  The ``MultiIndex`` view
-    (``indices``, iteration, ``[ordinal]``) is built on first use.
-
-    Lookups use integer keys: the rank of a row in the canonical order of
-    the full set of total order <= ``max_order`` on k coordinates.  Ranks
-    increase along every canonical set and stay below binomial(k + p, p);
-    a set whose binomial reaches 2^63 raises ``IndexSetTooLarge`` on its
-    first lookup.
+    Row n of ``dense``, an (n, k) int16 array, is the dense coordinate
+    tuple of the n-th index.  Rows are distinct and sorted by
+    ``row_keys``: ascending total order, then lexicographically, so
+    coefficient vectors are reproducible across runs.  A non-empty set
+    closed under lowering starts with the zero index.  Lookups
+    ``searchsorted`` the rows' keys, so a row is its own lookup key.
     """
 
-    def __init__(self, indices, k: int):
-        """``indices``: an (n, k) int16 array, or ``MultiIndex`` objects."""
-        self.k = k
-        self._cache: dict = {}
-        if isinstance(indices, np.ndarray):
-            self.dense = indices
-        else:
-            indices = tuple(indices)
-            if any(a.degree > k for a in indices):
-                raise ValueError(f"an index touches a coordinate above k={k}")
-            self.dense = np.array([a.dense(k) for a in indices],
-                                  dtype=INDEX_DTYPE).reshape(len(indices), k)
-            self.__dict__["indices"] = indices
-            if np.any(np.diff(self.keys) <= 0):
-                raise ValueError("indices must be distinct and in canonical order")
+    def __init__(self, dense: np.ndarray):
+        self.dense = np.asarray(dense, dtype=INDEX_DTYPE)
         self.dense.flags.writeable = False
+        self.keys = row_keys(self.dense)
+        # void keys have no ``<``: sorted means argsort is the identity
+        if (np.any(self.keys[1:] == self.keys[:-1])
+                or np.any(np.argsort(self.keys) != np.arange(len(self)))):
+            raise ValueError("rows must be distinct and in canonical order")
+        self._cache: dict = {}
+
+    @property
+    def k(self) -> int:
+        return self.dense.shape[1]
 
     def __len__(self) -> int:
         return len(self.dense)
-
-    @cached_property
-    def indices(self) -> tuple[MultiIndex, ...]:
-        return tuple(MultiIndex.from_dense(row) for row in self.dense.tolist())
-
-    def __iter__(self) -> Iterator[MultiIndex]:
-        return iter(self.indices)
-
-    def __getitem__(self, ordinal: int) -> MultiIndex:
-        return self.indices[ordinal]
 
     def cached(self, name: str, build):
         """``build(self)``, computed once per set and kept with it."""
@@ -269,68 +216,31 @@ class IndexSet:
 
     @cached_property
     def max_order(self) -> int:
-        return int(self.dense.sum(axis=1).max()) if len(self) else 0
-
-    @cached_property
-    def _rank_columns(self) -> np.ndarray:
-        # column m, entry s + 1: binomial(s + m, m), the number of
-        # m-coordinate tuples of order <= s; entry 0 (s = -1) is zero
-        p, k = self.max_order, self.k
-        if math.comb(p + k, k) >= 2 ** 63:
-            raise IndexSetTooLarge(f"ranks of order {p} on {k} coordinates overflow int64")
-        return np.array([[0] + [math.comb(s + m, m) for s in range(p + 1)]
-                         for m in range(k + 1)], dtype=np.int64)
-
-    def ranks(self, rows: np.ndarray) -> np.ndarray:
-        """Canonical rank of each dense row of total order <= ``max_order``.
-
-        The rank counts the rows of lower order, then, coordinate by
-        coordinate, the tuples that agree so far and hold a smaller value.
-        """
-        columns, k = self._rank_columns, self.k
-        top = rows.sum(axis=1, dtype=np.intp)  # entry of s = order - 1
-        rank = columns[k][top]
-        top += 1  # entry of s = the order still to place
-        for i in range(k):
-            column = columns[k - 1 - i]
-            rank += column[top]
-            top -= rows[:, i]
-            rank -= column[top]
-        return rank
-
-    @cached_property
-    def keys(self) -> np.ndarray:
-        return self.ranks(self.dense)
+        return int(self.dense[-1].sum()) if len(self) else 0
 
     def positions(self, rows: np.ndarray) -> np.ndarray:
         """Ordinal of each dense row in this set, -1 where it is absent."""
-        out = np.full(len(rows), -1, dtype=np.intp)
-        if not len(self):
-            return out
-        inside = np.flatnonzero(rows.sum(axis=1) <= self.max_order)
-        wanted = self.ranks(rows[inside])
+        wanted = row_keys(rows)
         pos = np.minimum(np.searchsorted(self.keys, wanted), len(self) - 1)
-        hit = self.keys[pos] == wanted
-        out[inside[hit]] = pos[hit]
-        return out
-
-    def _position(self, alpha: MultiIndex) -> int:
-        if alpha.degree > self.k or alpha.order > self.max_order:
-            return -1
-        row = np.array([alpha.dense(self.k)], dtype=INDEX_DTYPE)
-        return int(self.positions(row)[0])
-
-    def position_of(self, alpha: MultiIndex) -> int:
-        pos = self._position(alpha)
-        if pos < 0:
-            raise KeyError(alpha)
-        return pos
-
-    def __contains__(self, alpha: MultiIndex) -> bool:
-        return self._position(alpha) >= 0
+        return np.where(self.keys[pos] == wanted, pos, -1)
 
     def labels(self) -> list[str]:
-        return [a.label() for a in self.indices]
+        """``"0"`` for the zero index, else ``"a1:2|a3:1"`` (1-based coordinates)."""
+        return ["|".join(f"a{i}:{v}" for i, v in enumerate(row, start=1) if v) or "0"
+                for row in self.dense.tolist()]
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Sort key of each dense row: its total order, then its entries.
+
+    The key is the row's big-endian int16 bytes with the order prepended,
+    viewed as one ``np.void``.  Big-endian bytes of non-negative int16
+    values compare like the values, so byte order is the canonical order.
+    """
+    keyed = np.empty((len(rows), rows.shape[1] + 1), dtype=">i2")
+    keyed[:, 0] = rows.sum(axis=1)
+    keyed[:, 1:] = rows
+    return keyed.view(f"V{keyed.itemsize * keyed.shape[1]}").ravel()
 
 
 def _capped_levels(caps: Sequence[int], p: int) -> list[np.ndarray]:
@@ -363,6 +273,7 @@ def _capped_levels(caps: Sequence[int], p: int) -> list[np.ndarray]:
 def enumerate_indices(spec: TruncationSpec) -> IndexSet:
     """Enumerate the index set described by ``spec`` in canonical order.
 
+    The rows are grown level by level and sorted once by ``row_keys``.
     Full: all indices with |a| <= p supported on the first k coordinates.
     First order sparse: additionally a_i <= r_i for every coordinate.
     Second order sparse: an index of total order j obeys a_i <= r^j_i.
@@ -387,13 +298,13 @@ def enumerate_indices(spec: TruncationSpec) -> IndexSet:
         levels = [np.zeros((1, spec.k), dtype=INDEX_DTYPE)]
         levels += [_capped_levels(row, j)[-1] for j, row in enumerate(spec.rows, start=1)]
     dense = np.concatenate(levels)
-    return IndexSet(dense[np.argsort(IndexSet(dense, k=spec.k).keys)], k=spec.k)
+    return IndexSet(dense[np.argsort(row_keys(dense))])
 
 
 def _capped_counts(caps: Sequence[int], p: int) -> list[int]:
     """Number of dense tuples with a_i <= caps[i] of each total order 0..p."""
     counts = [1] + [0] * p
-    for cap in caps:
+    for cap in filter(None, caps):  # a zero cap leaves the counts unchanged
         prefix = list(itertools.accumulate(counts, initial=0))
         counts = [prefix[j + 1] - prefix[max(j - cap, 0)] for j in range(p + 1)]
     return counts

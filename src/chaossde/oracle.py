@@ -150,8 +150,8 @@ def _power_sums(values: np.ndarray) -> np.ndarray:
 def _expansion_terms(indices, row: np.ndarray) -> list:
     """``(coeff, [(a, j), ...])`` per index with a non-zero coefficient.
 
-    The factors H_a(xi_j) come in ascending coordinate order, the order of
-    the index's ``MultiIndex`` pairs, with 0-based coordinates j.
+    The factors H_a(xi_j) come in ascending coordinate order, with 0-based
+    coordinates j.
     """
     nz_rows, nz_cols = np.nonzero(indices.dense)
     orders = indices.dense[nz_rows, nz_cols]

@@ -17,6 +17,7 @@ lower-triangular in chaos order for affine models.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -29,7 +30,7 @@ from .hermite import galerkin_tensor
 # unused here; kept bound because the benchmark's tracer rebinds this name
 from .hermite import product_expansion  # noqa: F401
 from .integrator import ToleranceSpec, integrate
-from .multiindex import IndexSet, MultiIndex, TruncationSpec, enumerate_indices
+from .multiindex import IndexSet, TruncationSpec, enumerate_indices
 
 Coefficient = Union[float, Callable[[float], float]]
 
@@ -127,7 +128,6 @@ class PropagatorSystem:
         self.basis = basis
         self.n = len(index_set)
         self.k = index_set.k
-        self.zero_ordinal = index_set.position_of(MultiIndex.zero())
 
         dense = index_set.dense
         rows, js = np.nonzero(dense)
@@ -146,7 +146,7 @@ class PropagatorSystem:
             (self.quad_targets, self.quad_left, self.quad_right,
              self.quad_weights) = galerkin_tensor(index_set)
         self._e0 = np.zeros(self.n)
-        self._e0[self.zero_ordinal] = 1.0
+        self._e0[0] = 1.0  # the set is closed under lowering: row 0 is the zero index
 
     def _project(self, c0: float, c1: float, c2: float, y: np.ndarray,
                  quad: np.ndarray | None) -> np.ndarray:
@@ -181,7 +181,7 @@ def build_rhs(model: SdeModel, index_set: IndexSet, basis: BasisSpec) -> Propaga
 
 def initial_state(model: SdeModel, index_set: IndexSet) -> np.ndarray:
     y0 = np.zeros(len(index_set))
-    y0[index_set.position_of(MultiIndex.zero())] = model.x0
+    y0[0] = model.x0  # the zero index is ordinal 0
     return y0
 
 
@@ -194,6 +194,8 @@ def solve(model: SdeModel, spec: TruncationSpec, basis: BasisSpec,
     points so each dyadic cell is integrated as a smooth piece.
     """
     grid = np.asarray(grid, dtype=float)
+    if len(grid) < 2:
+        raise ValueError(f"grid needs at least 2 points, got {len(grid)}")
     if grid[0] != 0.0 or abs(grid[-1] - basis.horizon) > 1e-12:
         raise ValueError("grid must run from 0 to the basis horizon")
     index_set = enumerate_indices(spec)
@@ -220,17 +222,18 @@ def closed_form_gbm_grid(model: SdeModel, index_set: IndexSet, basis: BasisSpec,
     E = basis_mod.antiderivative_grid(basis, index_set.k, ts)
     growth = model.x0 * np.exp(mu * ts)
     out = np.empty((len(ts), len(index_set)))
-    for n, alpha in enumerate(index_set):
-        col = growth * sigma ** alpha.order / np.sqrt(alpha.factorial())
-        for coord, a in alpha:
-            col = col * E[:, coord - 1] ** a
+    for n, row in enumerate(index_set.dense.tolist()):
+        col = growth * sigma ** sum(row) / np.sqrt(math.prod(map(math.factorial, row)))
+        for j, a in enumerate(row):
+            if a:
+                col = col * E[:, j] ** a
         out[:, n] = col
     return out
 
 
-def closed_form_bm(model: SdeModel, alpha: MultiIndex, basis: BasisSpec,
-                   t: float) -> float:
-    """Exact coefficient of Brownian motion with drift.
+def closed_form_bm(model: SdeModel, index_set: IndexSet, basis: BasisSpec,
+                   ts) -> np.ndarray:
+    """Exact coefficients of Brownian motion with drift, shape (len(ts), n).
 
     The expansion terminates at order one: the mean coefficient is
     x0 + b t, order-one coefficients are sigma E_j(t), everything else
@@ -238,8 +241,12 @@ def closed_form_bm(model: SdeModel, alpha: MultiIndex, basis: BasisSpec,
     """
     if model.preset != "bm":
         raise NotBm("closed form requires the bm preset")
-    if alpha.is_zero:
-        return model.x0 + model.param("b") * t
-    if alpha.order == 1:
-        return model.param("sigma") * basis_mod.eval_E(basis, alpha.degree, t)
-    return 0.0
+    ts = np.asarray(ts, dtype=float)
+    dense = index_set.dense
+    orders = dense.sum(axis=1)
+    E = basis_mod.antiderivative_grid(basis, index_set.k, ts)
+    out = np.zeros((len(ts), len(index_set)))
+    out[:, orders == 0] = (model.x0 + model.param("b") * ts)[:, None]
+    first = np.flatnonzero(orders == 1)
+    out[:, first] = model.param("sigma") * E[:, dense[first].argmax(axis=1)]
+    return out

@@ -99,6 +99,23 @@ class TestExitCodes:
                  "--k", "2", "--grid", "1", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--basis", "trig", "--p", "1", "--k", "2"],
+        ["mc", "--basis", "trig", "--p", "1", "--k", "2", "--paths", "10", "--steps", "2"],
+        ["fig1", "--basis", "klcos", "--p", "1", "--k", "2"]])
+    def test_empty_grid_is_2(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--grid", "0", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "grid needs at least 2 points" in capsys.readouterr().err
+
+    def test_rates_without_basis_elements_is_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["rates", "--basis", "trig", "--k", "0,4,8",
+                 "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "need k >= 1" in capsys.readouterr().err
+
     def test_bad_thread_count_is_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CHAOS_THREADS", "abc")
         with pytest.raises(SystemExit) as exc:

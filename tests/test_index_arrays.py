@@ -8,6 +8,7 @@ three, so they must agree bit for bit; the third moment sums in another
 order and is held to a relative 1e-12.
 """
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from chaossde.errors import IndexSetTooLarge, InvalidSparseIndex
 from chaossde.hermite import galerkin_tensor, product_expansion
 from chaossde.multiindex import (MAX_DENSE_CELLS, MAX_INDICES, FullTruncation, IndexSet, MultiIndex,
                                  SparseFirstOrder, SparseSecondOrder,
-                                 count_indices, enumerate_indices)
+                                 count_indices, enumerate_indices, row_keys)
 from chaossde.presets import SPARSE_PRESETS
 from chaossde.propagator import ChaosSolution, SdeModel, build_rhs
 
@@ -57,10 +58,16 @@ def old_enumerate(spec):
     return dense
 
 
+def multi_indices(index_set):
+    """The rows of an index set as ``MultiIndex`` objects."""
+    return [MultiIndex.from_dense(row) for row in index_set.dense.tolist()]
+
+
 def old_ladder(index_set):
-    where = {a: n for n, a in enumerate(index_set)}
+    alphas = multi_indices(index_set)
+    where = {a: n for n, a in enumerate(alphas)}
     rows, js, srcs, ws = [], [], [], []
-    for a_ord, alpha in enumerate(index_set):
+    for a_ord, alpha in enumerate(alphas):
         for coord, value in alpha:
             rows.append(a_ord)
             js.append(coord - 1)
@@ -71,13 +78,14 @@ def old_ladder(index_set):
 
 
 def old_tensor(index_set):
-    where = {a: n for n, a in enumerate(index_set)}
+    alphas = multi_indices(index_set)
+    where = {a: n for n, a in enumerate(alphas)}
     qa, qb, qc, qw = [], [], [], []
     n = len(index_set)
-    for b_ord, beta in enumerate(index_set):
+    for b_ord, beta in enumerate(alphas):
         for c_ord in range(b_ord, n):
             mult = 1.0 if b_ord == c_ord else 2.0
-            for alpha, weight in product_expansion(beta, index_set[c_ord]):
+            for alpha, weight in product_expansion(beta, alphas[c_ord]):
                 if weight and alpha in where:
                     qa.append(where[alpha])
                     qb.append(b_ord)
@@ -89,13 +97,14 @@ def old_tensor(index_set):
 
 def old_third_moment(index_set, x):
     """The triple loop; also returns the sum of the terms' magnitudes."""
-    where = {a: n for n, a in enumerate(index_set)}
+    alphas = multi_indices(index_set)
+    where = {a: n for n, a in enumerate(alphas)}
     total = scale = 0.0
-    for b_ord, beta in enumerate(index_set):
-        for c_ord in range(b_ord, len(index_set)):
+    for b_ord, beta in enumerate(alphas):
+        for c_ord in range(b_ord, len(alphas)):
             mult = 1.0 if b_ord == c_ord else 2.0
             pair = mult * x[b_ord] * x[c_ord]
-            for alpha, weight in product_expansion(beta, index_set[c_ord]):
+            for alpha, weight in product_expansion(beta, alphas[c_ord]):
                 if weight and alpha in where:
                     term = pair * weight * x[where[alpha]]
                     total += term
@@ -145,11 +154,11 @@ class TestEnumeration:
     @settings(max_examples=100, deadline=None)
     @given(specs(closed=True))
     def test_downward_closed(self, spec):
-        index_set = enumerate_indices(spec)
-        assert index_set[0].is_zero
-        for alpha in index_set:
+        alphas = multi_indices(enumerate_indices(spec))
+        assert alphas[0].is_zero
+        for alpha in alphas:
             for coord, _ in alpha:
-                assert alpha.decremented(coord) in index_set
+                assert alpha.decremented(coord) in alphas
 
     @settings(max_examples=100, deadline=None)
     @given(specs())
@@ -157,25 +166,38 @@ class TestEnumeration:
         index_set = enumerate_indices(spec)
         n = len(index_set)
         assert np.array_equal(index_set.positions(index_set.dense), np.arange(n))
-        for ordinal, alpha in enumerate(index_set):
-            assert index_set.position_of(alpha) == ordinal
         # one unit above the largest entry of a column is never in the set
         raised = index_set.dense.copy()
         raised[:, 0] = index_set.dense[:, 0].max() + 1
         assert np.all(index_set.positions(raised) == -1)
 
-    def test_full_set_ranks_are_ordinals(self):
-        index_set = enumerate_indices(FullTruncation(p=5, k=16))
-        assert np.array_equal(index_set.keys, np.arange(len(index_set)))
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.lists(
+        st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 32767 // k))] * k),
+        min_size=1, max_size=40, unique=True)))
+    def test_row_keys_sort_like_lexsort(self, rows):
+        # canonical order: total order first, then the entries left to right
+        dense = np.array(rows, dtype=np.int16)
+        want = np.lexsort(np.vstack([dense[:, ::-1].T, dense.sum(axis=1)]))
+        assert np.array_equal(np.argsort(row_keys(dense)), want)
 
     def test_multiindex_constructor_keeps_given_order(self):
-        alphas = (MultiIndex.zero(), MultiIndex.unit(2), MultiIndex.unit(1))
-        index_set = IndexSet(alphas, k=2)
-        assert index_set.indices == alphas
-        assert index_set.position_of(MultiIndex.unit(1)) == 2
-        assert MultiIndex.from_dense((1, 1)) not in index_set
+        dense = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.int16)
+        index_set = IndexSet(dense)
+        assert np.array_equal(index_set.dense, dense) and index_set.k == 2
+        assert np.array_equal(index_set.positions(np.array([[1, 0], [1, 1]])), [2, -1])
         with pytest.raises(ValueError):
-            IndexSet(alphas[::-1], k=2)
+            IndexSet(dense[::-1])
+        with pytest.raises(ValueError):
+            IndexSet(dense[[0, 1, 1]])
+
+    def test_high_order_on_many_coordinates(self):
+        # 91 indices; the full set of order 12 on 300 coordinates has
+        # binomial(312, 12) > 2^63 members, and lookups must not depend on it
+        index_set = enumerate_indices(SparseFirstOrder((12, 12) + (0,) * 298))
+        assert len(index_set) == 91
+        system = build_rhs(SdeModel.gbm(1.0, 1.0, 1.0), index_set, make_basis("trig"))
+        assert np.array_equal(system.ladder_srcs, old_ladder(index_set)[2])
 
     def test_oversized_sets_fail_before_enumerating(self):
         with pytest.raises(IndexSetTooLarge):
@@ -198,6 +220,13 @@ class TestEnumeration:
             tracemalloc.stop()
         assert len(index_set) == 2
         assert peak < 2_000_000
+
+    def test_million_zero_caps_enumerate_quickly(self):
+        # counting and enumerating skip the zero caps
+        started = time.perf_counter()
+        index_set = enumerate_indices(SparseFirstOrder((1,) + (0,) * 999_999))
+        assert time.perf_counter() - started < 2.0
+        assert len(index_set) == 2
 
 
 class TestLadder:

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from chaossde.errors import CoordinateNotPositive, EmptyIndex, InvalidSparseIndex
-from chaossde.multiindex import (FullTruncation, MultiIndex, SparseFirstOrder,
+from chaossde.errors import CoordinateNotPositive, InvalidSparseIndex
+from chaossde.multiindex import (FullTruncation, IndexSet, MultiIndex, SparseFirstOrder,
                                  SparseSecondOrder, count_indices,
                                  enumerate_indices, format_sparse_text,
                                  parse_sparse_text)
@@ -12,6 +13,11 @@ from chaossde.presets import SPARSE_PRESETS
 
 def dense(*values):
     return MultiIndex.from_dense(values)
+
+
+def rows(index_set):
+    """The rows of an index set as tuples."""
+    return [tuple(row) for row in index_set.dense.tolist()]
 
 
 class TestMultiIndex:
@@ -31,8 +37,8 @@ class TestMultiIndex:
         assert MultiIndex(((3, 10), (64, 10))).factorial() == math.factorial(10) ** 2
 
     def test_label(self):
-        assert MultiIndex.zero().label() == "0"
-        assert dense(2, 0, 1).label() == "a1:2|a3:1"
+        index_set = IndexSet(np.array([[0, 0, 0], [2, 0, 1]]))
+        assert index_set.labels() == ["0", "a1:2|a3:1"]
 
 
 class TestDecrement:
@@ -45,25 +51,6 @@ class TestDecrement:
     def test_zero_coordinate_rejected(self):
         with pytest.raises(CoordinateNotPositive):
             dense(0, 3).decremented(1)
-
-
-class TestCharacteristicSet:
-    def test_worked_example(self):
-        assert dense(2, 0, 1, 4).characteristic_set() == (1, 1, 3, 4, 4, 4, 4)
-
-    def test_unit_vector(self):
-        assert MultiIndex.unit(7).characteristic_set() == (7,)
-
-    def test_second_coordinate(self):
-        assert dense(0, 2).characteristic_set() == (2, 2)
-
-    def test_zero_index_rejected(self):
-        with pytest.raises(EmptyIndex):
-            MultiIndex.zero().characteristic_set()
-
-    def test_last_entry_is_degree(self):
-        a = dense(1, 0, 0, 2, 1)
-        assert a.characteristic_set()[-1] == a.degree
 
 
 class TestEnumerate:
@@ -79,24 +66,23 @@ class TestEnumerate:
 
     def test_zero_order(self):
         s = enumerate_indices(FullTruncation(p=0, k=4))
-        assert len(s) == 1 and s[0].is_zero
+        assert rows(s) == [(0, 0, 0, 0)]
 
     def test_canonical_ordering(self):
         s = enumerate_indices(FullTruncation(p=2, k=2))
-        assert s[0].is_zero
-        got = [a.dense(2) for a in s]
+        got = rows(s)
         assert got == sorted(got, key=lambda d: (sum(d), d))
         assert got == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
     def test_deterministic(self):
         spec = SparseFirstOrder((3, 2, 2, 1, 1))
-        assert enumerate_indices(spec).indices == enumerate_indices(spec).indices
+        assert np.array_equal(enumerate_indices(spec).dense, enumerate_indices(spec).dense)
 
     def test_no_duplicates_and_position_map(self):
         s = enumerate_indices(FullTruncation(p=4, k=4))
-        assert len(set(s.indices)) == len(s)
-        for n, a in enumerate(s):
-            assert s.position_of(a) == n
+        assert len(set(rows(s))) == len(s)
+        for n, row in enumerate(rows(s)):
+            assert s.positions(np.array([row])) == n
 
 
 class TestCount:
@@ -130,15 +116,15 @@ def test_preset_counts(name, expected):
 class TestSparseSubsetProperties:
     def test_sparse_first_subset_of_full(self):
         r = (3, 2, 2, 1, 1)
-        sparse = set(enumerate_indices(SparseFirstOrder(r)))
-        full = set(enumerate_indices(FullTruncation(p=r[0], k=len(r))))
+        sparse = set(rows(enumerate_indices(SparseFirstOrder(r))))
+        full = set(rows(enumerate_indices(FullTruncation(p=r[0], k=len(r)))))
         assert sparse <= full
 
     def test_derived_second_order_subset_of_first(self):
         r = (3, 2, 2, 1, 1)
-        rows = tuple(tuple(min(j, ri) for ri in r) for j in range(1, r[0] + 1))
-        second = set(enumerate_indices(SparseSecondOrder(rows)))
-        first = set(enumerate_indices(SparseFirstOrder(r)))
+        caps = tuple(tuple(min(j, ri) for ri in r) for j in range(1, r[0] + 1))
+        second = set(rows(enumerate_indices(SparseSecondOrder(caps))))
+        first = set(rows(enumerate_indices(SparseFirstOrder(r))))
         assert second <= first
 
 

@@ -6,8 +6,7 @@ import pytest
 from chaossde.basis import eval_E, eval_e, make_basis
 from chaossde.errors import NotBm, NotGbm, TimeNotOnGrid
 from chaossde.integrator import ToleranceSpec
-from chaossde.multiindex import (FullTruncation, IndexSet, MultiIndex,
-                                 enumerate_indices)
+from chaossde.multiindex import FullTruncation, IndexSet, enumerate_indices
 from chaossde.propagator import (ChaosSolution, SdeModel, build_rhs,
                                  closed_form_bm, closed_form_gbm_grid,
                                  initial_state, solve)
@@ -20,10 +19,9 @@ def gbm():
     return SdeModel.gbm(1.0, 1.0, 1.0)
 
 
-def gbm_coefficient(model, alpha, basis, t):
+def gbm_coefficient(model, row, basis, t):
     """One GBM coefficient at one time, from a one-index set."""
-    index_set = IndexSet((alpha,), k=max(alpha.degree, 1))
-    return closed_form_gbm_grid(model, index_set, basis, [t])[0, 0]
+    return closed_form_gbm_grid(model, IndexSet(np.array([row])), basis, [t])[0, 0]
 
 
 class TestAssembledSystem:
@@ -41,8 +39,8 @@ class TestAssembledSystem:
         y = np.array([2.0, 0.3, -0.4])
         t = 0.3
         dy = system(t, y)
-        for coord in (1, 2):
-            n = indices.position_of(MultiIndex.unit(coord))
+        for coord, row in ((1, (1, 0)), (2, (0, 1))):
+            (n,) = indices.positions(np.array([row]))
             expected = y[n] + eval_e(basis, coord, t) * y[0]
             assert dy[n] == pytest.approx(expected, rel=1e-12)
 
@@ -50,7 +48,7 @@ class TestAssembledSystem:
         # b(t, x) = 2t, sigma = 0: only the mean coefficient evolves
         model = SdeModel((lambda t: 2.0 * t, 0.0, 0.0), (0.0, 0.0, 0.0), 0.5)
         sol = solve(model, FullTruncation(p=2, k=3), make_basis("trig"), GRID, TIGHT)
-        zero = sol.index_set.position_of(MultiIndex.zero())
+        zero = 0  # the zero index is ordinal 0
         assert np.abs(sol.coeffs[:, zero] - (0.5 + GRID ** 2)).max() < 1e-9
         others = np.delete(sol.coeffs, zero, axis=1)
         assert np.abs(others).max() == 0.0
@@ -58,14 +56,15 @@ class TestAssembledSystem:
     def test_lower_triangular_ladder(self):
         indices = enumerate_indices(FullTruncation(p=3, k=4))
         system = build_rhs(gbm(), indices, make_basis("trig"))
-        orders = np.array([a.order for a in indices])
+        orders = indices.dense.sum(axis=1)
         # every ladder source has order exactly one below its target
         assert np.all(orders[system.ladder_srcs] == orders[system.ladder_rows] - 1)
 
     def test_initial_state(self):
         indices = enumerate_indices(FullTruncation(p=2, k=2))
         y0 = initial_state(gbm(), indices)
-        assert y0[indices.position_of(MultiIndex.zero())] == 1.0
+        assert not indices.dense[0].any()  # the zero index is ordinal 0
+        assert y0[0] == 1.0
         assert np.count_nonzero(y0) == 1
 
 
@@ -73,7 +72,7 @@ class TestSolveAgainstClosedForms:
     def test_gbm_mean_coefficient(self):
         sol = solve(gbm(), FullTruncation(p=1, k=2), make_basis("trig"), GRID,
                     ToleranceSpec(rtol=1e-9, atol=1e-12))
-        zero = sol.index_set.position_of(MultiIndex.zero())
+        zero = 0  # the zero index is ordinal 0
         assert abs(sol.coeffs[-1, zero] - math.e) < 1e-6
 
     @pytest.mark.parametrize("token", ["trig", "haar", "klcos"])
@@ -89,13 +88,12 @@ class TestSolveAgainstClosedForms:
         basis = make_basis(token)
         model = SdeModel.bm(1.0, 1.0, 0.0)
         sol = solve(model, FullTruncation(p=3, k=4), basis, GRID, TIGHT)
-        for n, alpha in enumerate(sol.index_set):
-            expected = np.array([closed_form_bm(model, alpha, basis, t) for t in GRID])
-            assert np.abs(sol.coeffs[:, n] - expected).max() < 1e-9
+        expected = closed_form_bm(model, sol.index_set, basis, GRID)
+        assert np.abs(sol.coeffs - expected).max() < 1e-9
 
     def test_initial_row_matches_invariant(self):
         sol = solve(gbm(), FullTruncation(p=2, k=2), make_basis("haar"), GRID, TIGHT)
-        zero = sol.index_set.position_of(MultiIndex.zero())
+        zero = 0  # the zero index is ordinal 0
         assert sol.coeffs[0, zero] == 1.0
         assert np.count_nonzero(sol.coeffs[0]) == 1
 
@@ -104,48 +102,42 @@ class TestClosedForms:
     def test_gbm_zero_index(self):
         model = SdeModel.gbm(0.7, 1.3, 2.0)
         for t in (0.0, 0.4, 1.0):
-            got = gbm_coefficient(model, MultiIndex.zero(), make_basis("trig"), t)
+            got = gbm_coefficient(model, (0,), make_basis("trig"), t)
             assert got == pytest.approx(2.0 * math.exp(0.7 * t), rel=1e-14)
 
     def test_gbm_double_index_constant_element(self):
         # alpha = (2,) on the constant trig element: x0 sigma^2 e^{mu t} t^2/sqrt(2)
         model = SdeModel.gbm(1.0, 0.5, 1.5)
-        alpha = MultiIndex.from_dense((2,))
         t = 0.8
-        got = gbm_coefficient(model, alpha, make_basis("trig"), t)
+        got = gbm_coefficient(model, (2,), make_basis("trig"), t)
         assert got == pytest.approx(
             1.5 * 0.25 * math.exp(t) * t ** 2 / math.sqrt(2), rel=1e-12)
 
     def test_gbm_vanishes_at_zero_for_positive_order(self):
         model = gbm()
-        for dense in ((1,), (0, 2), (1, 0, 1)):
-            alpha = MultiIndex.from_dense(dense)
-            assert gbm_coefficient(model, alpha, make_basis("haar"), 0.0) == 0.0
+        for row in ((1,), (0, 2), (1, 0, 1)):
+            assert gbm_coefficient(model, row, make_basis("haar"), 0.0) == 0.0
 
     def test_bm_unit_coefficients(self):
         model = SdeModel.bm(0.4, 2.0, 0.3)
         basis = make_basis("trig")
-        assert closed_form_bm(model, MultiIndex.zero(), basis, 0.9) == pytest.approx(
-            0.3 + 0.4 * 0.9)
-        assert closed_form_bm(model, MultiIndex.unit(1), basis, 0.9) == pytest.approx(
-            2.0 * 0.9)
-        assert closed_form_bm(model, MultiIndex.unit(3), basis, 0.9) == pytest.approx(
-            2.0 * eval_E(basis, 3, 0.9))
+        index_set = IndexSet(np.array([[0, 0, 0], [0, 0, 1], [1, 0, 0]]))
+        (got,) = closed_form_bm(model, index_set, basis, [0.9])
+        assert got == pytest.approx([0.3 + 0.4 * 0.9, 2.0 * eval_E(basis, 3, 0.9), 2.0 * 0.9])
 
     def test_bm_higher_orders_vanish(self):
         model = SdeModel.bm(1.0, 1.0, 0.0)
-        for dense in ((2,), (1, 1), (0, 3)):
-            assert closed_form_bm(model, MultiIndex.from_dense(dense),
-                                  make_basis("haar"), 0.5) == 0.0
+        index_set = IndexSet(np.array([[0, 2, 0], [1, 1, 0], [2, 0, 0], [0, 0, 3]]))
+        assert not closed_form_bm(model, index_set, make_basis("haar"), [0.5]).any()
         zeroed = SdeModel.bm(0.0, 0.0, 0.0)
-        assert closed_form_bm(zeroed, MultiIndex.zero(), make_basis("trig"), 1.0) == 0.0
+        assert closed_form_bm(zeroed, IndexSet(np.zeros((1, 1))), make_basis("trig"),
+                              [1.0]) == 0.0
 
     def test_preset_guards(self):
         with pytest.raises(NotGbm):
-            gbm_coefficient(SdeModel.bm(1, 1, 1), MultiIndex.zero(),
-                            make_basis("trig"), 0.5)
+            gbm_coefficient(SdeModel.bm(1, 1, 1), (0,), make_basis("trig"), 0.5)
         with pytest.raises(NotBm):
-            closed_form_bm(gbm(), MultiIndex.zero(), make_basis("trig"), 0.5)
+            closed_form_bm(gbm(), IndexSet(np.zeros((1, 1))), make_basis("trig"), [0.5])
 
 
 class TestStructuralInvariants:
@@ -153,7 +145,9 @@ class TestStructuralInvariants:
         # affine systems do not couple across unused basis elements
         big = solve(gbm(), FullTruncation(p=2, k=3), make_basis("trig"), GRID, TIGHT)
         small = solve(gbm(), FullTruncation(p=2, k=2), make_basis("trig"), GRID, TIGHT)
-        cols = [big.index_set.position_of(a) for a in small.index_set]
+        padded = np.pad(small.index_set.dense, ((0, 0), (0, 1)))
+        cols = big.index_set.positions(padded)
+        assert np.all(cols >= 0)
         assert np.abs(big.coeffs[:, cols] - small.coeffs).max() < 1e-8
 
     def test_quadratic_drift_deterministic_oracle(self):
@@ -161,7 +155,7 @@ class TestStructuralInvariants:
         # noise the Galerkin projection must reproduce it through T(0,0,0)
         model = SdeModel((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), 0.5)
         sol = solve(model, FullTruncation(p=2, k=2), make_basis("trig"), GRID, TIGHT)
-        zero = sol.index_set.position_of(MultiIndex.zero())
+        zero = 0  # the zero index is ordinal 0
         assert np.abs(sol.coeffs[:, zero] - 1.0 / (2.0 - GRID)).max() < 1e-8
         assert np.abs(np.delete(sol.coeffs, zero, axis=1)).max() == 0.0
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_index_arrays import specs
+from test_index_arrays import multi_indices, specs
 
 from chaossde import oracle
 from chaossde.basis import make_basis
@@ -37,7 +37,7 @@ def old_sample_expansion(sol, t, n_paths, rng):
         xi = normal_draws(_chunk_generator(rng, chunk_index), (size, k))
         table = hermite_table(p_max, xi)  # (p+1, size, k)
         values = np.zeros(size)
-        for n_ord, alpha in enumerate(indices):
+        for n_ord, alpha in enumerate(multi_indices(indices)):
             coeff = row[n_ord]
             if coeff == 0.0:
                 continue
@@ -102,7 +102,7 @@ class TestMemoryBound:
         k = 100_000
         dense = np.zeros((2, k), dtype=INDEX_DTYPE)
         dense[1, 0] = 1
-        sol = ChaosSolution(IndexSet(dense, k=k), GRID, np.zeros((2, 2)),
+        sol = ChaosSolution(IndexSet(dense), GRID, np.zeros((2, 2)),
                             make_basis("trig"), truncation=FullTruncation(p=1, k=k))
 
         def refuse(*args, **kwargs):
