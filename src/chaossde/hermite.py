@@ -8,16 +8,22 @@ moment.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, OrderTooLarge
+from .errors import DimensionMismatch, IndexSetTooLarge, OrderTooLarge
 from .multiindex import INDEX_DTYPE, IndexSet, MultiIndex
 
 MAX_ORDER = 64
+# Largest Galerkin tensor built, in entries (32 bytes each, so 1 GiB): a
+# full p=5, k=16 set (32,261,733 entries) fits, p=6, k=16 (598,753,821) not.
+MAX_TENSOR_ENTRIES = 1 << 25
+# Candidate targets formed at a time, in dense cells: holds the working
+# memory of the tensor build to about 20 MB above its output (at p=4, k=16
+# the build peaks at 88 MB for 66 MB of output).
+BLOCK_CELLS = 1 << 20
 
 
 def hermite_n(n: int, x: float) -> float:
@@ -151,46 +157,137 @@ def galerkin_tensor(index_set: IndexSet) -> GalerkinTensor:
     Entries come ordered by b, then c, then a in ascending lexicographic
     order, with weights multiplied coordinate by coordinate from the left,
     exactly as summing ``product_expansion(b, c)`` over the pairs b <= c
-    would give them.
+    would give them.  Tensors above ``MAX_TENSOR_ENTRIES`` candidate
+    entries raise ``IndexSetTooLarge`` before any entry is built.
     """
     return index_set.cached("galerkin", _build_galerkin_tensor)
 
 
 def _build_galerkin_tensor(index_set: IndexSet) -> GalerkinTensor:
-    # Psi^b Psi^c = sum over m <= min(b, c) of weight * Psi^(b + c - 2m):
-    # per coordinate, orders run from |b_i - c_i| to b_i + c_i in steps of
-    # two.  Coordinates outside supp(b) contribute the factor
-    # triple_scalar(0, c_i, c_i) = 1.0 exactly, so only supp(b) enters.
+    """One self-join of the set over its lower sets.
+
+    Psi^b Psi^c = sum over m <= b, m <= c of weight * Psi^(b + c - 2m): per
+    coordinate, orders run from |b_i - c_i| to b_i + c_i in steps of two.
+    Every pair (x, m <= x) is listed once, and grouping the pairs by m
+    pairs each (b, m) with the rows c >= m.  In canonical order those c
+    that follow b and keep |a| <= p are one run of m's group, so no
+    candidate outside the run is formed; targets a missing from the set
+    are dropped after the lookup.  The weight multiplies triple_scalar
+    over supp(b) in ascending coordinate order from 1.0, as
+    ``product_expansion`` does: a coordinate outside supp(b) would add the
+    factor triple_scalar(0, c_i, c_i), and a padded support slot adds
+    triple_scalar(0, 0, 0); both are exactly 1.0 (their log-space terms
+    cancel exactly), so neither changes a bit.  No weight is zero: with
+    m_i <= min(b_i, c_i) every factor has an even sum and
+    s = b_i + c_i - m_i >= max(b_i, c_i, a_i).
+    """
     dense = index_set.dense
-    n, p = len(index_set), index_set.max_order
+    n, k, p = len(index_set), index_set.k, index_set.max_order
     if p > MAX_ORDER:
         raise OrderTooLarge(f"order {p} exceeds the cap {MAX_ORDER}")
     table = np.array([[[triple_scalar(a, b, c) for c in range(p + 1)]
                        for b in range(p + 1)] for a in range(p + 1)])
-    orders = dense.sum(axis=1)
-    parts = []
-    for b_ord in range(n):
-        beta = dense[b_ord]
-        support = np.flatnonzero(beta)
-        # every m <= beta on its support, lexicographically descending, so
-        # that a = b + c - 2m ascends
-        lowered = list(itertools.product(*(range(v, -1, -1) for v in beta[support])))
-        lowered = np.array(lowered, dtype=INDEX_DTYPE).reshape(len(lowered), len(support))
-        gammas = dense[b_ord:, support]
-        fits = (lowered[None, :, :] <= gammas[:, None, :]).all(axis=2)
-        fits &= (orders[b_ord] + orders[b_ord:, None]
-                 - 2 * lowered.sum(axis=1)[None, :]) <= p
-        c_off, m_ord = np.nonzero(fits)
-        alpha = dense[b_ord + c_off]
-        alpha[:, support] += beta[support] - 2 * lowered[m_ord]
-        targets = index_set.positions(alpha)
-        found = targets >= 0
-        c_off, alpha, targets = c_off[found], alpha[found], targets[found]
-        weights = np.ones(len(targets))
-        for i in support:
-            weights = weights * table[beta[i], dense[b_ord + c_off, i], alpha[:, i]]
-        keep = weights != 0.0
-        c_off, targets, weights = c_off[keep], targets[keep], weights[keep]
-        parts.append((targets, np.full(len(targets), b_ord, dtype=np.intp),
-                      b_ord + c_off, np.where(c_off == 0, weights, 2.0 * weights)))
-    return GalerkinTensor(*(np.concatenate(column) for column in zip(*parts)))
+    orders = dense.sum(axis=1, dtype=np.intp)
+    # supp(x) as ascending slots padded to width P: coordinate k (a zero
+    # column appended to the rows) with value 0
+    rows, cols = np.nonzero(dense)
+    nnz = np.bincount(rows, minlength=n)
+    width = max(int(nnz.max(initial=0)), 1)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(nnz) - nnz, nnz)
+    sup_cols = np.full((width, n), k, dtype=np.intp)
+    sup_cols[slot, rows] = cols
+    sup_vals = np.zeros((width, n), dtype=INDEX_DTYPE)
+    sup_vals[slot, rows] = dense[rows, cols]
+    padded = np.zeros((n, k + 1), dtype=INDEX_DTYPE)
+    padded[:, :k] = dense
+
+    # lower-set relation: pair r of row x is the r-th m <= x in the order
+    # of itertools.product(range(x_i, -1, -1) for i in supp(x))
+    lower = np.prod(sup_vals + 1.0, axis=0)
+    # in a set closed under lowering each pair (x, m) is also the entry
+    # (b, c, m) = (m, x, m), so this refuses no set the entry count admits
+    _check_tensor_size(index_set, lower.sum(), "lower-set pairs")
+    lower = lower.astype(np.intp)
+    rel_bounds = np.concatenate([[0], np.cumsum(lower)])
+    rel_x = np.repeat(np.arange(n), lower)
+    rank = np.arange(len(rel_x)) - np.repeat(rel_bounds[:-1], lower)
+    m_vals = np.empty((width, len(rel_x)), dtype=INDEX_DTYPE)
+    for j in range(width - 1, -1, -1):
+        top = sup_vals[j][rel_x]
+        m_vals[j] = top - rank % (top + 1)
+        rank //= top + 1
+    m_orders = m_vals.sum(axis=0, dtype=np.intp)
+
+    # group the pairs by m.  A non-zero m_i codes as i * (p + 1) + m_i, a
+    # zero as a code above them all; each pair's codes, sorted, key its m.
+    zero_code = (k + 1) * (p + 1)
+    codes = np.empty((len(rel_x), width), dtype=np.min_scalar_type(zero_code))
+    for j in range(width):
+        codes[:, j] = np.where(m_vals[j] > 0, sup_cols[j][rel_x] * (p + 1) + m_vals[j],
+                               zero_code)
+    codes.sort(axis=1)
+    group = np.unique(codes.view(f"V{codes.itemsize * width}").ravel(),
+                      return_inverse=True)[1].ravel()
+    del codes
+    # members of a group in canonical row order; the pairs already come by
+    # row, so a stable sort by group keeps it
+    by_group = np.argsort(group, kind="stable")
+    member = rel_x[by_group]
+    start = np.empty_like(by_group)
+    start[by_group] = np.arange(len(by_group))
+    # c follows b in its group (from b's own slot) while |c| <= p + 2|m| - |b|
+    run_key = group[by_group] * (p + 1) + orders[member]
+    limit = np.minimum(p + 2 * m_orders - orders[rel_x], p)
+    stop = np.searchsorted(run_key, group * (p + 1) + limit, side="right")
+    count = np.maximum(stop - start, 0)
+    per_b = np.add.reduceat(count, rel_bounds[:-1])  # m = 0: every row has a pair
+    total = int(per_b.sum())
+    _check_tensor_size(index_set, total, "candidate entries")
+
+    # blocks of consecutive b: those whose candidates start in the same
+    # BLOCK_CELLS cells of targets (a block overruns by at most one b)
+    done = np.cumsum(per_b) - per_b
+    block = done // max(BLOCK_CELLS // (k + 1), 1)
+    b_bounds = np.append(np.flatnonzero(np.diff(block, prepend=-1)), n)
+    out = GalerkinTensor(np.empty(total, dtype=np.intp), np.empty(total, dtype=np.intp),
+                         np.empty(total, dtype=np.intp), np.empty(total))
+    filled = 0
+    for b0, b1 in zip(b_bounds[:-1], b_bounds[1:]):
+        r0, r1 = rel_bounds[b0], rel_bounds[b1]
+        runs = count[r0:r1]
+        pair = np.repeat(np.arange(r0, r1), runs)
+        offset = np.arange(len(pair)) - np.repeat(np.cumsum(runs) - runs, runs)
+        left = rel_x[pair]
+        right = member[start[pair] + offset]
+        alpha = padded[right]
+        cells = alpha.reshape(-1)
+        row_start = np.arange(0, alpha.size, k + 1)
+        weights = np.ones(len(pair))
+        for j in range(width):
+            cell = row_start + sup_cols[j][left]
+            b_j = sup_vals[j][left]
+            c_j = cells[cell]
+            a_j = b_j + c_j - 2 * m_vals[j][pair]
+            cells[cell] = a_j
+            weights = weights * table[b_j, c_j, a_j]
+        targets = index_set.positions(alpha[:, :k])
+        # candidates come by (b, r, c): a stable sort by (b, c) keeps r, and
+        # so a, ascending within each (b, c)
+        keep = np.flatnonzero(targets >= 0)
+        keep = keep[np.argsort(left[keep] * n + right[keep], kind="stable")]
+        left, right, weights = left[keep], right[keep], weights[keep]
+        end = filled + len(keep)
+        out.targets[filled:end] = targets[keep]
+        out.left[filled:end] = left
+        out.right[filled:end] = right
+        out.weights[filled:end] = np.where(left == right, weights, 2.0 * weights)
+        filled = end
+    # on full sets every candidate is an entry
+    return out if filled == total else GalerkinTensor(*(a[:filled].copy() for a in out))
+
+
+def _check_tensor_size(index_set: IndexSet, count, what: str) -> None:
+    if count > MAX_TENSOR_ENTRIES:
+        raise IndexSetTooLarge(
+            f"the Galerkin tensor of {len(index_set)} indices needs {int(count)} {what}, "
+            f"above the cap of {MAX_TENSOR_ENTRIES}")

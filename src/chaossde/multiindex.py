@@ -225,9 +225,16 @@ class IndexSet:
         return np.where(self.keys[pos] == wanted, pos, -1)
 
     def labels(self) -> list[str]:
-        """``"0"`` for the zero index, else ``"a1:2|a3:1"`` (1-based coordinates)."""
-        return ["|".join(f"a{i}:{v}" for i, v in enumerate(row, start=1) if v) or "0"
-                for row in self.dense.tolist()]
+        """``"0"`` for the zero index, else ``"a1:2|a3:1"`` (1-based coordinates).
+
+        Only the non-zero entries are formatted, row by row in coordinate
+        order, so the cost follows the non-zeros, not the dense cells.
+        """
+        rows, cols = np.nonzero(self.dense)
+        terms = [f"a{i}:{v}" for i, v in zip((cols + 1).tolist(),
+                                             self.dense[rows, cols].tolist())]
+        bounds = np.searchsorted(rows, np.arange(len(self) + 1)).tolist()
+        return ["|".join(terms[lo:hi]) or "0" for lo, hi in zip(bounds, bounds[1:])]
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:

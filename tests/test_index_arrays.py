@@ -1,12 +1,13 @@
 """Array-native index sets, ladder and Galerkin tensor against loop oracles.
 
-The oracles are the tuple-of-pairs loops the array code replaced: a
-recursive composition enumerator, the ``MultiIndex.decremented`` ladder,
-the ``product_expansion`` pair loop for the Galerkin tensor and the triple
-loop for the third moment.  Arithmetic order is unchanged for the first
-three, so they must agree bit for bit; the third moment sums in another
-order and is held to a relative 1e-12.
+The oracles are the loops the array code replaced: a recursive
+composition enumerator, the ``MultiIndex.decremented`` ladder, the
+``product_expansion`` pair loop and the per-index lowered-box builder for
+the Galerkin tensor, and the triple loop for the third moment.  Arithmetic
+order is unchanged for the first four, so they must agree bit for bit; the
+third moment sums in another order and is held to a relative 1e-12.
 """
+import itertools
 import math
 import time
 import tracemalloc
@@ -16,14 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaossde import hermite
 from chaossde.analysis import third_moment
 from chaossde.basis import make_basis
 from chaossde.errors import IndexSetTooLarge, InvalidSparseIndex
-from chaossde.hermite import galerkin_tensor, product_expansion
-from chaossde.multiindex import (MAX_DENSE_CELLS, MAX_INDICES, FullTruncation, IndexSet, MultiIndex,
-                                 SparseFirstOrder, SparseSecondOrder,
+from chaossde.hermite import galerkin_tensor, product_expansion, triple_scalar
+from chaossde.multiindex import (INDEX_DTYPE, MAX_DENSE_CELLS, MAX_INDICES, FullTruncation,
+                                 IndexSet, MultiIndex, SparseFirstOrder, SparseSecondOrder,
                                  count_indices, enumerate_indices, row_keys)
-from chaossde.presets import SPARSE_PRESETS
+from chaossde.presets import BENCHMARK_ROWS, SPARSE_PRESETS
 from chaossde.propagator import ChaosSolution, SdeModel, build_rhs
 
 LOGISTIC = SdeModel((0.0, 1.0, -1.0), (0.0, 0.5, 0.0), 0.5)
@@ -93,6 +95,49 @@ def old_tensor(index_set):
                     qw.append(mult * weight)
     return (np.asarray(qa, dtype=np.intp), np.asarray(qb, dtype=np.intp),
             np.asarray(qc, dtype=np.intp), np.asarray(qw, dtype=float))
+
+
+def loop_tensor(index_set):
+    """The per-index builder: each b's lowered boxes against every later row.
+
+    Fast enough for sets of a few thousand indices, where ``old_tensor``
+    (one ``product_expansion`` per pair) is not.
+    """
+    dense = index_set.dense
+    n, p = len(index_set), index_set.max_order
+    table = np.array([[[triple_scalar(a, b, c) for c in range(p + 1)]
+                       for b in range(p + 1)] for a in range(p + 1)])
+    orders = dense.sum(axis=1)
+    parts = []
+    for b_ord in range(n):
+        beta = dense[b_ord]
+        support = np.flatnonzero(beta)
+        lowered = list(itertools.product(*(range(v, -1, -1) for v in beta[support])))
+        lowered = np.array(lowered, dtype=INDEX_DTYPE).reshape(len(lowered), len(support))
+        gammas = dense[b_ord:, support]
+        fits = (lowered[None, :, :] <= gammas[:, None, :]).all(axis=2)
+        fits &= (orders[b_ord] + orders[b_ord:, None]
+                 - 2 * lowered.sum(axis=1)[None, :]) <= p
+        c_off, m_ord = np.nonzero(fits)
+        alpha = dense[b_ord + c_off]
+        alpha[:, support] += beta[support] - 2 * lowered[m_ord]
+        targets = index_set.positions(alpha)
+        found = targets >= 0
+        c_off, alpha, targets = c_off[found], alpha[found], targets[found]
+        weights = np.ones(len(targets))
+        for i in support:
+            weights = weights * table[beta[i], dense[b_ord + c_off, i], alpha[:, i]]
+        keep = weights != 0.0
+        c_off, targets, weights = c_off[keep], targets[keep], weights[keep]
+        parts.append((targets, np.full(len(targets), b_ord, dtype=np.intp),
+                      b_ord + c_off, np.where(c_off == 0, weights, 2.0 * weights)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def assert_same_bytes(got, want):
+    for have, expected in zip(got, want, strict=True):
+        assert have.dtype == expected.dtype
+        assert have.tobytes() == expected.tobytes()
 
 
 def old_third_moment(index_set, x):
@@ -229,6 +274,24 @@ class TestEnumeration:
         assert len(index_set) == 2
 
 
+class TestLabels:
+    @settings(max_examples=150, deadline=None)
+    @given(specs())
+    def test_matches_per_cell_formatting(self, spec):
+        index_set = enumerate_indices(spec)
+        want = ["|".join(f"a{i}:{v}" for i, v in enumerate(row, start=1) if v) or "0"
+                for row in index_set.dense.tolist()]
+        assert index_set.labels() == want
+
+    def test_many_coordinates_format_quickly(self):
+        # 4,097 labels over 16.8M dense cells, 8,192 of them non-zero
+        index_set = enumerate_indices(FullTruncation(p=1, k=4096))
+        started = time.perf_counter()
+        labels = index_set.labels()
+        assert time.perf_counter() - started < 0.3
+        assert labels[:3] == ["0", "a4096:1", "a4095:1"] and len(labels) == 4097
+
+
 class TestLadder:
     @settings(max_examples=100, deadline=None)
     @given(specs(closed=True))
@@ -279,6 +342,59 @@ class TestGalerkinTensor:
         full[q.targets, q.right, q.left] = weights
         for axes in ((1, 0, 2), (2, 1, 0), (0, 2, 1)):
             assert np.array_equal(full, full.transpose(axes))
+
+    @settings(max_examples=200, deadline=None)
+    @given(specs(max_p=4, max_k=6, closed=False))
+    def test_matches_per_index_builder_bytes(self, spec):
+        # includes second-order sets that are not closed under lowering
+        index_set = enumerate_indices(spec)
+        assert_same_bytes(galerkin_tensor(index_set), loop_tensor(index_set))
+
+    @pytest.mark.parametrize("spec", sorted(
+        {spec for spec in [row.spec for row in BENCHMARK_ROWS] + list(SPARSE_PRESETS.values())
+         if count_indices(spec) <= 1287}, key=count_indices), ids=str)
+    def test_benchmark_rows_and_presets_match_per_index_builder(self, spec):
+        index_set = enumerate_indices(spec)
+        assert_same_bytes(galerkin_tensor(index_set), loop_tensor(index_set))
+
+    @pytest.mark.parametrize("spec", [FullTruncation(p=3, k=4), SPARSE_PRESETS["sp8"],
+                                      SparseSecondOrder(((1, 1, 0), (2, 2, 2), (3, 1, 1)))],
+                             ids=str)
+    def test_blocks_do_not_change_the_bytes(self, spec, monkeypatch):
+        # one candidate per block: every b with candidates is its own block
+        index_set = enumerate_indices(spec)
+        want = loop_tensor(index_set)
+        monkeypatch.setattr(hermite, "BLOCK_CELLS", 1)
+        assert_same_bytes(galerkin_tensor(index_set), want)
+
+    def test_peak_memory_at_p4_k16(self):
+        # 2,170,917 entries, 69 MB of output; the per-index builder peaked
+        # at 142 MB here, the join at 88 MB
+        index_set = enumerate_indices(FullTruncation(p=4, k=16))
+        tracemalloc.start()
+        try:
+            q = galerkin_tensor(index_set)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(q.targets) == 2_170_917
+        assert peak < 170_000_000
+
+    def test_quadratic_model_on_p6_k16_is_refused_quickly(self):
+        # 598,753,821 entries (about 19 GB); p=5, k=16 has 32,261,733
+        started = time.perf_counter()
+        index_set = enumerate_indices(FullTruncation(p=6, k=16))
+        with pytest.raises(IndexSetTooLarge, match="598753821 .* cap of 33554432"):
+            build_rhs(LOGISTIC, index_set, make_basis("klcos"))
+        assert time.perf_counter() - started < 10.0
+
+    def test_small_cap_refuses_a_small_set(self, monkeypatch):
+        index_set = enumerate_indices(FullTruncation(p=2, k=3))
+        monkeypatch.setattr(hermite, "MAX_TENSOR_ENTRIES", 20)
+        with pytest.raises(IndexSetTooLarge, match="cap of 20"):
+            galerkin_tensor(index_set)
+        monkeypatch.setattr(hermite, "MAX_TENSOR_ENTRIES", len(old_tensor(index_set)[0]))
+        assert_same_bytes(galerkin_tensor(index_set), old_tensor(index_set))
 
     def test_cached_per_set_and_shared_with_the_system(self):
         index_set = enumerate_indices(FullTruncation(p=2, k=3))
