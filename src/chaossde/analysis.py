@@ -41,10 +41,6 @@ class ErrorCurve:
     def error_max(self) -> float:
         return float(self.values.max())
 
-    @property
-    def argmax_time(self) -> float:
-        return float(self.grid[int(self.values.argmax())])
-
 
 def moments(sol: ChaosSolution, t: float) -> tuple[float, float]:
     """Mean and variance of the truncated expansion at a grid time.
@@ -81,12 +77,6 @@ def gbm_variance_exact(mu: float, sigma: float, x0: float, t) -> np.ndarray | fl
     """Var(X_t) = x0^2 exp(2 mu t) (exp(sigma^2 t) - 1) for geometric BM."""
     t = np.asarray(t, dtype=float)
     out = x0 * x0 * np.exp(2.0 * mu * t) * (np.exp(sigma * sigma * t) - 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def gbm_mean_exact(mu: float, x0: float, t) -> np.ndarray | float:
-    t = np.asarray(t, dtype=float)
-    out = x0 * np.exp(mu * t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -141,7 +131,3 @@ def loglog_fit(xs, ys) -> tuple[float, float, float]:
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
 
-
-def rate_fit(xs, ys) -> float:
-    """Fitted log-log slope of ``ys`` against ``xs``."""
-    return loglog_fit(xs, ys)[0]

@@ -54,27 +54,6 @@ def make_basis(token: str, horizon: float = 1.0) -> BasisSpec:
     return BasisSpec(token, horizon)
 
 
-def haar_level_shift(l: int) -> tuple[int, int]:
-    """Flat index -> (level n, shift j); l = 1 maps to (0, 1) for e_0."""
-    if l < 1:
-        raise ValueError("flat index must be >= 1")
-    if l == 1:
-        return 0, 1
-    n = (l - 1).bit_length()
-    return n, l - 2 ** (n - 1)
-
-
-def haar_flat_index(n: int, j: int) -> int:
-    """(level n, shift j) -> flat index; inverse of :func:`haar_level_shift`."""
-    if n == 0:
-        if j != 1:
-            raise ValueError("level 0 has a single element")
-        return 1
-    if not 1 <= j <= 2 ** (n - 1):
-        raise ValueError(f"shift {j} out of range for level {n}")
-    return 2 ** (n - 1) + j
-
-
 @lru_cache(maxsize=None)
 def _haar_geometry(k: int):
     """Support corners (L, M, R) and heights for flat indices 2..k on [0, 1]."""
@@ -157,21 +136,6 @@ def antiderivative_grid(spec: BasisSpec, k: int, ts: np.ndarray) -> np.ndarray:
             out[:, 1:] = np.where((xc >= left) & (xc <= mid), rising,
                                   np.where((xc > mid) & (xc <= right), falling, 0.0))
     return out * scale
-
-
-def eval_e(spec: BasisSpec, l: int, t: float) -> float:
-    """Value of the l-th basis element at time t."""
-    if l < 1:
-        raise ValueError("flat index must be >= 1")
-    return float(element_values(spec, l, t)[l - 1])
-
-
-def eval_E(spec: BasisSpec, l: int, t: float) -> float:
-    """Antiderivative E_l(t) = int_0^t e_l(s) ds, closed form."""
-    if l < 1:
-        raise ValueError("flat index must be >= 1")
-    _check_domain(spec, t)
-    return float(antiderivative_grid(spec, l, np.array([t]))[0, l - 1])
 
 
 def kl_partial(spec: BasisSpec, k: int, t: float) -> float:

@@ -29,15 +29,18 @@ from . import __version__
 from .analysis import (error_curve, gbm_variance_exact, gbm_variance_order_limit,
                        loglog_fit, moments)
 from .basis import KINDS, breakpoints, make_basis, tail_sum
-from .errors import ChaosError, IntegratorFailure
+from .errors import ChaosError, IndexSetTooLarge, IntegratorFailure
 from .integrator import ToleranceSpec
-from .multiindex import (FullTruncation, SparseFirstOrder, TruncationSpec,
+from .multiindex import (FullTruncation, SparseFirstOrder, TruncationSpec, checked_count,
                          format_sparse_text, parse_sparse_text)
 from .oracle import RngSpec, euler_maruyama, pool_size, sample_expansion
 from .presets import BENCHMARK_ROWS, BenchmarkRow
 from .propagator import SdeModel, solve
 
 BENCHMARK_BASES = ("klcos", "haar")
+# Largest coefficient trajectory, grid points times indices, in float64
+# cells (2 GiB): every set within MAX_INDICES runs on a 1001-point grid.
+MAX_TRAJECTORY_CELLS = 1 << 28
 
 
 def _fmt(x) -> str:
@@ -142,6 +145,21 @@ def _resolve_truncation(args, parser) -> TruncationSpec:
     return spec
 
 
+def _grid(specs, t_end: float, points: int) -> np.ndarray:
+    """``points`` equidistant times on [0, t_end] for solving every spec.
+
+    A spec above the index-set caps, or trajectories above
+    ``MAX_TRAJECTORY_CELLS``, raise ``IndexSetTooLarge`` before the grid.
+    """
+    for spec in specs:
+        cells = checked_count(spec) * points
+        if cells > MAX_TRAJECTORY_CELLS:
+            raise IndexSetTooLarge(
+                f"a {points}-point grid for p={spec.p}, k={spec.k} needs {cells} "
+                f"trajectory cells, above the cap of {MAX_TRAJECTORY_CELLS}")
+    return np.linspace(0.0, t_end, points)
+
+
 def _solve_problem(args, parser):
     """Build the model, truncation, basis and grid of ``solve``/``mc``; solve.
 
@@ -151,7 +169,7 @@ def _solve_problem(args, parser):
              else SdeModel.bm(args.b, args.sigma, args.x0))
     spec = _resolve_truncation(args, parser)
     basis = make_basis(args.basis, args.t_end)
-    grid = np.linspace(0.0, args.t_end, args.grid)
+    grid = _grid([spec], args.t_end, args.grid)
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
     return model, tol, solve(model, spec, basis, grid, tol)
 
@@ -257,7 +275,7 @@ def cmd_fig1(args, parser) -> int:
     ks = [int(v) for v in args.k.split(",")]
     model = SdeModel.gbm(args.mu, args.sigma, args.x0)
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
-    grid = np.linspace(0.0, 1.0, args.grid)
+    grid = _grid([FullTruncation(p=p, k=k) for p in ps for k in ks], 1.0, args.grid)
     os.makedirs(args.out, exist_ok=True)
     mu, sigma = args.mu, args.sigma
     for token in bases:
@@ -353,14 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chaossde")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, formats=True):
         p.add_argument("--mu", type=float, default=1.0)
         p.add_argument("--sigma", type=float, default=1.0)
         p.add_argument("--x0", type=float, default=1.0)
         p.add_argument("--rtol", type=float, default=1e-6)
         p.add_argument("--atol", type=float, default=1e-9)
         p.add_argument("--out", required=True)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if formats:  # fig1 writes a directory of CSV curves
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     def add_problem(p):
         p.add_argument("--sde", choices=("gbm", "bm"), default="gbm")
@@ -387,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--p", default="1,2,3,4")
     pf.add_argument("--k", default="2,4,8")
     pf.add_argument("--grid", type=int, default=1001)
-    add_common(pf)
+    add_common(pf, formats=False)
 
     pr = sub.add_parser("rates", help="decay slopes over a k sweep")
     pr.add_argument("--basis", default="trig")

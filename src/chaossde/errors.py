@@ -13,10 +13,6 @@ class IndexSetTooLarge(ChaosError):
     """Truncation has more indices, or a higher order, than the supported caps."""
 
 
-class CoordinateNotPositive(ChaosError):
-    """Tried to decrement a multi-index coordinate that is zero."""
-
-
 class OutOfDomain(ChaosError):
     """Time argument outside the basis horizon [0, T]."""
 
@@ -26,7 +22,7 @@ class OrderTooLarge(ChaosError):
 
 
 class DimensionMismatch(ChaosError):
-    """Gaussian vector shorter than the multi-index support."""
+    """Gaussian vector shorter than the support of an index."""
 
 
 class NotGbm(ChaosError):

@@ -8,13 +8,14 @@ moment.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, IndexSetTooLarge, OrderTooLarge
-from .multiindex import INDEX_DTYPE, IndexSet, MultiIndex
+from .multiindex import INDEX_DTYPE, IndexSet
 
 MAX_ORDER = 64
 # Largest Galerkin tensor built, in entries (32 bytes each, so 1 GiB): a
@@ -63,14 +64,15 @@ def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def psi(alpha: MultiIndex, xi: Sequence[float]) -> float:
-    """Product functional prod_i H_{a_i}(xi_i); the empty product is 1."""
-    if alpha.degree > len(xi):
-        raise DimensionMismatch(
-            f"index touches coordinate {alpha.degree} but only {len(xi)} draws given")
+def psi(alpha: Sequence[int], xi: Sequence[float]) -> float:
+    """Product functional prod_i H_{a_i}(xi_i) of a dense row; the empty product is 1."""
+    if any(alpha[len(xi):]):
+        raise DimensionMismatch(f"index {tuple(alpha)} has non-zero entries beyond "
+                                f"the {len(xi)} draws given")
     out = 1.0
-    for i, a in alpha:
-        out *= hermite_n(a, float(xi[i - 1]))
+    for a, x in zip(alpha, xi):
+        if a:
+            out *= hermite_n(a, float(x))
     return out
 
 
@@ -95,45 +97,38 @@ def triple_scalar(a: int, b: int, c: int) -> float:
     return math.exp(log_val)
 
 
-def triple_multi(alpha: MultiIndex, beta: MultiIndex, gamma: MultiIndex) -> float:
-    """E[Psi^a Psi^b Psi^c] = prod_i triple_scalar(a_i, b_i, c_i).
+def triple_multi(alpha: Sequence[int], beta: Sequence[int],
+                 gamma: Sequence[int]) -> float:
+    """E[Psi^a Psi^b Psi^c] = prod_i triple_scalar(a_i, b_i, c_i) over dense rows.
 
     Coordinates are independent, so the expectation factorizes.
     """
-    coords = {i for i, _ in alpha} | {i for i, _ in beta} | {i for i, _ in gamma}
     out = 1.0
-    for i in coords:
-        out *= triple_scalar(alpha[i], beta[i], gamma[i])
-        if out == 0.0:
-            return 0.0
+    for orders in zip(alpha, beta, gamma, strict=True):
+        out *= triple_scalar(*orders)
     return out
 
 
-def product_expansion(beta: MultiIndex, gamma: MultiIndex):
+def product_expansion(beta: Sequence[int], gamma: Sequence[int]):
     """Yield ``(alpha, weight)`` with Psi^b Psi^c = sum_a weight * Psi^a.
 
-    Weights are E[Psi^b Psi^c Psi^a]; per coordinate the contributing orders
-    run from |b_i - c_i| to b_i + c_i in steps of two.
+    ``beta``, ``gamma`` and each ``alpha`` are dense rows of one length;
+    alpha comes in ascending lexicographic order.  Weights are
+    E[Psi^b Psi^c Psi^a], multiplied over the union support in ascending
+    coordinate order from 1.0; per coordinate the orders run from
+    |b_i - c_i| to b_i + c_i in steps of two, so no weight is zero.
     """
-    coords = sorted({i for i, _ in beta} | {i for i, _ in gamma})
-    choices: list[list[tuple[int, int, float]]] = []
-    for i in coords:
-        b, c = beta[i], gamma[i]
-        opts = []
-        for a in range(abs(b - c), b + c + 1, 2):
-            opts.append((i, a, triple_scalar(b, c, a)))
-        choices.append(opts)
-
-    def rec(pos: int, pairs: tuple[tuple[int, int], ...], w: float):
-        if w == 0.0:
-            return
-        if pos == len(choices):
-            yield MultiIndex(pairs), w
-            return
-        for i, a, t in choices[pos]:
-            yield from rec(pos + 1, pairs + ((i, a),) if a else pairs, w * t)
-
-    yield from rec(0, (), 1.0)
+    coords = [i for i, (b, c) in enumerate(zip(beta, gamma, strict=True)) if b or c]
+    choices = [[(a, triple_scalar(beta[i], gamma[i], a))
+                for a in range(abs(beta[i] - gamma[i]), beta[i] + gamma[i] + 1, 2)]
+               for i in coords]
+    alpha = [0] * len(beta)
+    for combo in itertools.product(*choices):
+        weight = 1.0
+        for i, (a, t) in zip(coords, combo):
+            alpha[i] = a
+            weight *= t
+        yield tuple(alpha), weight
 
 
 class GalerkinTensor(NamedTuple):

@@ -46,6 +46,8 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _EXPONENT = 0.2
+# Step attempts before integration gives up with MaxStepsExceeded.
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class ToleranceSpec:
 
     rtol: float = 1e-3
     atol: float = 1e-6
-    max_steps: int = 10_000_000
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
@@ -130,7 +131,7 @@ def integrate(rhs, y0, t_span, output_grid, tol: ToleranceSpec | None = None,
         while stops[si] <= t:
             si += 1
         target = stops[si]
-        if n_attempts >= tol.max_steps:
+        if n_attempts >= MAX_STEPS:
             raise MaxStepsExceeded("step budget exhausted", time=t)
         h = min(h_prop, target - t)
         if h < 1e-14 * max(abs(t), 1.0):

@@ -1,9 +1,9 @@
-"""Multi-index sets for truncated Wiener chaos expansions.
+"""Index sets for truncated Wiener chaos expansions.
 
-A multi-index is a finitely supported sequence of non-negative integers;
-coordinate i selects the Hermite order applied to the i-th Gaussian
-coordinate W(e_i).  Truncations restrict the admissible indices either by
-total order and basis count alone (full truncation) or with additional
+An index is a dense row of non-negative integers, one per basis element:
+entry i selects the Hermite order applied to the Gaussian coordinate
+W(e_{i+1}).  Truncations restrict the admissible rows either by total
+order and basis count alone (full truncation) or with additional
 per-coordinate caps (first/second order sparse truncations).
 """
 from __future__ import annotations
@@ -12,84 +12,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import CoordinateNotPositive, IndexSetTooLarge, InvalidSparseIndex
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Finitely supported sequence of non-negative integers.
-
-    Only strictly positive entries are stored, as sorted
-    ``(coordinate, value)`` pairs with 1-based coordinates.
-    """
-
-    pairs: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        coords = [i for i, _ in self.pairs]
-        if any(i < 1 for i in coords) or any(v < 1 for _, v in self.pairs):
-            raise ValueError("coordinates must be >= 1 and stored values >= 1")
-        if coords != sorted(set(coords)):
-            raise ValueError("pairs must be sorted by coordinate without duplicates")
-
-    @classmethod
-    def from_dense(cls, values: Sequence[int]) -> "MultiIndex":
-        """Build from a dense tuple ``(a_1, a_2, ...)``; zeros are dropped."""
-        return cls(tuple((i + 1, int(v)) for i, v in enumerate(values) if v))
-
-    @classmethod
-    def zero(cls) -> "MultiIndex":
-        return cls(())
-
-    def __getitem__(self, coordinate: int) -> int:
-        for i, v in self.pairs:
-            if i == coordinate:
-                return v
-        return 0
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.pairs
-
-    @property
-    def order(self) -> int:
-        """Total order |a| = sum of all entries."""
-        return sum(v for _, v in self.pairs)
-
-    @property
-    def degree(self) -> int:
-        """Largest coordinate with a non-zero entry (0 for the zero index)."""
-        return self.pairs[-1][0] if self.pairs else 0
-
-    def factorial(self) -> int:
-        """a! = prod_i a_i!, exact integer arithmetic."""
-        out = 1
-        for _, v in self.pairs:
-            out *= math.factorial(v)
-        return out
-
-    def decremented(self, coordinate: int) -> "MultiIndex":
-        """Return the index with ``coordinate`` reduced by one.
-
-        Raises ``CoordinateNotPositive`` when the entry is already zero.
-        """
-        if self[coordinate] < 1:
-            raise CoordinateNotPositive(f"coordinate {coordinate} of {self} is zero")
-        out = []
-        for i, v in self.pairs:
-            if i == coordinate:
-                if v > 1:
-                    out.append((i, v - 1))
-            else:
-                out.append((i, v))
-        return MultiIndex(tuple(out))
+from .errors import IndexSetTooLarge, InvalidSparseIndex
 
 
 @dataclass(frozen=True)
@@ -181,7 +108,7 @@ MAX_DENSE_CELLS = 1 << 25
 
 
 class IndexSet:
-    """Deterministically ordered multi-index set with ordinal lookup.
+    """Deterministically ordered index set with ordinal lookup.
 
     Row n of ``dense``, an (n, k) int16 array, is the dense coordinate
     tuple of the n-th index.  Rows are distinct and sorted by
@@ -284,19 +211,9 @@ def enumerate_indices(spec: TruncationSpec) -> IndexSet:
     Full: all indices with |a| <= p supported on the first k coordinates.
     First order sparse: additionally a_i <= r_i for every coordinate.
     Second order sparse: an index of total order j obeys a_i <= r^j_i.
-    Sets above ``MAX_INDICES`` indices, ``MAX_DENSE_CELLS`` dense cells or
-    ``MAX_STORED_ORDER`` raise ``IndexSetTooLarge`` before anything is
-    allocated.
+    Sets ``checked_count`` refuses raise before anything is allocated.
     """
-    if spec.p > MAX_STORED_ORDER:
-        raise IndexSetTooLarge(f"order {spec.p} exceeds the cap {MAX_STORED_ORDER}")
-    n = count_indices(spec)
-    if n > MAX_INDICES:
-        raise IndexSetTooLarge(f"truncation p={spec.p}, k={spec.k} has {n} indices, "
-                               f"above the cap of {MAX_INDICES}")
-    if n * spec.k > MAX_DENSE_CELLS:
-        raise IndexSetTooLarge(f"truncation p={spec.p}, k={spec.k} needs {n * spec.k} "
-                               f"dense cells, above the cap of {MAX_DENSE_CELLS}")
+    checked_count(spec)
     if isinstance(spec, FullTruncation):
         levels = _capped_levels([spec.p] * spec.k, spec.p)
     elif isinstance(spec, SparseFirstOrder):
@@ -330,6 +247,22 @@ def count_indices(spec: TruncationSpec) -> int:
     if isinstance(spec, SparseSecondOrder):
         return 1 + sum(_capped_counts(row, j)[j] for j, row in enumerate(spec.rows, start=1))
     raise TypeError(f"not a truncation spec: {spec!r}")
+
+
+def checked_count(spec: TruncationSpec) -> int:
+    """``count_indices(spec)``, or ``IndexSetTooLarge`` for a set above
+    ``MAX_INDICES`` indices, ``MAX_DENSE_CELLS`` dense cells or order
+    ``MAX_STORED_ORDER``."""
+    if spec.p > MAX_STORED_ORDER:
+        raise IndexSetTooLarge(f"order {spec.p} exceeds the cap {MAX_STORED_ORDER}")
+    n = count_indices(spec)
+    if n > MAX_INDICES:
+        raise IndexSetTooLarge(f"truncation p={spec.p}, k={spec.k} has {n} indices, "
+                               f"above the cap of {MAX_INDICES}")
+    if n * spec.k > MAX_DENSE_CELLS:
+        raise IndexSetTooLarge(f"truncation p={spec.p}, k={spec.k} needs {n * spec.k} "
+                               f"dense cells, above the cap of {MAX_DENSE_CELLS}")
+    return n
 
 
 def parse_sparse_text(text: str) -> TruncationSpec:

@@ -99,9 +99,6 @@ class ChaosSolution:
     index_set: IndexSet
     grid: np.ndarray
     coeffs: np.ndarray
-    basis: BasisSpec
-    model: SdeModel | None = None
-    truncation: TruncationSpec | None = None
 
     def grid_position(self, t: float) -> int:
         pos = int(np.searchsorted(self.grid, t))
@@ -203,8 +200,7 @@ def solve(model: SdeModel, spec: TruncationSpec, basis: BasisSpec,
     traj = integrate(system, initial_state(model, index_set),
                      (0.0, basis.horizon), grid, tol,
                      breakpoints=basis_mod.breakpoints(basis, index_set.k))
-    return ChaosSolution(index_set=index_set, grid=grid, coeffs=traj,
-                         basis=basis, model=model, truncation=spec)
+    return ChaosSolution(index_set=index_set, grid=grid, coeffs=traj)
 
 
 def closed_form_gbm_grid(model: SdeModel, index_set: IndexSet, basis: BasisSpec,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from chaossde.analysis import (error_curve, gbm_variance_exact,
-                               gbm_variance_order_limit, moments, rate_fit)
+                               gbm_variance_order_limit, loglog_fit, moments)
 from chaossde.basis import kl_partial, make_basis, tail_sum
 from chaossde.cli import ExperimentReport, main, read_report_csv, run_benchmark_row
 from chaossde.hermite import hermite_n, triple_scalar
@@ -215,7 +215,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_tail_rates():
     started = time.perf_counter()
     ks = [8, 16, 32, 64, 128]
-    slope_trig = rate_fit(ks, [tail_sum(make_basis("trig"), k, 1.0) for k in ks])
+    slope_trig = loglog_fit(ks, [tail_sum(make_basis("trig"), k, 1.0) for k in ks])[0]
     assert -1.15 <= slope_trig <= -0.85
     haar = make_basis("haar")
     tails = [tail_sum(haar, 2 ** n, 1.0) for n in range(3, 10)]

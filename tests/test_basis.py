@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chaossde.analysis import rate_fit
+from chaossde.analysis import loglog_fit
 from chaossde.basis import (breakpoints, antiderivative_grid, element_values,
-                            eval_E, eval_e, haar_flat_index, haar_level_shift,
                             kl_partial, make_basis, tail_sum)
 from chaossde.errors import OutOfDomain
 
@@ -13,6 +12,16 @@ TRIG = make_basis("trig")
 HAAR = make_basis("haar")
 KLCOS = make_basis("klcos")
 ALL = (TRIG, HAAR, KLCOS)
+
+
+def eval_e(spec, l, t):
+    """Value of the l-th basis element at time t."""
+    return float(element_values(spec, l, t)[l - 1])
+
+
+def eval_E(spec, l, t):
+    """Antiderivative E_l(t), closed form."""
+    return float(antiderivative_grid(spec, l, np.array([t]))[0, l - 1])
 
 
 class TestEvalE:
@@ -70,7 +79,7 @@ class TestEvalAntiderivative:
         # max over t of E^2 at level n is 2^{-(n+1)}
         for n in (1, 2, 3):
             for j in range(1, 2 ** (n - 1) + 1):
-                l = haar_flat_index(n, j)
+                l = 2 ** (n - 1) + j
                 ts = np.linspace(0, 1, 4097)
                 peak = np.max(antiderivative_grid(HAAR, l, ts)[:, l - 1] ** 2)
                 assert peak == pytest.approx(2.0 ** -(n + 1), rel=1e-12)
@@ -150,12 +159,12 @@ class TestTailSum:
     def test_trig_rate(self):
         ks = [8, 16, 32, 64, 128]
         tails = [tail_sum(TRIG, k, 1.0) for k in ks]
-        slope = rate_fit(ks, tails)
+        slope = loglog_fit(ks, tails)[0]
         assert -1.1 <= slope <= -0.9
 
     def test_klcos_rate(self):
         ks = [8, 16, 32, 64, 128]
-        slope = rate_fit(ks, [tail_sum(KLCOS, k, 1.0) for k in ks])
+        slope = loglog_fit(ks, [tail_sum(KLCOS, k, 1.0) for k in ks])[0]
         assert -1.1 <= slope <= -0.9
 
     def test_haar_halves_per_level(self):
@@ -165,17 +174,15 @@ class TestTailSum:
 
 
 class TestHaarIndexing:
-    def test_bijection_round_trip(self):
-        for l in range(1, 4097):
-            n, j = haar_level_shift(l)
-            assert haar_flat_index(n, j) == l
-
     def test_levels_fill_powers_of_two(self):
-        # the first 2^n flat indices span resolution level n
-        assert haar_level_shift(2) == (1, 1)
-        assert haar_level_shift(4) == (2, 2)
-        assert haar_level_shift(8) == (3, 4)
-        assert haar_level_shift(9) == (4, 1)
+        # flat indices 2^(n-1) + 1 .. 2^n are level n: shift j is supported
+        # on the j-th of 2^(n-1) equal cells, so the level tiles [0, 1]
+        ts = (np.arange(1024) + 0.5) / 1024
+        for n in range(1, 6):
+            vals = np.stack([element_values(HAAR, 2 ** n, t) for t in ts])
+            support = vals[:, 2 ** (n - 1):] != 0.0
+            cell = (ts * 2 ** (n - 1)).astype(int)
+            assert np.array_equal(support, cell[:, None] == np.arange(2 ** (n - 1)))
 
     def test_breakpoints(self):
         assert np.allclose(breakpoints(HAAR, 8), np.arange(1, 8) / 8)

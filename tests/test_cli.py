@@ -168,6 +168,23 @@ class TestExitCodes:
         assert "dense cells, above the cap" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--basis", "klcos", "--p", "1", "--k", "2"],
+        ["mc", "--basis", "klcos", "--p", "1", "--k", "2", "--paths", "10", "--steps", "2"],
+        ["fig1", "--basis", "klcos", "--p", "1", "--k", "2"]])
+    def test_oversized_grid_is_2(self, tmp_path, capsys, monkeypatch, command):
+        # 4e8 points of 3 coefficients: refused from the index count before
+        # the grid, or anything else that grows with it, is allocated
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated the grid")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--grid", "400000000", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "trajectory cells, above the cap" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch):
         def exploding_solve(*args, **kwargs):
             raise StepSizeUnderflow("step size underflow", time=0.42)
@@ -281,6 +298,16 @@ class TestFig1Command:
         flagged = haar["t"][haar["is_dyadic"] == 1]
         assert np.array_equal(flagged, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert haar["basis_component_err"][haar["is_dyadic"] == 1].max() <= 1e-6
+
+    def test_format_option_is_rejected(self, tmp_path, capsys):
+        # fig1 writes only CSV curves, so it offers no --format
+        out = tmp_path / "fig"
+        with pytest.raises(SystemExit) as exc:
+            run(["fig1", "--basis", "klcos", "--p", "1", "--k", "2", "--grid", "11",
+                 "--out", str(out), "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_curve_round_trip(self, tmp_path):
         out = tmp_path / "fig"

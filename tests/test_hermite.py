@@ -7,7 +7,6 @@ import pytest
 from chaossde.errors import DimensionMismatch, OrderTooLarge
 from chaossde.hermite import (hermite_n, hermite_table, product_expansion, psi,
                               triple_multi, triple_scalar)
-from chaossde.multiindex import MultiIndex
 from chaossde.oracle import RngSpec, normal_draws, _chunk_generator
 
 
@@ -98,46 +97,52 @@ class TestTripleScalar:
 
 class TestTripleMulti:
     def test_gamma_zero_gives_orthonormality(self):
-        a = MultiIndex.from_dense((1, 2))
-        b = MultiIndex.from_dense((2, 1))
-        zero = MultiIndex.zero()
+        a = (1, 2)
+        b = (2, 1)
+        zero = (0, 0)
         assert triple_multi(a, a, zero) == pytest.approx(1.0, rel=1e-12)
         assert triple_multi(a, b, zero) == 0.0
 
     def test_single_coordinate(self):
-        one = MultiIndex.from_dense((1,))
-        two = MultiIndex.from_dense((2,))
+        one = (1,)
+        two = (2,)
         assert triple_multi(one, one, two) == pytest.approx(math.sqrt(2), rel=1e-12)
 
     def test_cross_coordinates(self):
-        a = MultiIndex.from_dense((1, 0))
-        b = MultiIndex.from_dense((0, 1))
-        c = MultiIndex.from_dense((1, 1))
+        a = (1, 0)
+        b = (0, 1)
+        c = (1, 1)
         assert triple_multi(a, b, c) == pytest.approx(1.0, rel=1e-12)
 
     def test_product_expansion_consistency(self):
-        b = MultiIndex.from_dense((2, 1))
-        c = MultiIndex.from_dense((1, 2))
+        b = (2, 1)
+        c = (1, 2)
         terms = dict(product_expansion(b, c))
         for alpha, w in terms.items():
             assert w == pytest.approx(triple_multi(b, c, alpha), rel=1e-12)
         # quadrature cross-check of one specific weight
-        assert terms[MultiIndex.from_dense((1, 1))] == pytest.approx(2.0, rel=1e-12)
+        assert terms[(1, 1)] == pytest.approx(2.0, rel=1e-12)
+
+    def test_rows_of_different_length_rejected(self):
+        with pytest.raises(ValueError):
+            triple_multi((1, 0), (1,), (0, 0))
+        with pytest.raises(ValueError):
+            list(product_expansion((1, 0), (1,)))
 
 
 class TestPsi:
     def test_zero_index_is_one(self):
-        assert psi(MultiIndex.zero(), [0.3, -2.0]) == 1.0
+        assert psi((0, 0), [0.3, -2.0]) == 1.0
 
     def test_first_orders_multiply(self):
-        assert psi(MultiIndex.from_dense((1, 1)), [1.5, -2.0]) == pytest.approx(-3.0)
+        assert psi((1, 1), [1.5, -2.0]) == pytest.approx(-3.0)
 
     def test_second_order_root(self):
-        assert psi(MultiIndex.from_dense((2,)), [1.0]) == pytest.approx(0.0, abs=1e-15)
+        assert psi((2,), [1.0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            psi(MultiIndex.from_dense((0, 0, 1)), [0.1, 0.2])
+            psi((0, 0, 1), [0.1, 0.2])
 
     def test_monte_carlo_orthonormality(self):
         # sample mean of psi(a)*psi(b) within 4 standard errors of delta_ab
@@ -145,23 +150,24 @@ class TestPsi:
         gen = _chunk_generator(RngSpec(seed=20240601), 0)
         xi = normal_draws(gen, (n, 3))
         pairs = [
-            (MultiIndex.zero(), MultiIndex.zero()),
-            (MultiIndex.from_dense((1,)), MultiIndex.from_dense((1,))),
-            (MultiIndex.from_dense((1,)), MultiIndex.from_dense((0, 1))),
-            (MultiIndex.from_dense((2,)), MultiIndex.from_dense((2,))),
-            (MultiIndex.from_dense((2,)), MultiIndex.from_dense((1,))),
-            (MultiIndex.from_dense((1, 1)), MultiIndex.from_dense((1, 1))),
-            (MultiIndex.from_dense((1, 1)), MultiIndex.from_dense((2,))),
-            (MultiIndex.from_dense((3,)), MultiIndex.from_dense((3,))),
-            (MultiIndex.from_dense((2, 1)), MultiIndex.from_dense((2, 1))),
-            (MultiIndex.from_dense((1, 0, 2)), MultiIndex.from_dense((1, 0, 2))),
+            ((0, 0, 0), (0, 0, 0)),
+            ((1, 0, 0), (1, 0, 0)),
+            ((1, 0, 0), (0, 1, 0)),
+            ((2, 0, 0), (2, 0, 0)),
+            ((2, 0, 0), (1, 0, 0)),
+            ((1, 1, 0), (1, 1, 0)),
+            ((1, 1, 0), (2, 0, 0)),
+            ((3, 0, 0), (3, 0, 0)),
+            ((2, 1, 0), (2, 1, 0)),
+            ((1, 0, 2), (1, 0, 2)),
         ]
         table = hermite_table(3, xi)  # (4, n, 3)
 
         def values(alpha):
             out = np.ones(n)
-            for coord, a in alpha:
-                out = out * table[a, :, coord - 1]
+            for coord, a in enumerate(alpha):
+                if a:
+                    out = out * table[a, :, coord]
             return out
 
         for a, b in pairs:

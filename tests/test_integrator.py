@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chaossde.errors import MaxStepsExceeded, StepSizeUnderflow
+from chaossde import integrator
 from chaossde.integrator import ToleranceSpec, integrate
 
 
@@ -118,11 +119,12 @@ def test_breakpoint_right_endpoint_stages_stay_in_piece():
     assert traj[-1, 0] == pytest.approx(0.5 + 50.0, rel=1e-12)
 
 
-def test_max_steps_exceeded():
+def test_max_steps_exceeded(monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_STEPS", 10)
     with pytest.raises(MaxStepsExceeded) as exc:
         integrate(lambda t, y: np.array([-y[1] * 50, y[0] * 50]),
                   np.array([1.0, 0.0]), (0, 100), np.array([0.0, 100.0]),
-                  ToleranceSpec(rtol=1e-10, atol=1e-12, max_steps=10))
+                  ToleranceSpec(rtol=1e-10, atol=1e-12))
     assert 0 <= exc.value.time < 100
 
 

@@ -3,16 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from chaossde.errors import CoordinateNotPositive, InvalidSparseIndex
-from chaossde.multiindex import (FullTruncation, IndexSet, MultiIndex, SparseFirstOrder,
+from chaossde.errors import InvalidSparseIndex
+from chaossde.multiindex import (FullTruncation, IndexSet, SparseFirstOrder,
                                  SparseSecondOrder, count_indices,
                                  enumerate_indices, format_sparse_text,
                                  parse_sparse_text)
 from chaossde.presets import SPARSE_PRESETS
-
-
-def dense(*values):
-    return MultiIndex.from_dense(values)
 
 
 def rows(index_set):
@@ -21,36 +17,9 @@ def rows(index_set):
 
 
 class TestMultiIndex:
-    def test_zeros_never_stored(self):
-        a = dense(2, 0, 1)
-        assert a.pairs == ((1, 2), (3, 1))
-        assert a[2] == 0
-
-    def test_order_degree_factorial(self):
-        a = dense(2, 0, 1, 4)
-        assert a.order == 7
-        assert a.degree == 4
-        assert a.factorial() == 2 * 1 * 24
-
-    def test_factorial_is_exact_at_order_twenty(self):
-        assert MultiIndex(((1, 20),)).factorial() == math.factorial(20)
-        assert MultiIndex(((3, 10), (64, 10))).factorial() == math.factorial(10) ** 2
-
     def test_label(self):
         index_set = IndexSet(np.array([[0, 0, 0], [2, 0, 1]]))
         assert index_set.labels() == ["0", "a1:2|a3:1"]
-
-
-class TestDecrement:
-    def test_basic(self):
-        assert dense(2, 0, 1).decremented(1) == dense(1, 0, 1)
-
-    def test_support_shrinks(self):
-        assert dense(1).decremented(1) == MultiIndex.zero()
-
-    def test_zero_coordinate_rejected(self):
-        with pytest.raises(CoordinateNotPositive):
-            dense(0, 3).decremented(1)
 
 
 class TestEnumerate:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chaossde.basis import eval_E, eval_e, make_basis
+from chaossde.basis import antiderivative_grid, element_values, make_basis
 from chaossde.errors import NotBm, NotGbm, TimeNotOnGrid
 from chaossde.integrator import ToleranceSpec
 from chaossde.multiindex import FullTruncation, IndexSet, enumerate_indices
@@ -41,7 +41,7 @@ class TestAssembledSystem:
         dy = system(t, y)
         for coord, row in ((1, (1, 0)), (2, (0, 1))):
             (n,) = indices.positions(np.array([row]))
-            expected = y[n] + eval_e(basis, coord, t) * y[0]
+            expected = y[n] + element_values(basis, coord, t)[coord - 1] * y[0]
             assert dy[n] == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_drift_only(self):
@@ -123,7 +123,8 @@ class TestClosedForms:
         basis = make_basis("trig")
         index_set = IndexSet(np.array([[0, 0, 0], [0, 0, 1], [1, 0, 0]]))
         (got,) = closed_form_bm(model, index_set, basis, [0.9])
-        assert got == pytest.approx([0.3 + 0.4 * 0.9, 2.0 * eval_E(basis, 3, 0.9), 2.0 * 0.9])
+        e3 = antiderivative_grid(basis, 3, [0.9])[0, 2]
+        assert got == pytest.approx([0.3 + 0.4 * 0.9, 2.0 * e3, 2.0 * 0.9])
 
     def test_bm_higher_orders_vanish(self):
         model = SdeModel.bm(1.0, 1.0, 0.0)

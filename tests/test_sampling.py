@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_index_arrays import multi_indices, specs
+from test_index_arrays import row_tuples, specs
 
 from chaossde import oracle
 from chaossde.basis import make_basis
@@ -37,13 +37,14 @@ def old_sample_expansion(sol, t, n_paths, rng):
         xi = normal_draws(_chunk_generator(rng, chunk_index), (size, k))
         table = hermite_table(p_max, xi)  # (p+1, size, k)
         values = np.zeros(size)
-        for n_ord, alpha in enumerate(multi_indices(indices)):
+        for n_ord, alpha in enumerate(row_tuples(indices)):
             coeff = row[n_ord]
             if coeff == 0.0:
                 continue
             term = np.full(size, coeff)
-            for coord, a in alpha:
-                term = term * table[a, :, coord - 1]
+            for coord, a in enumerate(alpha):
+                if a:
+                    term = term * table[a, :, coord]
             values += term
         total += _power_sums(values)
     return _stats_from_power_sums(n_paths, total)
@@ -65,7 +66,7 @@ def solutions(draw):
         entry = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_nan=False))
         row = draw(st.lists(entry, min_size=n, max_size=n))
     coeffs = np.stack([np.zeros(n), np.asarray(row, dtype=float)])
-    return ChaosSolution(index_set, GRID, coeffs, make_basis("trig"), truncation=spec)
+    return ChaosSolution(index_set, GRID, coeffs)
 
 
 class TestBitIdentity:
@@ -102,8 +103,7 @@ class TestMemoryBound:
         k = 100_000
         dense = np.zeros((2, k), dtype=INDEX_DTYPE)
         dense[1, 0] = 1
-        sol = ChaosSolution(IndexSet(dense), GRID, np.zeros((2, 2)),
-                            make_basis("trig"), truncation=FullTruncation(p=1, k=k))
+        sol = ChaosSolution(IndexSet(dense), GRID, np.zeros((2, 2)))
 
         def refuse(*args, **kwargs):
             raise AssertionError("drew or tabulated before the size check")
