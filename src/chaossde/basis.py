@@ -79,29 +79,45 @@ def element_values(spec: BasisSpec, k: int, t: float) -> np.ndarray:
     Haar elements use the right-continuous convention at interior dyadic
     breakpoints; the final sub-interval reaching T is closed at T.
     """
-    x = _check_domain(spec, t)
+    return element_evaluator(spec, k)(t)
+
+
+@lru_cache(maxsize=16)
+def element_evaluator(spec: BasisSpec, k: int):
+    """The function ``t -> element_values(spec, k, t)``, its constants computed once.
+
+    Haar elements are constant on each of the 2^n cells of the finest level
+    n: their values are a per-cell sign table, indexed by the exact
+    ``int(x * 2^n)``, times the heights.
+    """
     scale = spec.horizon ** -0.5
-    out = np.empty(k)
     if spec.kind == "klcos":
         w = (np.arange(1, k + 1) - 0.5) * np.pi
-        out[:] = np.sqrt(2.0) * np.cos(w * x)
+
+        def values(t: float) -> np.ndarray:
+            return np.sqrt(2.0) * np.cos(w * _check_domain(spec, t)) * scale
     elif spec.kind == "trig":
-        out[0] = 1.0
-        if k > 1:
-            ls = np.arange(2, k + 1)
-            js = ls // 2
-            arg = 2.0 * np.pi * js * x
-            out[1:] = np.sqrt(2.0) * np.where(ls % 2 == 0, np.sin(arg), np.cos(arg))
+        ls = np.arange(2, k + 1)
+        freq = 2.0 * np.pi * (ls // 2)
+        even = ls % 2 == 0
+
+        def values(t: float) -> np.ndarray:
+            arg = freq * _check_domain(spec, t)
+            rest = np.sqrt(2.0) * np.where(even, np.sin(arg), np.cos(arg))
+            return np.concatenate(([1.0], rest)) * scale
     else:
-        out[0] = 1.0
-        if k > 1:
-            left, mid, right, height = _haar_geometry(k)
-            vals = np.where((x >= left) & (x < mid), height,
-                            np.where((x >= mid) & (x < right), -height, 0.0))
-            if x == 1.0:
-                vals = np.where(right == 1.0, -height, 0.0)
-            out[1:] = vals
-    return out * scale
+        cells = 2 ** (k - 1).bit_length()
+        left, mid, right, height = _haar_geometry(k)
+        xc = (np.arange(cells) / cells)[:, None]
+        signs = np.ones((cells, k), dtype=np.int8)
+        signs[:, 1:] = ((xc >= left) & (xc < mid)).view(np.int8)  # rising half
+        signs[:, 1:] -= ((xc >= mid) & (xc < right)).view(np.int8)  # falling half
+        heights = np.concatenate(([1.0], height)) * scale
+
+        def values(t: float) -> np.ndarray:
+            # x = 1 closes the last cell
+            return signs[min(int(_check_domain(spec, t) * cells), cells - 1)] * heights
+    return values
 
 
 def antiderivative_grid(spec: BasisSpec, k: int, ts: np.ndarray) -> np.ndarray:

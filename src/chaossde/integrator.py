@@ -41,6 +41,9 @@ _D = (
     -1453857185 / 822651844,
     69997945 / 29380423,
 )
+# The weights as columns against the (stages, n) block of stage values.
+_A_COLS = tuple(np.array(row).reshape(-1, 1) for row in _A)
+_E_COL = np.array(_E).reshape(-1, 1)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -48,6 +51,9 @@ _MAX_FACTOR = 10.0
 _EXPONENT = 0.2
 # Step attempts before integration gives up with MaxStepsExceeded.
 MAX_STEPS = 10_000_000
+# Dense output evaluates a step's grid points together, in blocks of at most
+# this many cells (points times state size): unbounded, n = 20,349 ran slower.
+BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,8 @@ class ToleranceSpec:
 
 
 def _rms(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(v * v))) if v.size else 0.0
+    # what np.mean computes, without its Python wrapper
+    return math.sqrt(np.add.reduce(v * v) / v.size) if v.size else 0.0
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, tol: ToleranceSpec) -> float:
@@ -113,6 +120,7 @@ def integrate(rhs, y0, t_span, output_grid, tol: ToleranceSpec | None = None,
     out = np.empty((len(grid), n))
     out[0] = y
     gi = 1
+    block = max(BLOCK_CELLS // max(n, 1), 1)
 
     stops: list[float] = []
     if breakpoints is not None:
@@ -126,6 +134,8 @@ def integrate(rhs, y0, t_span, output_grid, tol: ToleranceSpec | None = None,
     h_prop = _initial_step(rhs, t0, y, f_now, t_end, tol)
 
     k = np.empty((7, n))
+    terms = np.empty((7, n))  # tableau weight times stage, row by row
+    acc = np.empty(n)
     n_attempts = 0
     while t < t_end:
         while stops[si] <= t:
@@ -140,48 +150,57 @@ def integrate(rhs, y0, t_span, output_grid, tol: ToleranceSpec | None = None,
         if forced:
             h = target - t
         t_new = target if forced else t + h
+        inside = forced and si < len(stops) - 1  # keep right-end stages in this piece
 
         k[0] = f_now
         for s in range(1, 7):
-            ts = t + _C[s] * h
-            if forced and _C[s] == 1.0 and si < len(stops) - 1:
-                # keep right-endpoint stages inside the current smooth piece
-                ts = math.nextafter(t_new, t)
-            ys = y + h * sum(_A[s][m] * k[m] for m in range(s))
+            ts = math.nextafter(t_new, t) if inside and _C[s] == 1.0 else t + _C[s] * h
+            np.multiply(k[:s], _A_COLS[s], out=terms[:s])
+            np.add(terms[0], 0.0, out=acc)  # sum()'s start 0 turns -0.0 into +0.0
+            for m in range(1, s):
+                acc += terms[m]
+            acc *= h
+            ys = y + acc
             k[s] = rhs(ts, ys)
         y_new = ys  # FSAL: the last stage is evaluated at the fifth-order solution
-        err_vec = h * (_E[0] * k[0] + _E[2] * k[2] + _E[3] * k[3]
-                       + _E[4] * k[4] + _E[5] * k[5] + _E[6] * k[6])
+        # h * (E0 k0 + E2 k2 + ... + E6 k6), left to right; E1 = 0 is skipped
+        np.multiply(k, _E_COL, out=terms)
+        np.add(terms[0], terms[2], out=acc)
+        for m in range(3, 7):
+            acc += terms[m]
+        acc *= h
         sc = tol.atol + tol.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(err_vec / sc)
+        err = _rms(np.divide(acc, sc, out=acc))
         if not math.isfinite(err):
             err = math.inf  # overflow/nan in the rhs: force a strong shrink
         n_attempts += 1
 
         if err <= 1.0:
-            rcont = None
-            while gi < len(grid) and grid[gi] <= t_new:
-                g = grid[gi]
-                if g == t_new:
-                    out[gi] = y_new
-                else:
-                    if rcont is None:
-                        ydiff = y_new - y
-                        bspl = h * k[0] - ydiff
-                        r4 = ydiff - h * k[6] - bspl
-                        r5 = h * (_D[0] * k[0] + _D[2] * k[2] + _D[3] * k[3]
-                                  + _D[4] * k[4] + _D[5] * k[5] + _D[6] * k[6])
-                        rcont = (ydiff, bspl, r4, r5)
-                    ydiff, bspl, r4, r5 = rcont
-                    theta = (g - t) / h
+            stop = int(np.searchsorted(grid, t_new, side="right"))
+            end = stop - 1 if grid[stop - 1] == t_new else stop
+            if end > gi:
+                ydiff = y_new - y
+                bspl = h * k[0] - ydiff
+                r4 = ydiff - h * k[6] - bspl
+                r5 = h * (_D[0] * k[0] + _D[2] * k[2] + _D[3] * k[3]
+                          + _D[4] * k[4] + _D[5] * k[5] + _D[6] * k[6])
+                for lo in range(gi, end, block):
+                    hi = min(lo + block, end)
+                    theta = ((grid[lo:hi] - t) / h)[:, None]
                     theta1 = 1.0 - theta
-                    out[gi] = y + theta * (ydiff + theta1 * (bspl + theta * (r4 + theta1 * r5)))
-                gi += 1
+                    # y + theta (ydiff + theta1 (bspl + theta (r4 + theta1 r5))), in place
+                    rows = np.multiply(r5, theta1, out=out[lo:hi])
+                    for term, factor in ((r4, theta), (bspl, theta1), (ydiff, theta)):
+                        rows += term
+                        rows *= factor
+                    rows += y
+            out[end:stop] = y_new  # a point at the step end takes its end state
+            gi = stop
             t = t_new
             y = y_new
             if t < t_end:
-                # FSAL: the last stage already evaluated f at the step end,
-                # except when that end is a breakpoint (new smooth piece).
+                # FSAL: the last stage already evaluated f at the step end (copied:
+                # a rejected attempt overwrites k[6]), except at a breakpoint.
                 f_now = np.asarray(rhs(t, y), dtype=float) if forced else k[6].copy()
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_EXPONENT))

@@ -19,6 +19,15 @@ import numpy as np
 from .errors import IndexSetTooLarge, InvalidSparseIndex
 
 
+def _int_caps(values) -> tuple[tuple[int, ...], np.ndarray]:
+    """``tuple(int(v) for v in values)``, and the same caps as an array."""
+    caps = np.array(values)
+    if caps.ndim != 1 or caps.dtype.kind not in "iu":
+        # floats, bools, text and ints beyond 64 bits, one by one
+        caps = np.array([int(v) for v in values])
+    return tuple(caps.tolist()), caps
+
+
 @dataclass(frozen=True)
 class FullTruncation:
     """All indices with total order <= p supported on the first k coordinates."""
@@ -38,13 +47,13 @@ class SparseFirstOrder:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        r = tuple(int(v) for v in self.r)
+        r, caps = _int_caps(self.r)
         object.__setattr__(self, "r", r)
         if not r:
             raise InvalidSparseIndex("sparse index must have at least one entry")
-        if any(v < 0 for v in r):
+        if np.any(caps < 0):
             raise InvalidSparseIndex(f"negative cap in {r}")
-        if any(a < b for a, b in zip(r, r[1:])):
+        if np.any(caps[:-1] < caps[1:]):
             raise InvalidSparseIndex(f"caps must be non-increasing, got {r}")
 
     @property
@@ -67,19 +76,20 @@ class SparseSecondOrder:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        parsed = [_int_caps(row) for row in self.rows]
+        rows = tuple(row for row, _ in parsed)
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise InvalidSparseIndex("second order sparse index needs at least one row")
         k = len(rows[0])
-        for j, row in enumerate(rows, start=1):
+        for j, (row, caps) in enumerate(parsed, start=1):
             if len(row) != k:
                 raise InvalidSparseIndex("all rows must have the same length")
             if row[0] != j:
                 raise InvalidSparseIndex(f"row {j} must start with {j}, got {row}")
-            if any(a < b for a, b in zip(row, row[1:])):
+            if np.any(caps[:-1] < caps[1:]):
                 raise InvalidSparseIndex(f"row {j} caps must be non-increasing, got {row}")
-            if any(v < 0 for v in row):
+            if np.any(caps < 0):
                 raise InvalidSparseIndex(f"negative cap in row {j}: {row}")
 
     @property

@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .basis import BasisSpec, antiderivative_grid, kl_partial_grid
 from .errors import IndexSetTooLarge
@@ -58,6 +57,8 @@ def _chunk_generator(rng: RngSpec, chunk_index: int) -> np.random.Generator:
 
 def normal_draws(gen: np.random.Generator, shape) -> np.ndarray:
     """Standard normals via inverse CDF of 53-bit open-interval uniforms."""
+    from scipy.special import ndtri  # here: most of the package's import time
+
     v = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
     u = (v.astype(np.float64) + 0.5) * 2.0 ** -53
     return ndtri(u)

@@ -144,6 +144,10 @@ class PropagatorSystem:
              self.quad_weights) = galerkin_tensor(index_set)
         self._e0 = np.zeros(self.n)
         self._e0[0] = 1.0  # the set is closed under lowering: row 0 is the zero index
+        self._element_values = basis_mod.element_evaluator(basis, self.k)
+        # constant coefficients are read once, callables on every call
+        self._drift, self._diffusion = (None if any(map(callable, c)) else tuple(c)
+                                        for c in (model.drift, model.diffusion))
 
     def _project(self, c0: float, c1: float, c2: float, y: np.ndarray,
                  quad: np.ndarray | None) -> np.ndarray:
@@ -155,8 +159,8 @@ class PropagatorSystem:
         return out
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        b0, b1, b2 = self.model.drift_at(t)
-        g0, g1, g2 = self.model.diffusion_at(t)
+        b0, b1, b2 = self._drift or self.model.drift_at(t)
+        g0, g1, g2 = self._diffusion or self.model.diffusion_at(t)
         quad = None
         if self.needs_quadratic and (b2 != 0.0 or g2 != 0.0):
             quad = np.bincount(
@@ -165,7 +169,7 @@ class PropagatorSystem:
                 minlength=self.n)
         out = self._project(b0, b1, b2, y, quad)
         sigma_coeffs = self._project(g0, g1, g2, y, quad)
-        e_vals = basis_mod.element_values(self.basis, self.k, t)
+        e_vals = self._element_values(t)
         contrib = self.ladder_weights * e_vals[self.ladder_js] * sigma_coeffs[self.ladder_srcs]
         out += np.bincount(self.ladder_rows, weights=contrib, minlength=self.n)
         return out

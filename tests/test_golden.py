@@ -25,6 +25,12 @@ FILE_OUTPUTS = {
                             "--grid", "11", "--paths", "70000", "--steps", "8",
                             "--seed", "7", "--format", "json"],
     "rates_trig_p1.csv": ["rates", "--basis", "trig", "--k", "4,8,16"],
+    # grid points on the Haar breakpoints of a non-unit horizon
+    "solve_haar_p2_k8_t2.csv": ["solve", "--basis", "haar", "--p", "2", "--k", "8",
+                                "--grid", "33", "--t-end", "2"],
+    # constant c0 coefficients and the trig evaluator
+    "solve_bm_trig_p1_k5.csv": ["solve", "--sde", "bm", "--basis", "trig", "--p", "1",
+                                "--k", "5", "--grid", "11"],
 }
 
 

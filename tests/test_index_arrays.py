@@ -280,6 +280,21 @@ class TestEnumeration:
         assert time.perf_counter() - started < 2.0
         assert len(index_set) == 2
 
+    def test_million_caps_validate_quickly(self):
+        # one numpy pass per check, not a Python loop over the coordinates
+        caps = (1,) + (0,) * 999_999
+
+        def best_of_three(build):
+            times = []
+            for _ in range(3):
+                started = time.perf_counter()
+                build()
+                times.append(time.perf_counter() - started)
+            return min(times)
+
+        assert best_of_three(lambda: SparseFirstOrder(caps)) < 0.1
+        assert best_of_three(lambda: SparseSecondOrder((caps, (2,) + caps[1:]))) < 0.2
+
 
 class TestLabels:
     @settings(max_examples=150, deadline=None)

@@ -110,6 +110,15 @@ class TestValidation:
         with pytest.raises(InvalidSparseIndex):
             SparseSecondOrder(((1, 1), (2, 2, 0)))
 
+    def test_caps_convert_like_int(self):
+        spec = SparseFirstOrder((np.int64(3), True, 1.9, "1"))
+        assert spec.r == (3, 1, 1, 1) and all(type(v) is int for v in spec.r)
+        assert SparseFirstOrder((2 ** 70, 5)).r == (2 ** 70, 5)
+        with pytest.raises(InvalidSparseIndex, match="non-increasing"):
+            SparseFirstOrder((2 ** 70, 2 ** 71))
+        with pytest.raises(InvalidSparseIndex, match="negative cap in row 1"):
+            SparseSecondOrder(((1, -1), (2, 0)))
+
     def test_full_validation(self):
         with pytest.raises(InvalidSparseIndex):
             FullTruncation(p=-1, k=2)

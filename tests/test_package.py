@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import chaossde
@@ -27,6 +30,8 @@ KEPT_FOR_TESTS = {
     "read_report_csv": "reads table1 output back for round-trip and reference checks",
     "read_curve_csv": "reads fig1 output back for round-trip and diagnostic checks",
     "bound_shape": "the paper's rate shape, to be reported by the rates command",
+    "element_values": "basis values at one time; the solver calls its cached form "
+                      "element_evaluator, and the benchmark tracer wraps it by name",
 }
 
 
@@ -66,3 +71,14 @@ def test_no_public_name_only_tests_use():
         used |= _names_used(path)[1]
     assert set(KEPT_FOR_TESTS) <= defined, "a kept name is no longer defined"
     assert defined - used - set(KEPT_FOR_TESTS) == set()
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special is most of the import time, and only the Monte Carlo
+    # oracles draw normals
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = "import sys, chaossde.cli; sys.exit('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
