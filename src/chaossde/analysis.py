@@ -119,8 +119,8 @@ def loglog_fit(xs, ys) -> tuple[float, float, float]:
     """Least-squares fit of log(ys) against log(xs): slope, intercept, R^2."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if len(xs) < 3:
-        raise ValueError("need at least 3 points")
+    if len(np.unique(xs)) < 3:
+        raise ValueError("need at least 3 distinct x values")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise NonPositiveValue("log-log fit needs positive data")
     lx, ly = np.log(xs), np.log(ys)

@@ -21,7 +21,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .multiindex import (FullTruncation, SparseFirstOrder, TruncationSpec, check
                          format_sparse_text, parse_sparse_text)
 from .oracle import RngSpec, euler_maruyama, pool_size, sample_expansion
 from .presets import BENCHMARK_ROWS, BenchmarkRow
-from .propagator import SdeModel, solve
+from .propagator import SdeModel, gbm_parameters, solve
 
 BENCHMARK_BASES = ("klcos", "haar")
 # Largest coefficient trajectory, grid points times indices, in float64
@@ -46,20 +46,26 @@ MAX_TRAJECTORY_CELLS = 1 << 28
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
-    return str(x)
+    text = str(x)
+    return f'"{text}"' if "," in text else text  # only the sparse caps have one
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
-def _metadata(tol: ToleranceSpec, seed=None) -> dict:
-    meta = {"tool": "chaossde", "version": __version__,
-            "rtol": tol.rtol, "atol": tol.atol}
-    if seed is not None:
-        meta["seed"] = seed
-    return meta
+def _write(args, tol: ToleranceSpec, header, rows, payload: dict, seed=None) -> None:
+    """Write ``rows`` as CSV, or ``payload`` as JSON after a metadata object."""
+    if args.format == "csv":
+        _write_csv(args.out, header, rows)
+        return
+    meta = {"tool": "chaossde", "version": __version__, "rtol": tol.rtol, "atol": tol.atol,
+            **({} if seed is None else {"seed": seed})}
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps({"metadata": meta, **payload}) + "\n")
 
 
 @dataclass(frozen=True)
@@ -78,9 +84,6 @@ class ExperimentReport:
     rtol: float
     atol: float
 
-    def to_fields(self) -> list[str]:
-        return [_fmt(getattr(self, name)) for name in self.FIELDS]
-
     @classmethod
     def from_fields(cls, parts: list[str]) -> "ExperimentReport":
         types = typing.get_type_hints(cls)
@@ -92,12 +95,7 @@ ExperimentReport.FIELDS = tuple(f.name for f in fields(ExperimentReport))
 
 
 def write_report_csv(path: str, reports: list[ExperimentReport]) -> None:
-    # the sparse column holds comma-separated caps, so fields are quoted
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ExperimentReport.FIELDS)
-        for report in reports:
-            writer.writerow(report.to_fields())
+    _write_csv(path, ExperimentReport.FIELDS, map(astuple, reports))
 
 
 def read_report_csv(path: str) -> list[ExperimentReport]:
@@ -113,10 +111,7 @@ def write_curve_csv(path: str, curve, extra: dict | None = None) -> None:
     columns = {"t": curve.grid, "exact_var": curve.exact_var,
                "approx_var": curve.approx_var, "abs_err": curve.values,
                **(extra or {})}
-    lines = [",".join(columns)]
-    for m in range(len(curve.grid)):
-        lines.append(",".join(_fmt(col[m].item()) for col in columns.values()))
-    _write_lines(path, lines)
+    _write_csv(path, columns, zip(*(col.tolist() for col in columns.values())))
 
 
 def read_curve_csv(path: str) -> dict[str, np.ndarray]:
@@ -176,19 +171,9 @@ def _solve_problem(args, parser):
 
 def cmd_solve(args, parser) -> int:
     _, tol, sol = _solve_problem(args, parser)
-    labels = sol.index_set.labels()
-    if args.format == "csv":
-        lines = ["t," + ",".join(labels)]
-        for m, t in enumerate(sol.grid):
-            lines.append(",".join([_fmt(float(t))]
-                                  + [_fmt(float(v)) for v in sol.coeffs[m]]))
-        _write_lines(args.out, lines)
-    else:
-        payload = {"metadata": _metadata(tol),
-                   "header": ["t"] + labels,
-                   "rows": [[float(t)] + [float(v) for v in sol.coeffs[m]]
-                            for m, t in enumerate(sol.grid)]}
-        _write_lines(args.out, [json.dumps(payload)])
+    header = ["t", *sol.index_set.labels()]
+    rows = np.column_stack((sol.grid, sol.coeffs)).tolist()
+    _write(args, tol, header, rows, {"header": header, "rows": rows})
     return 0
 
 
@@ -233,14 +218,18 @@ def _check_bases(tokens: list[str], parser) -> list[str]:
     return tokens
 
 
+def _gbm_error(model: SdeModel, spec: TruncationSpec, token: str, grid, tol: ToleranceSpec):
+    """A GBM solution on a grid of [0, 1] and its error against the exact variance."""
+    mu, sigma = gbm_parameters(model)
+    sol = solve(model, spec, make_basis(token, 1.0), grid, tol)
+    return sol, error_curve(sol, lambda t: gbm_variance_exact(mu, sigma, model.x0, t))
+
+
 def run_benchmark_row(row: BenchmarkRow, basis_token: str, model: SdeModel,
                       tol: ToleranceSpec) -> ExperimentReport:
-    basis = make_basis(basis_token, 1.0)
     grid = np.linspace(0.0, 1.0, 1001)
     started = time.perf_counter()
-    sol = solve(model, row.spec, basis, grid, tol)
-    mu, sigma = model.param("mu"), model.param("sigma")
-    curve = error_curve(sol, lambda t: gbm_variance_exact(mu, sigma, model.x0, t))
+    sol, curve = _gbm_error(model, row.spec, basis_token, grid, tol)
     elapsed = time.perf_counter() - started
     return ExperimentReport(
         basis=basis_token, k=row.k, p=row.p, truncation=row.trunc_label,
@@ -260,12 +249,10 @@ def cmd_table1(args, parser) -> int:
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
     reports = [run_benchmark_row(row, token, model, tol)
                for row in BENCHMARK_ROWS if accept(row) for token in bases]
-    if args.format == "csv":
+    if args.format == "csv":  # by module name: the benchmark self-test patches it
         write_report_csv(args.out, reports)
     else:
-        payload = {"metadata": _metadata(tol),
-                   "reports": [r.__dict__ for r in reports]}
-        _write_lines(args.out, [json.dumps(payload)])
+        _write(args, tol, (), (), {"reports": [r.__dict__ for r in reports]})
     return 0
 
 
@@ -277,18 +264,14 @@ def cmd_fig1(args, parser) -> int:
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
     grid = _grid([FullTruncation(p=p, k=k) for p in ps for k in ks], 1.0, args.grid)
     os.makedirs(args.out, exist_ok=True)
-    mu, sigma = args.mu, args.sigma
     for token in bases:
-        basis = make_basis(token, 1.0)
         for p in ps:
             for k in ks:
-                sol = solve(model, FullTruncation(p=p, k=k), basis, grid, tol)
-                curve = error_curve(
-                    sol, lambda t: gbm_variance_exact(mu, sigma, model.x0, t))
+                _, curve = _gbm_error(model, FullTruncation(p=p, k=k), token, grid, tol)
                 extra = None
                 if token == "haar":
-                    limit = gbm_variance_order_limit(mu, sigma, model.x0, p, grid)
-                    cells = len(breakpoints(basis, k)) + 1
+                    limit = gbm_variance_order_limit(*gbm_parameters(model), model.x0, p, grid)
+                    cells = len(breakpoints(make_basis(token, 1.0), k)) + 1
                     # grid point m sits at t = m / (len(grid) - 1): flag it
                     # when t is a multiple of 1 / cells, in exact integers
                     dyadic = (np.arange(len(grid)) * cells % (len(grid) - 1) == 0).astype(int)
@@ -315,54 +298,31 @@ def cmd_mc(args, parser) -> int:
     euler = euler_maruyama(model, args.steps, args.paths,
                            RngSpec(seed=args.seed, stream=args.stream + 1),
                            t_end=args.t_end)
-    payload = {
-        "metadata": _metadata(tol, seed=args.seed),
-        "coefficient_moments": {"mean": mean, "variance": variance},
-        "expansion_sampling": sampled.__dict__,
-        "euler": euler.__dict__,
-        "paths": args.paths, "steps": args.steps,
-    }
-    if args.format == "json":
-        _write_lines(args.out, [json.dumps(payload)])
-    else:
-        lines = ["source,mean,mean_se,variance,variance_se"]
-        lines.append(",".join(["coefficients", _fmt(mean), _fmt(0.0),
-                               _fmt(variance), _fmt(0.0)]))
-        for name, st in (("expansion", sampled), ("euler", euler)):
-            lines.append(",".join([name, _fmt(st.mean), _fmt(st.mean_se),
-                                   _fmt(st.variance), _fmt(st.variance_se)]))
-        _write_lines(args.out, lines)
+    payload = {"coefficient_moments": {"mean": mean, "variance": variance},
+               "expansion_sampling": sampled.__dict__, "euler": euler.__dict__,
+               "paths": args.paths, "steps": args.steps}
+    rows = [("coefficients", mean, 0.0, variance, 0.0)] + [
+        (name, st.mean, st.mean_se, st.variance, st.variance_se)
+        for name, st in (("expansion", sampled), ("euler", euler))]
+    _write(args, tol, ("source", "mean", "mean_se", "variance", "variance_se"), rows,
+           payload, seed=args.seed)
     return 0
 
 
 def cmd_rates(args, parser) -> int:
     _check_bases([args.basis], parser)
     ks = [int(v) for v in args.k.split(",")]
-    if len(ks) < 3:
-        parser.error("need at least 3 k values for a slope fit")
-    basis = make_basis(args.basis, 1.0)
     model = SdeModel.gbm(args.mu, args.sigma, args.x0)
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
+    tails = [tail_sum(make_basis(args.basis, 1.0), k, 1.0) for k in ks]
+    tail_slope, _, tail_r2 = loglog_fit(ks, tails)  # before the solves: it checks the ks
     grid = np.linspace(0.0, 1.0, 201)
-    tails, errors = [], []
-    for k in ks:
-        tails.append(tail_sum(basis, k, 1.0))
-        sol = solve(model, FullTruncation(p=args.p, k=k), basis, grid, tol)
-        curve = error_curve(sol, lambda t: gbm_variance_exact(
-            args.mu, args.sigma, args.x0, t))
-        errors.append(curve.error_at_T)
-    tail_slope, _, tail_r2 = loglog_fit(ks, tails)
-    lines = ["basis,p,k,tail_sum,error_at_T"]
-    for k, tl, er in zip(ks, tails, errors):
-        lines.append(",".join([args.basis, str(args.p), str(k), _fmt(tl), _fmt(er)]))
-    if args.format == "csv":
-        _write_lines(args.out, lines)
-    else:
-        payload = {"metadata": _metadata(tol),
-                   "basis": args.basis, "p": args.p, "k": ks,
-                   "tail_sum": tails, "error_at_T": errors,
-                   "tail_slope": tail_slope, "tail_r2": tail_r2}
-        _write_lines(args.out, [json.dumps(payload)])
+    errors = [_gbm_error(model, FullTruncation(p=args.p, k=k), args.basis, grid, tol)[1]
+              .error_at_T for k in ks]
+    rows = [(args.basis, args.p, k, tl, er) for k, tl, er in zip(ks, tails, errors)]
+    _write(args, tol, ("basis", "p", "k", "tail_sum", "error_at_T"), rows,
+           {"basis": args.basis, "p": args.p, "k": ks, "tail_sum": tails,
+            "error_at_T": errors, "tail_slope": tail_slope, "tail_r2": tail_r2})
     print(f"tail slope {tail_slope:.4f} (R2 {tail_r2:.5f})")
     return 0
 

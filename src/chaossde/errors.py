@@ -26,11 +26,11 @@ class DimensionMismatch(ChaosError):
 
 
 class NotGbm(ChaosError):
-    """Closed form requires the geometric Brownian motion preset."""
+    """Closed form requires a model of geometric Brownian motion shape."""
 
 
 class NotBm(ChaosError):
-    """Closed form requires the Brownian-motion-with-drift preset."""
+    """Closed form requires a model of Brownian-motion-with-drift shape."""
 
 
 class TimeNotOnGrid(ChaosError):

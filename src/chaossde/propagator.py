@@ -55,26 +55,16 @@ class SdeModel:
     drift: tuple[Coefficient, Coefficient, Coefficient]
     diffusion: tuple[Coefficient, Coefficient, Coefficient]
     x0: float
-    preset: str | None = None
-    params: tuple[tuple[str, float], ...] = ()
 
     @classmethod
     def gbm(cls, mu: float, sigma: float, x0: float) -> "SdeModel":
         """Geometric Brownian motion dX = mu X dt + sigma X dW."""
-        return cls((0.0, mu, 0.0), (0.0, sigma, 0.0), x0,
-                   preset="gbm", params=(("mu", mu), ("sigma", sigma)))
+        return cls((0.0, mu, 0.0), (0.0, sigma, 0.0), x0)
 
     @classmethod
     def bm(cls, b: float, sigma: float, x0: float) -> "SdeModel":
         """Scaled Brownian motion with drift X_t = x0 + b t + sigma W_t."""
-        return cls((b, 0.0, 0.0), (sigma, 0.0, 0.0), x0,
-                   preset="bm", params=(("b", b), ("sigma", sigma)))
-
-    def param(self, name: str) -> float:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return cls((b, 0.0, 0.0), (sigma, 0.0, 0.0), x0)
 
     def drift_at(self, t: float) -> tuple[float, float, float]:
         return tuple(_as_value(c, t) for c in self.drift)
@@ -197,14 +187,28 @@ def solve(model: SdeModel, spec: TruncationSpec, basis: BasisSpec,
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 2:
         raise ValueError(f"grid needs at least 2 points, got {len(grid)}")
-    if grid[0] != 0.0 or abs(grid[-1] - basis.horizon) > 1e-12:
+    if grid[0] != 0.0 or grid[-1] != basis.horizon:
         raise ValueError("grid must run from 0 to the basis horizon")
     index_set = enumerate_indices(spec)
     system = build_rhs(model, index_set, basis)
-    traj = integrate(system, initial_state(model, index_set),
-                     (0.0, basis.horizon), grid, tol,
+    traj = integrate(system, initial_state(model, index_set), grid, tol,
                      breakpoints=basis_mod.breakpoints(basis, index_set.k))
     return ChaosSolution(index_set=index_set, grid=grid, coeffs=traj)
+
+
+def _shape_entries(model: SdeModel, slot: int, error: type) -> tuple[float, float]:
+    """The constant (drift, diffusion) x^slot terms if all others are 0, else ``error``."""
+    entries = (*model.drift, *model.diffusion)
+    pair = (entries[slot], entries[3 + slot])
+    rest = [c for i, c in enumerate(entries) if i % 3 != slot]
+    if any(map(callable, pair)) or not all(map(_is_zero, rest)):
+        raise error(f"closed form needs constant x^{slot} terms and no others")
+    return pair
+
+
+def gbm_parameters(model: SdeModel) -> tuple[float, float]:
+    """(mu, sigma) of dX = mu X dt + sigma X dW; ``NotGbm`` for other shapes."""
+    return _shape_entries(model, 1, NotGbm)
 
 
 def closed_form_gbm_grid(model: SdeModel, index_set: IndexSet, basis: BasisSpec,
@@ -215,10 +219,8 @@ def closed_form_gbm_grid(model: SdeModel, index_set: IndexSet, basis: BasisSpec,
     The recursion behind it is triangular, so the expression is exact for
     every index of any truncated set.
     """
-    if model.preset != "gbm":
-        raise NotGbm("closed form requires the gbm preset")
+    mu, sigma = gbm_parameters(model)
     ts = np.asarray(ts, dtype=float)
-    mu, sigma = model.param("mu"), model.param("sigma")
     E = basis_mod.antiderivative_grid(basis, index_set.k, ts)
     growth = model.x0 * np.exp(mu * ts)
     out = np.empty((len(ts), len(index_set)))
@@ -239,14 +241,13 @@ def closed_form_bm(model: SdeModel, index_set: IndexSet, basis: BasisSpec,
     x0 + b t, order-one coefficients are sigma E_j(t), everything else
     vanishes.
     """
-    if model.preset != "bm":
-        raise NotBm("closed form requires the bm preset")
+    b, sigma = _shape_entries(model, 0, NotBm)
     ts = np.asarray(ts, dtype=float)
     dense = index_set.dense
     orders = dense.sum(axis=1)
     E = basis_mod.antiderivative_grid(basis, index_set.k, ts)
     out = np.zeros((len(ts), len(index_set)))
-    out[:, orders == 0] = (model.x0 + model.param("b") * ts)[:, None]
+    out[:, orders == 0] = (model.x0 + b * ts)[:, None]
     first = np.flatnonzero(orders == 1)
-    out[:, first] = model.param("sigma") * E[:, dense[first].argmax(axis=1)]
+    out[:, first] = sigma * E[:, dense[first].argmax(axis=1)]
     return out

@@ -188,3 +188,9 @@ class TestRateFit:
     def test_rejects_non_positive(self):
         with pytest.raises(NonPositiveValue):
             loglog_fit([1.0, 2.0, 4.0], [1.0, -2.0, 3.0])
+
+    @pytest.mark.parametrize("xs", [[4.0, 4.0, 4.0], [2.0, 4.0], [2.0, 4.0, 2.0, 4.0]])
+    def test_rejects_fewer_than_three_distinct_x(self, xs):
+        # a line through one or two distinct x values is not a rate
+        with pytest.raises(ValueError, match="need at least 3 distinct x values"):
+            loglog_fit(xs, [1.0 + i for i in range(len(xs))])

@@ -185,6 +185,38 @@ class TestExitCodes:
         assert "trajectory cells, above the cap" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--sigma", "1e150"), ("--t-end", "1e-300"),
+                                            ("--x0", "inf")])
+    def test_first_step_blowup_is_3(self, tmp_path, capsys, flag, value):
+        # the first derivative norm overflows (h0 = 0) or is NaN (h0 = NaN)
+        out = tmp_path / "x.csv"
+        with np.errstate(all="ignore"):
+            code = run(["solve", "--basis", "klcos", "--p", "1", "--k", "2", "--grid", "3",
+                        flag, value, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == ("numerical failure: initial step size is not "
+                                           "finite and positive (t=0.0)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--rtol", "nan"), ("--atol", "inf"),
+                                            ("--atol", "0")])
+    def test_bad_tolerance_is_2(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--basis", "klcos", "--p", "1", "--k", "2", "--grid", "3",
+                 flag, value, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tolerances must be finite and positive, got rtol=")
+        assert f"{flag[2:]}={float(value)!r}" in err
+
+    @pytest.mark.parametrize("ks", ["4,4,4", "4,8", "8,4,8,4"])
+    def test_rates_without_three_distinct_k_is_2(self, tmp_path, capsys, ks):
+        with pytest.raises(SystemExit) as exc:
+            run(["rates", "--basis", "trig", "--k", ks, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: need at least 3 distinct x values\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch):
         def exploding_solve(*args, **kwargs):
             raise StepSizeUnderflow("step size underflow", time=0.42)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -135,10 +136,29 @@ class TestClosedForms:
                               [1.0]) == 0.0
 
     def test_preset_guards(self):
-        with pytest.raises(NotGbm):
-            gbm_coefficient(SdeModel.bm(1, 1, 1), (0,), make_basis("trig"), 0.5)
-        with pytest.raises(NotBm):
-            closed_form_bm(gbm(), IndexSet(np.zeros((1, 1))), make_basis("trig"), [0.5])
+        # the closed forms read their parameters from the coefficients, so a
+        # replaced drift moves them too, and any other shape is refused
+        basis = make_basis("klcos")
+        faster = dataclasses.replace(gbm(), drift=(0.0, 2.0, 0.0))
+        sol = solve(faster, FullTruncation(p=1, k=2), basis, GRID, TIGHT)
+        exact = closed_form_gbm_grid(faster, sol.index_set, basis, [1.0])
+        assert exact[0, 0] == pytest.approx(math.exp(2.0), rel=1e-12)
+        assert sol.coeffs[-1, 0] == pytest.approx(math.exp(2.0), rel=1e-8)
+        one = lambda t: 1.0  # noqa: E731
+        not_gbm = [SdeModel.bm(1, 1, 1), SdeModel((0.0, one, 0.0), (0.0, 1.0, 0.0), 1.0),
+                   SdeModel((0.0, 1.0, 0.0), (0.0, one, 0.0), 1.0),
+                   SdeModel((0.5, 1.0, 0.0), (0.0, 1.0, 0.0), 1.0),
+                   SdeModel((0.0, 1.0, 0.0), (0.5, 1.0, 0.0), 1.0),
+                   SdeModel((0.0, 1.0, -1.0), (0.0, 1.0, 0.0), 1.0)]
+        for model in not_gbm:
+            with pytest.raises(NotGbm):
+                gbm_coefficient(model, (0,), make_basis("trig"), 0.5)
+        not_bm = [gbm(), SdeModel((one, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0),
+                  SdeModel((1.0, 0.0, 0.0), (one, 0.0, 0.0), 1.0),
+                  SdeModel((1.0, 0.0, 0.0), (1.0, 0.0, 0.2), 1.0)]
+        for model in not_bm:
+            with pytest.raises(NotBm):
+                closed_form_bm(model, IndexSet(np.zeros((1, 1))), make_basis("trig"), [0.5])
 
 
 class TestStructuralInvariants:
@@ -182,9 +202,10 @@ class TestStructuralInvariants:
             sol.grid_position(0.375)
 
     def test_grid_must_span_horizon(self):
-        with pytest.raises(ValueError):
-            solve(gbm(), FullTruncation(p=1, k=2), make_basis("trig"),
-                  np.linspace(0.0, 0.5, 11), TIGHT)
+        # solve owns the rule, exactly: a grid 1e-13 past the horizon is refused
+        for grid in (np.linspace(0.0, 0.5, 11), [0.0, 0.5, 1.0 + 1e-13]):
+            with pytest.raises(ValueError, match="grid must run from 0 to the basis horizon"):
+                solve(gbm(), FullTruncation(p=1, k=2), make_basis("trig"), grid, TIGHT)
 
     def test_mean_reverting_additive_noise_against_independent_formula(self):
         # dX = -theta X dt + sigma dW is Gaussian with

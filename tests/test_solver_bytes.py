@@ -271,11 +271,11 @@ class TestIntegrate:
         y0 = initial_state(model, index_set)
         span = (0.0, basis.horizon)
         bps = breakpoints(basis, index_set.k)
-        _, called = outcome(integrate, system, y0, span, [0.0, basis.horizon], tol, bps)
+        _, called = outcome(integrate, system, y0, [0.0, basis.horizon], tol, bps)
         grid = solver_grid(data.draw, basis, index_set.k, called)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(integrator, "BLOCK_CELLS", block_cells)
-            got = outcome(integrate, system, y0, span, grid, tol, bps)
+            got = outcome(integrate, system, y0, grid, tol, bps)
         want = outcome(old_integrate, old_rhs(system), y0, span, grid, tol, bps)
         assert got == want
 
@@ -287,7 +287,7 @@ class TestIntegrate:
 
         y0 = np.array([-0.0, 0.0])
         grid = np.linspace(0.0, 1.0, 11)
-        got = outcome(integrate, rhs, y0, (0.0, 1.0), grid)
+        got = outcome(integrate, rhs, y0, grid)
         assert got == outcome(old_integrate, rhs, y0, (0.0, 1.0), grid)
 
     @pytest.mark.parametrize("threshold", [1.5, 3.0])
@@ -303,7 +303,7 @@ class TestIntegrate:
 
         y0 = np.array([1.0, -0.0, 0.0])
         grid = np.linspace(0.0, 1.0, 41)
-        got = outcome(integrate, rhs, y0, (0.0, 1.0), grid, None, [0.5])
+        got = outcome(integrate, rhs, y0, grid, None, [0.5])
         want = outcome(old_integrate, rhs, y0, (0.0, 1.0), grid, None, [0.5])
         assert got == want
         assert got[0][0] is StepSizeUnderflow
