@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, tail_sum
-from .errors import NonPositiveValue
+from .errors import NonFiniteValue, NonPositiveValue
 from .hermite import galerkin_tensor
 # unused here; kept bound because the benchmark's tracer rebinds this name
 from .hermite import product_expansion  # noqa: F401
@@ -54,11 +54,20 @@ def moments(sol: ChaosSolution, t: float) -> tuple[float, float]:
     return mean, max(variance, 0.0)
 
 
+def moment_columns(coeffs: np.ndarray) -> np.ndarray:
+    """Mean and sum of squares of each row of a ``(rows, n)`` coefficient block.
+
+    An ``observe`` function for ``solve``: a solution solved with it holds
+    these two columns instead of the trajectory.
+    """
+    return np.column_stack((coeffs[:, 0], np.einsum("ij,ij->i", coeffs, coeffs)))
+
+
 def moment_curves(sol: ChaosSolution) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance on the whole solution grid."""
-    means = sol.coeffs[:, 0]
-    variances = np.einsum("ij,ij->i", sol.coeffs, sol.coeffs) - means * means
-    return means, np.maximum(variances, 0.0)
+    cols = sol.coeffs if sol.observe is moment_columns else moment_columns(sol.coeffs)
+    means = cols[:, 0]
+    return means, np.maximum(cols[:, 1] - means * means, 0.0)
 
 
 def third_moment(sol: ChaosSolution, t: float) -> float:
@@ -95,12 +104,18 @@ def gbm_variance_order_limit(mu: float, sigma: float, x0: float, p: int, t) -> n
 def error_curve(sol: ChaosSolution, exact_var) -> ErrorCurve:
     """Pointwise |exact - approximated| variance over the solution grid.
 
-    ``exact_var`` is a vectorized callable of time.
+    ``exact_var`` is a vectorized callable of time.  An overflowed moment,
+    exact variance or error raises ``NonFiniteValue`` at its first grid time.
     """
-    _, approx = moment_curves(sol)
-    exact = np.asarray(exact_var(sol.grid), dtype=float)
-    return ErrorCurve(grid=sol.grid, values=np.abs(exact - approx),
-                      exact_var=exact, approx_var=approx)
+    with np.errstate(over="ignore", invalid="ignore"):  # the raise below reports it
+        means, approx = moment_curves(sol)
+        exact = np.asarray(exact_var(sol.grid), dtype=float)
+        values = np.abs(exact - approx)
+    bad = ~(np.isfinite(means) & np.isfinite(values))
+    if bad.any():
+        raise NonFiniteValue("variance or its error is not finite",
+                             time=float(sol.grid[bad.argmax()]))
+    return ErrorCurve(grid=sol.grid, values=values, exact_var=exact, approx_var=approx)
 
 
 def bound_shape(basis: BasisSpec, p: int, k: int, t: float, x0: float) -> float:

@@ -46,8 +46,8 @@ class BasisSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {KINDS}")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < float("inf"):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
 
 
 def make_basis(token: str, horizon: float = 1.0) -> BasisSpec:

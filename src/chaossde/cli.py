@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (error_curve, gbm_variance_exact, gbm_variance_order_limit,
-                       loglog_fit, moments)
+                       loglog_fit, moment_columns, moments)
 from .basis import KINDS, breakpoints, make_basis, tail_sum
 from .errors import ChaosError, IndexSetTooLarge, IntegratorFailure
 from .integrator import ToleranceSpec
@@ -219,9 +219,9 @@ def _check_bases(tokens: list[str], parser) -> list[str]:
 
 
 def _gbm_error(model: SdeModel, spec: TruncationSpec, token: str, grid, tol: ToleranceSpec):
-    """A GBM solution on a grid of [0, 1] and its error against the exact variance."""
+    """A GBM solution's moment columns on a grid of [0, 1], and their variance error."""
     mu, sigma = gbm_parameters(model)
-    sol = solve(model, spec, make_basis(token, 1.0), grid, tol)
+    sol = solve(model, spec, make_basis(token, 1.0), grid, tol, observe=moment_columns)
     return sol, error_curve(sol, lambda t: gbm_variance_exact(mu, sigma, model.x0, t))
 
 

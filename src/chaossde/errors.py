@@ -55,3 +55,7 @@ class StepSizeUnderflow(IntegratorFailure):
 
 class MaxStepsExceeded(IntegratorFailure):
     """Step budget exhausted before reaching the end of the interval."""
+
+
+class NonFiniteValue(IntegratorFailure):
+    """A moment, exact variance or error value overflowed to inf or NaN."""

@@ -93,7 +93,7 @@ def _initial_step(rhs, t0, y0, f0, t_end, tol: ToleranceSpec) -> float:
 
 
 def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
-              breakpoints=None) -> np.ndarray:
+              breakpoints=None, observe=None) -> np.ndarray:
     """Integrate ``y' = rhs(t, y)`` and sample the dense output on a grid.
 
     Parameters
@@ -103,9 +103,12 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
     output_grid : strictly increasing times; integration runs from first to last
     tol : :class:`ToleranceSpec`
     breakpoints : optional times at which steps are forcibly split
+    observe : optional row-wise map of a ``(rows, len(y0))`` block of states to
+        ``(rows, m)``, run on a staging buffer of at least 2 rows as it fills
 
-    Returns the array of states with shape ``(len(output_grid), len(y0))``.
-    Identical inputs produce bit-identical trajectories.
+    Returns the states, shape ``(len(output_grid), len(y0))``; with ``observe``,
+    its rows instead, shape ``(len(output_grid), m)``, never holding all states.
+    Identical inputs produce bit-identical results.
     """
     tol = tol or ToleranceSpec()
     grid = np.asarray(output_grid, dtype=float)
@@ -115,10 +118,19 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
 
     y = np.array(y0, dtype=float).copy()
     n = y.size
-    out = np.empty((len(grid), n))
-    out[0] = y
-    gi = 1
-    block = max(BLOCK_CELLS // max(n, 1), 1)
+    block = max(BLOCK_CELLS // max(n, 1), 2)
+    # grid rows land in the stage; without observe it is the trajectory itself
+    stage = np.zeros((len(grid) if observe is None else block, n))
+    stage[0] = y
+    out = stage if observe is None else np.empty((len(grid), *observe(stage).shape[1:]))
+    base, gi = 0, 1  # grid index of stage row 0, and of the next row to fill
+
+    def flush(filled: int) -> None:
+        nonlocal base
+        if observe is not None and filled in (base + block, len(grid)):
+            # the whole stage, stale rows too: einsum sums 1-row blocks differently
+            out[base:filled] = observe(stage)[:filled - base]
+            base = filled
 
     stops: list[float] = []
     if breakpoints is not None:
@@ -182,17 +194,22 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
                 r4 = ydiff - h * k[6] - bspl
                 r5 = h * (_D[0] * k[0] + _D[2] * k[2] + _D[3] * k[3]
                           + _D[4] * k[4] + _D[5] * k[5] + _D[6] * k[6])
-                for lo in range(gi, end, block):
-                    hi = min(lo + block, end)
+                lo = gi
+                while lo < end:  # blocks end where the stage fills, too
+                    hi = min(lo + block, end, base + len(stage))
                     theta = ((grid[lo:hi] - t) / h)[:, None]
                     theta1 = 1.0 - theta
                     # y + theta (ydiff + theta1 (bspl + theta (r4 + theta1 r5))), in place
-                    rows = np.multiply(r5, theta1, out=out[lo:hi])
+                    rows = np.multiply(r5, theta1, out=stage[lo - base:hi - base])
                     for term, factor in ((r4, theta), (bspl, theta1), (ydiff, theta)):
                         rows += term
                         rows *= factor
                     rows += y
-            out[end:stop] = y_new  # a point at the step end takes its end state
+                    flush(hi)
+                    lo = hi
+            if stop > end:
+                stage[end - base] = y_new  # a point at the step end takes its end state
+                flush(stop)
             gi = stop
             t = t_new
             y = y_new

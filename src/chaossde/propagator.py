@@ -83,12 +83,14 @@ class ChaosSolution:
 
     ``coeffs[m, n]`` is the coefficient of the n-th index of ``index_set``
     at grid time m; row 0 carries the initial condition x0 at the zero
-    index and zeros elsewhere.
+    index and zeros elsewhere.  A solution solved with ``observe`` holds
+    ``observe(coeffs)`` in ``coeffs`` instead (see ``integrate``).
     """
 
     index_set: IndexSet
     grid: np.ndarray
     coeffs: np.ndarray
+    observe: Callable | None = None
 
     def grid_position(self, t: float) -> int:
         pos = int(np.searchsorted(self.grid, t))
@@ -177,12 +179,13 @@ def initial_state(model: SdeModel, index_set: IndexSet) -> np.ndarray:
 
 
 def solve(model: SdeModel, spec: TruncationSpec, basis: BasisSpec,
-          grid, tol: ToleranceSpec | None = None) -> ChaosSolution:
+          grid, tol: ToleranceSpec | None = None, observe=None) -> ChaosSolution:
     """Integrate the coefficient system and sample it on ``grid``.
 
     The grid must increase strictly from 0 to the basis horizon.  Haar
     discontinuity times are passed to the integrator as forced split
     points so each dyadic cell is integrated as a smooth piece.
+    ``observe`` reduces the trajectory as it is made (see ``integrate``).
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 2:
@@ -192,8 +195,8 @@ def solve(model: SdeModel, spec: TruncationSpec, basis: BasisSpec,
     index_set = enumerate_indices(spec)
     system = build_rhs(model, index_set, basis)
     traj = integrate(system, initial_state(model, index_set), grid, tol,
-                     breakpoints=basis_mod.breakpoints(basis, index_set.k))
-    return ChaosSolution(index_set=index_set, grid=grid, coeffs=traj)
+                     breakpoints=basis_mod.breakpoints(basis, index_set.k), observe=observe)
+    return ChaosSolution(index_set=index_set, grid=grid, coeffs=traj, observe=observe)
 
 
 def _shape_entries(model: SdeModel, slot: int, error: type) -> tuple[float, float]:

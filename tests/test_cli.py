@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ import pytest
 from chaossde import cli, multiindex
 from chaossde.analysis import gbm_variance_order_limit
 from chaossde.errors import StepSizeUnderflow
+from chaossde.integrator import ToleranceSpec
+from chaossde.presets import BENCHMARK_ROWS
+from chaossde.propagator import SdeModel
 
 
 def run(args):
@@ -217,6 +221,27 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: need at least 3 distinct x values\n"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["table1", "--rows", "k=2"], ["fig1", "--p", "1", "--k", "2"], ["rates"]])
+    def test_overflowed_moments_are_3(self, tmp_path, capsys, command):
+        # mu = 400 overflows the squared mean and exp(2 mu t) of the exact variance
+        out = tmp_path / "x"
+        code = run([*command, "--mu", "400", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: variance or its error is not finite (t=0.8")
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists() or list(out.iterdir()) == []  # fig1 makes its directory
+
+    def test_infinite_horizon_is_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--basis", "klcos", "--p", "1", "--k", "2", "--t-end", "inf",
+                 "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "error: horizon must be finite and positive, got inf"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch):
         def exploding_solve(*args, **kwargs):
             raise StepSizeUnderflow("step size underflow", time=0.42)
@@ -262,6 +287,20 @@ class TestTable1Command:
         assert run(["table1", "--rows", "k=2", "--out", str(a)]) == 0
         assert run(["table1", "--rows", "k=2", "--out", str(b)]) == 0
         assert strip_wall_time(str(a)) == strip_wall_time(str(b))
+
+    def test_largest_row_never_holds_the_trajectory(self):
+        # klcos p=5, k=16 has n = 20,349: its 1001-point trajectory alone
+        # would be 163 MB, while the streamed moments need two columns
+        (row,) = [r for r in BENCHMARK_ROWS if (r.k, r.p, r.trunc_label) == (16, 5, "full")]
+        tracemalloc.start()
+        try:
+            report = cli.run_benchmark_row(row, "klcos", SdeModel.gbm(1.0, 1.0, 1.0),
+                                           ToleranceSpec(rtol=1e-6, atol=1e-9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.n_coeff == 20349
+        assert peak < 32 * 2**20
 
     def test_bad_filter_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

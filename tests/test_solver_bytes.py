@@ -6,7 +6,8 @@ that reads the SDE coefficients and the basis values afresh on every call,
 and the per-call basis formulas.  The operation order is unchanged, so
 every trajectory, derivative and basis value must agree bit for bit, NaNs
 and signed zeros included, and the integrator must call the right-hand
-side exactly as often.
+side exactly as often.  Moments streamed out of the dense output must equal
+the moments of the whole trajectory bit for bit, too.
 """
 import math
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaossde import integrator
+from chaossde.analysis import moment_columns
 from chaossde.basis import (BasisSpec, _check_domain, _haar_geometry, breakpoints,
                             element_evaluator, element_values)
 from chaossde.errors import IntegratorFailure, MaxStepsExceeded, StepSizeUnderflow
@@ -307,3 +309,41 @@ class TestIntegrate:
         want = outcome(old_integrate, rhs, y0, (0.0, 1.0), grid, None, [0.5])
         assert got == want
         assert got[0][0] is StepSizeUnderflow
+
+
+def streamed_and_whole(system, y0, grid, tol, bps):
+    streamed = outcome(integrate, system, y0, grid, tol, bps, observe=moment_columns)
+    whole = outcome(lambda *a: moment_columns(integrate(*a)), system, y0, grid, tol, bps)
+    return streamed, whole
+
+
+class TestStreamedMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(problems(), st.sampled_from([1, 3, 40, 1 << 14]), st.data())
+    def test_match_the_whole_trajectory(self, problem, block_cells, data):
+        # small BLOCK_CELLS flush the 2-row minimum stage many times, large
+        # ones reduce a mostly stale stage once
+        model, basis, index_set = problem
+        system = build_rhs(model, index_set, basis)
+        y0 = initial_state(model, index_set)
+        bps = breakpoints(basis, index_set.k)
+        tol = ToleranceSpec(rtol=1e-5, atol=1e-8)
+        _, called = outcome(integrate, system, y0, [0.0, basis.horizon], tol, bps)
+        grid = solver_grid(data.draw, basis, index_set.k, called)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "BLOCK_CELLS", block_cells)
+            streamed, whole = streamed_and_whole(system, y0, grid, tol, bps)
+        assert streamed == whole
+
+    def test_match_above_the_single_row_threshold(self):
+        # n = 20,349 > 8,192: einsum sums a 1-row block in another order than
+        # a block of 2 or more rows, so the 2-row stage is what keeps the bits
+        index_set = enumerate_indices(FullTruncation(p=5, k=16))
+        basis = BasisSpec("klcos")
+        model = SdeModel.gbm(1.0, 1.0, 1.0)
+        system = build_rhs(model, index_set, basis)
+        grid = np.linspace(0.0, 1.0, 26)
+        streamed, whole = streamed_and_whole(system, initial_state(model, index_set), grid,
+                                             ToleranceSpec(rtol=1e-6, atol=1e-9), None)
+        assert len(index_set) == 20349
+        assert streamed == whole
