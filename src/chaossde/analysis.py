@@ -45,12 +45,16 @@ class ErrorCurve:
 def moments(sol: ChaosSolution, t: float) -> tuple[float, float]:
     """Mean and variance of the truncated expansion at a grid time.
 
-    mean = x_0(t); variance = sum of x_a(t)^2 over non-zero indices.
+    mean = x_0(t); variance = sum of x_a(t)^2 over non-zero indices.  An
+    overflowed mean or variance raises ``NonFiniteValue``.
     """
     m = sol.grid_position(t)
     row = sol.coeffs[m]
     mean = float(row[0])  # the zero index is ordinal 0
-    variance = float(row @ row - mean * mean)
+    with np.errstate(over="ignore", invalid="ignore"):  # the raise below reports it
+        variance = float(row @ row - mean * mean)
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise NonFiniteValue("mean or variance is not finite", time=float(sol.grid[m]))
     return mean, max(variance, 0.0)
 
 

@@ -59,8 +59,11 @@ def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
     out[0] = 1.0
     if n_max >= 1:
         out[1] = x
-    for m in range(1, n_max):
-        out[m + 1] = (out[1] * out[m] - math.sqrt(m) * out[m - 1]) / math.sqrt(m + 1)
+    tmp = np.empty(x.shape)
+    for m in range(1, n_max):  # (x H_m - sqrt(m) H_{m-1}) / sqrt(m+1), in place
+        np.multiply(out[1], out[m], out=out[m + 1])
+        out[m + 1] -= np.multiply(math.sqrt(m), out[m - 1], out=tmp)
+        out[m + 1] /= math.sqrt(m + 1)
     return out
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, antiderivative_grid, kl_partial_grid
-from .errors import IndexSetTooLarge
+from .errors import IndexSetTooLarge, NonFiniteValue
 from .hermite import hermite_table
 from .propagator import ChaosSolution, SdeModel
 
@@ -33,6 +33,9 @@ MAX_THREADS = 64
 # memory of a workstation, far above any acceptance-size run (p=5, k=8
 # needs 29 MB per chunk).
 MAX_SAMPLE_BYTES = 1 << 31
+# Working set of a sampling worker: it draws and tabulates a chunk in the fewest
+# equal path blocks that fit in this many bytes (p=5, k=8 makes two blocks).
+SAMPLE_BLOCK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,9 @@ def normal_draws(gen: np.random.Generator, shape) -> np.ndarray:
     """Standard normals via inverse CDF of 53-bit open-interval uniforms."""
     from scipy.special import ndtri  # here: most of the package's import time
 
-    v = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
-    u = (v.astype(np.float64) + 0.5) * 2.0 ** -53
-    return ndtri(u)
+    u = np.add(gen.integers(0, 1 << 53, size=shape, dtype=np.uint64), 0.5)
+    u *= 2.0 ** -53
+    return ndtri(u, out=u)
 
 
 def _thread_count() -> int:
@@ -101,10 +104,14 @@ def _chunk_sums(worker, rng: RngSpec, n_paths: int, threads: int):
     order regardless of completion order, so the sum is bit-identical under
     any thread count.
     """
+    def quiet(gen: np.random.Generator, size: int):  # the statistics report overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            return worker(gen, size)
+
     sizes = [min(CHUNK, n_paths - i * CHUNK) for i in range(-(-n_paths // CHUNK))]
     generators = [_chunk_generator(rng, i) for i in range(len(sizes))]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(worker, generators, sizes), 0.0)
+        return sum(pool.map(quiet, generators, sizes), 0.0)
 
 
 @dataclass(frozen=True)
@@ -124,18 +131,22 @@ class SampleStats:
     third_se: float
 
 
-def _stats_from_power_sums(n: int, s: np.ndarray) -> SampleStats:
-    mean = s[0] / n
-    raw = s / n
-    m2 = max(raw[1] - mean ** 2, 0.0)
-    # central fourth moment from raw moments
-    m4 = raw[3] - 4 * mean * raw[2] + 6 * mean ** 2 * raw[1] - 3 * mean ** 4
-    var_se = math.sqrt(max(m4 - m2 * m2, 0.0) / n)
-    third = raw[2]
-    third_se = math.sqrt(max(raw[5] - third * third, 0.0) / n)
-    return SampleStats(n=n, mean=mean, mean_se=math.sqrt(m2 / n),
-                       variance=m2, variance_se=var_se,
-                       third=third, third_se=third_se)
+def _stats_from_power_sums(n: int, s: np.ndarray, t: float) -> SampleStats:
+    with np.errstate(over="ignore", invalid="ignore"):  # the raise below reports it
+        mean = s[0] / n
+        raw = s / n
+        m2 = max(raw[1] - mean ** 2, 0.0)
+        # central fourth moment from raw moments
+        m4 = raw[3] - 4 * mean * raw[2] + 6 * mean ** 2 * raw[1] - 3 * mean ** 4
+        var_se = math.sqrt(max(m4 - m2 * m2, 0.0) / n)
+        third = raw[2]
+        third_se = math.sqrt(max(raw[5] - third * third, 0.0) / n)
+    stats = SampleStats(n=n, mean=mean, mean_se=math.sqrt(m2 / n),
+                        variance=m2, variance_se=var_se,
+                        third=third, third_se=third_se)
+    if not all(map(math.isfinite, vars(stats).values())):
+        raise NonFiniteValue("a sample statistic is not finite", time=t)
+    return stats
 
 
 def _power_sums(values: np.ndarray) -> np.ndarray:
@@ -168,12 +179,15 @@ def sample_expansion(sol: ChaosSolution, t: float, n_paths: int,
 
     Each path draws k independent standard normals, evaluates every basis
     functional through a shared Hermite value table, and contracts with the
-    coefficient vector at ``t``.  The table is laid out ``(p+1, k, size)``,
-    so each factor H_a(xi_j) over a chunk is one contiguous row; a term is
+    coefficient vector at ``t``.  The table is laid out ``(p+1, k, block)``,
+    so each factor H_a(xi_j) over a block is one contiguous row; a term is
     formed in a reused buffer as ``coeff * factor_1 * factor_2 * ...`` in
     ascending coordinate order and added to the path values in index order.
-    A run whose draws and tables would exceed ``MAX_SAMPLE_BYTES`` raises
-    ``IndexSetTooLarge`` before anything is drawn.
+    A chunk is drawn and tabulated in the fewest equal path blocks whose
+    ``8 k block (p+2)`` bytes fit in ``SAMPLE_BLOCK_BYTES``; the power sums
+    span the whole chunk, so no statistic depends on the block size.  A run
+    whose chunk-sized draws and tables would exceed ``MAX_SAMPLE_BYTES``
+    raises ``IndexSetTooLarge`` before anything is drawn.
     """
     row = sol.coeffs[sol.grid_position(t)]
     indices = sol.index_set
@@ -186,24 +200,30 @@ def sample_expansion(sol: ChaosSolution, t: float, n_paths: int,
             f"sampling p={p_max}, k={k} needs {needed} bytes of draws and Hermite "
             f"tables on {threads} thread(s), above the cap of {MAX_SAMPLE_BYTES}")
     terms = _expansion_terms(indices, row)
+    max_block = max(SAMPLE_BLOCK_BYTES // (8 * k * (p_max + 2)), 1)
 
     def worker(gen: np.random.Generator, size: int) -> np.ndarray:
-        xi = normal_draws(gen, (size, k))
-        table = hermite_table(p_max, xi.T)  # (p+1, k, size)
+        n_blocks = -(-size // max_block)
+        block = -(-size // n_blocks)
         values = np.zeros(size)
-        term = np.empty(size)
-        for coeff, factors in terms:
-            if not factors:  # the zero index
-                values += coeff
-                continue
-            (a, j), *rest = factors
-            np.multiply(coeff, table[a, j], out=term)
-            for a, j in rest:
-                term *= table[a, j]
-            values += term
+        for start in range(0, size, block):
+            part = values[start:start + block]
+            buf = np.empty(len(part))  # one term at a time
+            # (p+1, k, len(part)); the draws are freed once tabulated
+            table = hermite_table(p_max, normal_draws(gen, (len(part), k)).T)
+            for coeff, factors in terms:
+                if not factors:  # the zero index
+                    part += coeff
+                    continue
+                (a, j), *rest = factors
+                np.multiply(coeff, table[a, j], out=buf)
+                for a, j in rest:
+                    buf *= table[a, j]
+                part += buf
+            del table  # before the next block is drawn
         return _power_sums(values)
 
-    return _stats_from_power_sums(n_paths, _chunk_sums(worker, rng, n_paths, threads))
+    return _stats_from_power_sums(n_paths, _chunk_sums(worker, rng, n_paths, threads), t)
 
 
 def euler_maruyama(model: SdeModel, n_steps: int, n_paths: int, rng: RngSpec,
@@ -221,20 +241,23 @@ def euler_maruyama(model: SdeModel, n_steps: int, n_paths: int, rng: RngSpec,
 
     def worker(gen: np.random.Generator, size: int) -> np.ndarray:
         x = np.full(size, float(model.x0))
+        drift, diff, x_sq, tmp = (np.empty(size) for _ in range(4))
         for i in range(n_steps):
             b0, b1, b2 = drift_vals[i]
             g0, g1, g2 = diff_vals[i]
             z = normal_draws(gen, size)
-            drift = b0 + b1 * x
-            diff = g0 + g1 * x
+            np.add(b0, np.multiply(b1, x, out=drift), out=drift)
+            np.add(g0, np.multiply(g1, x, out=diff), out=diff)
             if b2 != 0.0 or g2 != 0.0:
-                x_sq = x * x
-                drift = drift + b2 * x_sq
-                diff = diff + g2 * x_sq
-            x = x + drift * dt + diff * (sqrt_dt * z)
+                np.multiply(x, x, out=x_sq)
+                drift += np.multiply(b2, x_sq, out=tmp)
+                diff += np.multiply(g2, x_sq, out=tmp)
+            x += np.multiply(drift, dt, out=drift)
+            x += np.multiply(diff, np.multiply(sqrt_dt, z, out=z), out=diff)
         return _power_sums(x)
 
-    return _stats_from_power_sums(n_paths, _chunk_sums(worker, rng, n_paths, threads))
+    return _stats_from_power_sums(n_paths, _chunk_sums(worker, rng, n_paths, threads),
+                                  t_end)
 
 
 def kl_path_check(basis: BasisSpec, k: int, t_grid, n_paths: int,

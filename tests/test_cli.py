@@ -233,6 +233,19 @@ class TestExitCodes:
         assert "Traceback" not in err and "Warning" not in err
         assert not out.exists() or list(out.iterdir()) == []  # fig1 makes its directory
 
+    @pytest.mark.parametrize("mu, message", [
+        ("400", "mean or variance is not finite"),  # the squared mean overflows
+        ("300", "a sample statistic is not finite"),  # sampled squares overflow
+    ])
+    def test_overflowed_mc_statistics_are_3(self, tmp_path, capsys, mu, message):
+        out = tmp_path / "x.csv"
+        code = run(["mc", "--basis", "trig", "--p", "1", "--k", "2", "--mu", mu,
+                    "--paths", "1000", "--steps", "8", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: {message} (t=1.0)\n"
+        assert not out.exists()
+
     def test_infinite_horizon_is_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["solve", "--basis", "klcos", "--p", "1", "--k", "2", "--t-end", "inf",

@@ -1,18 +1,20 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from chaossde.analysis import moments
 from chaossde.basis import kl_partial, make_basis
+from chaossde.errors import NonFiniteValue
 from chaossde.integrator import ToleranceSpec
 from chaossde.multiindex import FullTruncation
 from chaossde.oracle import (CHUNK, MAX_THREADS, RngSpec, SampleStats,
                              _chunk_generator, _thread_count, euler_maruyama,
                              kl_path_check, normal_draws, pool_size,
                              sample_expansion)
-from chaossde.propagator import SdeModel, solve
+from chaossde.propagator import ChaosSolution, SdeModel, solve
 
 GRID = np.linspace(0.0, 1.0, 101)
 TIGHT = ToleranceSpec(rtol=1e-9, atol=1e-12)
@@ -183,6 +185,27 @@ class TestEulerMaruyama:
                                RngSpec(seed=22))
         combined = math.hypot(s_exp.mean_se, s_eul.mean_se)
         assert abs(s_exp.mean - s_eul.mean) <= 4 * combined + math.e / 2048
+
+
+class TestNonFiniteStatistics:
+    """An overflow in either sampler raises instead of reporting inf or NaN."""
+
+    def test_overflowed_expansion_samples_raise(self):
+        # x = 1e200 xi_1: every sampled square overflows
+        sol = gbm_solution(p=1, k=2)
+        coeffs = np.zeros_like(sol.coeffs)
+        coeffs[:, 1] = 1e200
+        huge = ChaosSolution(sol.index_set, sol.grid, coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and without numpy's warnings
+            with pytest.raises(NonFiniteValue, match=r"sample statistic .* \(t=0\.5\)"):
+                sample_expansion(huge, 0.5, 1000, RngSpec(seed=1))
+
+    def test_overflowed_euler_paths_raise(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=r"\(t=1\.0\)"):
+                euler_maruyama(SdeModel.gbm(1e100, 1.0, 1.0), 8, 100, RngSpec(seed=1))
 
 
 class TestKlPathCheck:

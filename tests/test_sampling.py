@@ -1,11 +1,14 @@
-"""Contiguous expansion sampling against the per-index loop it replaced.
+"""Blocked, contiguous expansion sampling against the per-index loop it replaced.
 
-The oracle below is the old sampler: a Hermite table laid out
-``(p+1, size, k)``, and per index a fresh ``np.full(size, coeff)``
+The oracle below is the old sampler: a Hermite table of a whole chunk laid
+out ``(p+1, size, k)``, and per index a fresh ``np.full(size, coeff)``
 multiplied by one strided factor column per coordinate.  The new sampler
-performs the same floating-point operations in the same order, so every
-statistic must agree bit for bit.
+draws and tabulates each chunk in path blocks and performs the same
+floating-point operations in the same order, so every statistic must agree
+bit for bit whatever the block size.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,7 +50,7 @@ def old_sample_expansion(sol, t, n_paths, rng):
                     term = term * table[a, :, coord]
             values += term
         total += _power_sums(values)
-    return _stats_from_power_sums(n_paths, total)
+    return _stats_from_power_sums(n_paths, total, t)
 
 
 def stats_hex(stats):
@@ -69,30 +72,70 @@ def solutions(draw):
     return ChaosSolution(index_set, GRID, coeffs)
 
 
+def record_block_sizes(monkeypatch) -> list:
+    """Path counts of the Hermite tables ``sample_expansion`` builds."""
+    sizes = []
+
+    def recording(n_max, x):
+        sizes.append(x.shape[-1])
+        return hermite_table(n_max, x)
+
+    monkeypatch.setattr(oracle, "hermite_table", recording)
+    return sizes
+
+
 class TestBitIdentity:
     @settings(max_examples=150, deadline=None)
     @given(solutions(), st.integers(1, 5 * 64 + 7), st.sampled_from(("1", "2")),
-           st.integers(0, 2 ** 32))
-    def test_matches_old_loop(self, sol, n_paths, threads, seed):
-        # a 64-path chunk makes most path counts span several ragged chunks
+           st.integers(0, 2 ** 32), st.sampled_from((0, 1, 7, 24, 63, 64)))
+    def test_matches_old_loop(self, sol, n_paths, threads, seed, block_paths):
+        # a 64-path chunk makes most path counts span several ragged chunks,
+        # and a budget of block_paths paths (0: less than one path) splits
+        # each chunk into equal blocks, the last one ragged
         rng = RngSpec(seed=seed, stream=3)
+        per_path = 8 * sol.index_set.k * (sol.index_set.max_order + 2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "CHUNK", 64)
+            mp.setattr(oracle, "SAMPLE_BLOCK_BYTES", per_path * block_paths)
             mp.setenv("CHAOS_THREADS", threads)
             got = sample_expansion(sol, 1.0, n_paths, rng)
             want = old_sample_expansion(sol, 1.0, n_paths, rng)
         assert stats_hex(got) == stats_hex(want)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_matches_old_loop_at_full_chunk(self, monkeypatch, threads):
-        # two full-size chunks, the second ragged, on a solved GBM expansion
-        sol = solve(SdeModel.gbm(1.0, 1.0, 1.0), FullTruncation(p=3, k=4),
+    @pytest.mark.parametrize("p, k, blocks", [
+        (3, 4, [oracle.CHUNK]),  # the chunk fits in one block
+        (5, 8, [oracle.CHUNK // 2] * 2),  # 8 k CHUNK (p+2) = 29 MB splits in two
+    ], ids=["p3k4", "p5k8"])
+    def test_matches_old_loop_at_full_chunk(self, monkeypatch, threads, p, k, blocks):
+        # two chunks, the second ragged, on a solved GBM expansion
+        sol = solve(SdeModel.gbm(1.0, 1.0, 1.0), FullTruncation(p=p, k=k),
                     make_basis("trig"), GRID, ToleranceSpec(rtol=1e-8, atol=1e-11))
         rng = RngSpec(seed=99)
         n_paths = oracle.CHUNK + 4097
         monkeypatch.setenv("CHAOS_THREADS", threads)
+        want = old_sample_expansion(sol, 1.0, n_paths, rng)
+        sizes = record_block_sizes(monkeypatch)
         got = sample_expansion(sol, 1.0, n_paths, rng)
-        assert stats_hex(got) == stats_hex(old_sample_expansion(sol, 1.0, n_paths, rng))
+        assert stats_hex(got) == stats_hex(want)
+        assert sorted(sizes) == sorted(blocks + [4097])
+
+
+class TestWorkingSet:
+    def test_sampling_peak_stays_below_20_mib(self, monkeypatch):
+        # one 65,536-path chunk of p=5, k=8 on one worker: the whole-chunk
+        # draws and Hermite table peaked at 36.3 MiB, two blocks at 17.1 MiB
+        sol = solve(SdeModel.gbm(1.0, 1.0, 1.0), FullTruncation(p=5, k=8),
+                    make_basis("trig"), GRID, ToleranceSpec(rtol=1e-6, atol=1e-9))
+        monkeypatch.setenv("CHAOS_THREADS", "1")
+        sample_expansion(sol, 1.0, 10, RngSpec(seed=1))  # imports scipy.special
+        tracemalloc.start()
+        try:
+            sample_expansion(sol, 1.0, oracle.CHUNK, RngSpec(seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestMemoryBound:
