@@ -48,13 +48,12 @@ def moments(sol: ChaosSolution, t: float) -> tuple[float, float]:
     mean = x_0(t); variance = sum of x_a(t)^2 over non-zero indices.  An
     overflowed mean or variance raises ``NonFiniteValue``.
     """
-    m = sol.grid_position(t)
-    row = sol.coeffs[m]
+    row = sol.coeffs_at(t)
     mean = float(row[0])  # the zero index is ordinal 0
     with np.errstate(over="ignore", invalid="ignore"):  # the raise below reports it
         variance = float(row @ row - mean * mean)
     if not (math.isfinite(mean) and math.isfinite(variance)):
-        raise NonFiniteValue("mean or variance is not finite", time=float(sol.grid[m]))
+        raise NonFiniteValue("mean or variance is not finite", time=t)
     return mean, max(variance, 0.0)
 
 
@@ -62,14 +61,14 @@ def moment_columns(coeffs: np.ndarray) -> np.ndarray:
     """Mean and sum of squares of each row of a ``(rows, n)`` coefficient block.
 
     An ``observe`` function for ``solve``: a solution solved with it holds
-    these two columns instead of the trajectory.
+    these two columns as its rows instead of the trajectory.
     """
     return np.column_stack((coeffs[:, 0], np.einsum("ij,ij->i", coeffs, coeffs)))
 
 
 def moment_curves(sol: ChaosSolution) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance on the whole solution grid."""
-    cols = sol.coeffs if sol.observe is moment_columns else moment_columns(sol.coeffs)
+    cols = sol.rows if sol.observe is moment_columns else moment_columns(sol.coeffs)
     means = cols[:, 0]
     return means, np.maximum(cols[:, 1] - means * means, 0.0)
 
@@ -81,7 +80,7 @@ def third_moment(sol: ChaosSolution, t: float) -> float:
     the tensor the quadratic coefficient system uses; it is built once per
     index set and shared.
     """
-    x = sol.coeffs[sol.grid_position(t)]
+    x = sol.coeffs_at(t)
     q = galerkin_tensor(sol.index_set)
     return float(np.dot(q.weights * x[q.left] * x[q.right], x[q.targets]))
 

@@ -33,7 +33,7 @@ from .errors import ChaosError, IndexSetTooLarge, IntegratorFailure
 from .integrator import ToleranceSpec
 from .multiindex import (FullTruncation, SparseFirstOrder, TruncationSpec, checked_count,
                          format_sparse_text, parse_sparse_text)
-from .oracle import RngSpec, euler_maruyama, pool_size, sample_expansion
+from .oracle import RngSpec, block_paths, euler_maruyama, pool_size, sample_expansion
 from .presets import BENCHMARK_ROWS, BenchmarkRow
 from .propagator import SdeModel, gbm_parameters, solve
 
@@ -155,22 +155,19 @@ def _grid(specs, t_end: float, points: int) -> np.ndarray:
     return np.linspace(0.0, t_end, points)
 
 
-def _solve_problem(args, parser):
-    """Build the model, truncation, basis and grid of ``solve``/``mc``; solve.
-
-    Returns the model, the tolerances and the solution.
-    """
+def _problem(args, parser):
+    """The model, truncation, basis, grid and tolerances of ``solve``/``mc``."""
     model = (SdeModel.gbm(args.mu, args.sigma, args.x0) if args.sde == "gbm"
              else SdeModel.bm(args.b, args.sigma, args.x0))
     spec = _resolve_truncation(args, parser)
     basis = make_basis(args.basis, args.t_end)
     grid = _grid([spec], args.t_end, args.grid)
-    tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
-    return model, tol, solve(model, spec, basis, grid, tol)
+    return model, spec, basis, grid, ToleranceSpec(rtol=args.rtol, atol=args.atol)
 
 
 def cmd_solve(args, parser) -> int:
-    _, tol, sol = _solve_problem(args, parser)
+    model, spec, basis, grid, tol = _problem(args, parser)
+    sol = solve(model, spec, basis, grid, tol)
     header = ["t", *sol.index_set.labels()]
     rows = np.column_stack((sol.grid, sol.coeffs)).tolist()
     _write(args, tol, header, rows, {"header": header, "rows": rows})
@@ -291,7 +288,9 @@ def cmd_mc(args, parser) -> int:
     next to the coefficient-based moments.
     """
     pool_size(args.paths, args.steps)  # bad sizes or CHAOS_THREADS fail before the solve
-    model, tol, sol = _solve_problem(args, parser)
+    model, spec, basis, grid, tol = _problem(args, parser)
+    block_paths(spec.p, spec.k)  # and so does a set whose one path outgrows a block
+    sol = solve(model, spec, basis, grid, tol)
     mean, variance = moments(sol, args.t_end)
     rng = RngSpec(seed=args.seed, stream=args.stream)
     sampled = sample_expansion(sol, args.t_end, args.paths, rng)

@@ -21,10 +21,6 @@ class OrderTooLarge(ChaosError):
     """Hermite order beyond the supported cap."""
 
 
-class DimensionMismatch(ChaosError):
-    """Gaussian vector shorter than the support of an index."""
-
-
 class NotGbm(ChaosError):
     """Closed form requires a model of geometric Brownian motion shape."""
 
@@ -35,6 +31,10 @@ class NotBm(ChaosError):
 
 class TimeNotOnGrid(ChaosError):
     """Requested time is not a point of the solution grid."""
+
+
+class NotATrajectory(ChaosError):
+    """Solution solved with ``observe`` holds observed rows, not coefficients."""
 
 
 class NonPositiveValue(ChaosError):

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexSetTooLarge, OrderTooLarge
+from .errors import IndexSetTooLarge, OrderTooLarge
 from .multiindex import INDEX_DTYPE, IndexSet
 
 MAX_ORDER = 64
@@ -64,18 +64,6 @@ def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
         np.multiply(out[1], out[m], out=out[m + 1])
         out[m + 1] -= np.multiply(math.sqrt(m), out[m - 1], out=tmp)
         out[m + 1] /= math.sqrt(m + 1)
-    return out
-
-
-def psi(alpha: Sequence[int], xi: Sequence[float]) -> float:
-    """Product functional prod_i H_{a_i}(xi_i) of a dense row; the empty product is 1."""
-    if any(alpha[len(xi):]):
-        raise DimensionMismatch(f"index {tuple(alpha)} has non-zero entries beyond "
-                                f"the {len(xi)} draws given")
-    out = 1.0
-    for a, x in zip(alpha, xi):
-        if a:
-            out *= hermite_n(a, float(x))
     return out
 
 

@@ -92,8 +92,13 @@ def _initial_step(rhs, t0, y0, f0, t_end, tol: ToleranceSpec) -> float:
     return min(100 * h0, h1, span)
 
 
+def keep_states(rows: np.ndarray) -> np.ndarray:
+    """The default ``observe``: the states, copied out of the stage as it flushes."""
+    return rows
+
+
 def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
-              breakpoints=None, observe=None) -> np.ndarray:
+              breakpoints=None, observe=keep_states) -> np.ndarray:
     """Integrate ``y' = rhs(t, y)`` and sample the dense output on a grid.
 
     Parameters
@@ -103,12 +108,12 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
     output_grid : strictly increasing times; integration runs from first to last
     tol : :class:`ToleranceSpec`
     breakpoints : optional times at which steps are forcibly split
-    observe : optional row-wise map of a ``(rows, len(y0))`` block of states to
+    observe : row-wise map of a ``(rows, len(y0))`` block of states to
         ``(rows, m)``, run on a staging buffer of at least 2 rows as it fills
 
-    Returns the states, shape ``(len(output_grid), len(y0))``; with ``observe``,
-    its rows instead, shape ``(len(output_grid), m)``, never holding all states.
-    Identical inputs produce bit-identical results.
+    Returns the observed rows, shape ``(len(output_grid), m)``: with the
+    default ``keep_states``, the states themselves; any other ``observe``
+    never holds all states.  Identical inputs produce bit-identical results.
     """
     tol = tol or ToleranceSpec()
     grid = np.asarray(output_grid, dtype=float)
@@ -119,15 +124,14 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
     y = np.array(y0, dtype=float).copy()
     n = y.size
     block = max(BLOCK_CELLS // max(n, 1), 2)
-    # grid rows land in the stage; without observe it is the trajectory itself
-    stage = np.zeros((len(grid) if observe is None else block, n))
+    stage = np.zeros((block, n))  # grid rows land here and flush through observe
     stage[0] = y
-    out = stage if observe is None else np.empty((len(grid), *observe(stage).shape[1:]))
+    out = np.empty((len(grid), *observe(stage).shape[1:]))
     base, gi = 0, 1  # grid index of stage row 0, and of the next row to fill
 
     def flush(filled: int) -> None:
         nonlocal base
-        if observe is not None and filled in (base + block, len(grid)):
+        if filled in (base + block, len(grid)):  # a full stage, or the last rows
             # the whole stage, stale rows too: einsum sums 1-row blocks differently
             out[base:filled] = observe(stage)[:filled - base]
             base = filled
@@ -195,8 +199,8 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
                 r5 = h * (_D[0] * k[0] + _D[2] * k[2] + _D[3] * k[3]
                           + _D[4] * k[4] + _D[5] * k[5] + _D[6] * k[6])
                 lo = gi
-                while lo < end:  # blocks end where the stage fills, too
-                    hi = min(lo + block, end, base + len(stage))
+                while lo < end:  # blocks end where the stage fills
+                    hi = min(end, base + block)
                     theta = ((grid[lo:hi] - t) / h)[:, None]
                     theta1 = 1.0 - theta
                     # y + theta (ydiff + theta1 (bspl + theta (r4 + theta1 r5))), in place

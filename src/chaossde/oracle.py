@@ -28,11 +28,6 @@ CHUNK = 1 << 16  # paths per substream; fixed so results never depend on threadi
 # gain nothing; the cap keeps a mistyped CHAOS_THREADS from starting
 # thousands of threads.
 MAX_THREADS = 64
-# Largest working set of expansion sampling: the normal draws and the
-# Hermite table of every chunk the pool holds at once.  Far below the
-# memory of a workstation, far above any acceptance-size run (p=5, k=8
-# needs 29 MB per chunk).
-MAX_SAMPLE_BYTES = 1 << 31
 # Working set of a sampling worker: it draws and tabulates a chunk in the fewest
 # equal path blocks that fit in this many bytes (p=5, k=8 makes two blocks).
 SAMPLE_BLOCK_BYTES = 1 << 24
@@ -159,6 +154,19 @@ def _power_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def block_paths(p: int, k: int) -> int:
+    """Paths per block: each takes ``8 k (p+2)`` bytes of draws and Hermite table.
+
+    A set whose one path exceeds ``SAMPLE_BLOCK_BYTES`` raises ``IndexSetTooLarge``.
+    """
+    path_bytes = 8 * k * (p + 2)
+    if path_bytes > SAMPLE_BLOCK_BYTES:
+        raise IndexSetTooLarge(
+            f"sampling p={p}, k={k} needs {path_bytes} bytes of draws and Hermite "
+            f"table per path, above the block of {SAMPLE_BLOCK_BYTES}")
+    return SAMPLE_BLOCK_BYTES // path_bytes
+
+
 def _expansion_terms(indices, row: np.ndarray) -> list:
     """``(coeff, [(a, j), ...])`` per index with a non-zero coefficient.
 
@@ -185,22 +193,16 @@ def sample_expansion(sol: ChaosSolution, t: float, n_paths: int,
     ascending coordinate order and added to the path values in index order.
     A chunk is drawn and tabulated in the fewest equal path blocks whose
     ``8 k block (p+2)`` bytes fit in ``SAMPLE_BLOCK_BYTES``; the power sums
-    span the whole chunk, so no statistic depends on the block size.  A run
-    whose chunk-sized draws and tables would exceed ``MAX_SAMPLE_BYTES``
-    raises ``IndexSetTooLarge`` before anything is drawn.
+    span the whole chunk, so no statistic depends on the block size.  A set
+    whose one path does not fit (see ``block_paths``) raises
+    ``IndexSetTooLarge`` before anything is drawn.
     """
-    row = sol.coeffs[sol.grid_position(t)]
+    row = sol.coeffs_at(t)
     indices = sol.index_set
-    k = indices.k
-    p_max = indices.max_order
+    k, p_max = indices.k, indices.max_order
     threads = pool_size(n_paths)
-    needed = 8 * k * min(CHUNK, n_paths) * (p_max + 2) * threads
-    if needed > MAX_SAMPLE_BYTES:
-        raise IndexSetTooLarge(
-            f"sampling p={p_max}, k={k} needs {needed} bytes of draws and Hermite "
-            f"tables on {threads} thread(s), above the cap of {MAX_SAMPLE_BYTES}")
+    max_block = block_paths(p_max, k)
     terms = _expansion_terms(indices, row)
-    max_block = max(SAMPLE_BLOCK_BYTES // (8 * k * (p_max + 2)), 1)
 
     def worker(gen: np.random.Generator, size: int) -> np.ndarray:
         n_blocks = -(-size // max_block)

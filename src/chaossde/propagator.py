@@ -25,11 +25,11 @@ import numpy as np
 
 from . import basis as basis_mod
 from .basis import BasisSpec
-from .errors import InvalidSparseIndex, NotBm, NotGbm, TimeNotOnGrid
+from .errors import InvalidSparseIndex, NotATrajectory, NotBm, NotGbm, TimeNotOnGrid
 from .hermite import galerkin_tensor
 # unused here; kept bound because the benchmark's tracer rebinds this name
 from .hermite import product_expansion  # noqa: F401
-from .integrator import ToleranceSpec, integrate
+from .integrator import ToleranceSpec, integrate, keep_states
 from .multiindex import IndexSet, TruncationSpec, enumerate_indices
 
 Coefficient = Union[float, Callable[[float], float]]
@@ -79,24 +79,31 @@ class SdeModel:
 
 @dataclass(frozen=True)
 class ChaosSolution:
-    """Coefficient trajectories on a time grid.
+    """Coefficient rows on a time grid, as ``observe`` (see ``integrate``) left them.
 
-    ``coeffs[m, n]`` is the coefficient of the n-th index of ``index_set``
-    at grid time m; row 0 carries the initial condition x0 at the zero
-    index and zeros elsewhere.  A solution solved with ``observe`` holds
-    ``observe(coeffs)`` in ``coeffs`` instead (see ``integrate``).
+    With the default ``keep_states``, ``coeffs[m, n]`` is the coefficient of
+    the n-th index of ``index_set`` at grid time m; row 0 carries x0 at the
+    zero index and zeros elsewhere.
     """
 
     index_set: IndexSet
     grid: np.ndarray
-    coeffs: np.ndarray
-    observe: Callable | None = None
+    rows: np.ndarray
+    observe: Callable = keep_states
 
-    def grid_position(self, t: float) -> int:
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The trajectory; ``NotATrajectory`` if solved with another ``observe``."""
+        if self.observe is not keep_states:
+            raise NotATrajectory("a solution solved with observe holds no coefficients")
+        return self.rows
+
+    def coeffs_at(self, t: float) -> np.ndarray:
+        """The coefficient vector at the grid time within 1e-12 of ``t``."""
         pos = int(np.searchsorted(self.grid, t))
-        for cand in (pos - 1, pos, pos + 1):
+        for cand in (pos - 1, pos):  # the grid times on either side of t
             if 0 <= cand < len(self.grid) and abs(self.grid[cand] - t) <= 1e-12:
-                return cand
+                return self.coeffs[cand]
         raise TimeNotOnGrid(f"t={t!r} is not a grid time")
 
 
@@ -179,7 +186,7 @@ def initial_state(model: SdeModel, index_set: IndexSet) -> np.ndarray:
 
 
 def solve(model: SdeModel, spec: TruncationSpec, basis: BasisSpec,
-          grid, tol: ToleranceSpec | None = None, observe=None) -> ChaosSolution:
+          grid, tol: ToleranceSpec | None = None, observe=keep_states) -> ChaosSolution:
     """Integrate the coefficient system and sample it on ``grid``.
 
     The grid must increase strictly from 0 to the basis horizon.  Haar
@@ -194,9 +201,9 @@ def solve(model: SdeModel, spec: TruncationSpec, basis: BasisSpec,
         raise ValueError("grid must run from 0 to the basis horizon")
     index_set = enumerate_indices(spec)
     system = build_rhs(model, index_set, basis)
-    traj = integrate(system, initial_state(model, index_set), grid, tol,
+    rows = integrate(system, initial_state(model, index_set), grid, tol,
                      breakpoints=basis_mod.breakpoints(basis, index_set.k), observe=observe)
-    return ChaosSolution(index_set=index_set, grid=grid, coeffs=traj, observe=observe)
+    return ChaosSolution(index_set=index_set, grid=grid, rows=rows, observe=observe)
 
 
 def _shape_entries(model: SdeModel, slot: int, error: type) -> tuple[float, float]:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from chaossde.analysis import (bound_shape, error_curve, gbm_variance_exact,
-                               gbm_variance_order_limit, loglog_fit, moment_curves,
-                               moments, third_moment)
+                               gbm_variance_order_limit, loglog_fit, moment_columns,
+                               moment_curves, moments, third_moment)
 from chaossde.basis import kl_partial, make_basis, tail_sum
-from chaossde.errors import NonPositiveValue, TimeNotOnGrid
+from chaossde.errors import NonPositiveValue, NotATrajectory, TimeNotOnGrid
 from chaossde.integrator import ToleranceSpec
 from chaossde.multiindex import FullTruncation
 from chaossde.oracle import RngSpec, sample_expansion
@@ -70,6 +70,34 @@ class TestThirdMoment:
         exact = third_moment(sol, t)
         stats = sample_expansion(sol, t, 1_000_000, RngSpec(seed=91))
         assert abs(stats.third - exact) <= 4 * stats.third_se
+
+
+class TestStreamedSolution:
+    """A solution solved with ``observe`` holds moment columns, no coefficients."""
+
+    def solutions(self):
+        args = (SdeModel.gbm(1.0, 1.0, 1.0), FullTruncation(p=2, k=4), make_basis("klcos"),
+                np.linspace(0.0, 1.0, 11), ToleranceSpec(rtol=1e-6, atol=1e-9))
+        return solve(*args, observe=moment_columns), solve(*args)
+
+    @pytest.mark.parametrize("read", [
+        lambda sol: sol.coeffs,
+        lambda sol: moments(sol, 1.0),
+        lambda sol: third_moment(sol, 1.0),
+        lambda sol: sample_expansion(sol, 1.0, 100, RngSpec(seed=0)),
+    ], ids=["coeffs", "moments", "third_moment", "sample_expansion"])
+    def test_coefficient_readers_raise(self, read):
+        # the moment columns read as a coefficient row gave moments a variance
+        # of 314.61 for the trajectory's 10.348, sampled a wrong expansion, and
+        # sent third_moment out of bounds
+        streamed, _ = self.solutions()
+        with pytest.raises(NotATrajectory, match="holds no coefficients"):
+            read(streamed)
+
+    def test_moment_curves_match_the_trajectory(self):
+        streamed, whole = self.solutions()
+        for got, want in zip(moment_curves(streamed), moment_curves(whole)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestGbmExact:

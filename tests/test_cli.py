@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaossde import cli, multiindex
+from chaossde import cli, multiindex, oracle
 from chaossde.analysis import gbm_variance_order_limit
 from chaossde.errors import StepSizeUnderflow
 from chaossde.integrator import ToleranceSpec
@@ -148,6 +148,23 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unsampleable_set_is_2_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # orders 0..64 on the first of k coordinates: one path's draws and
+        # Hermite table, 8 k (p+2) bytes, exceed a sampling block
+        k = oracle.SAMPLE_BLOCK_BYTES // (8 * 66) + 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the size check")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        with pytest.raises(SystemExit) as exc:
+            run(["mc", "--basis", "trig", "--p", "64", "--k", str(k), "--trunc", "sp1",
+                 "--sparse", ",".join(["64"] + ["0"] * (k - 1)), "--paths", "10",
+                 "--steps", "2", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert f"p=64, k={k} needs {8 * k * 66} bytes" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_oversized_index_set_is_2(self, tmp_path, capsys):
         # p=10, k=64 is 7.2e11 indices: refused from the count, not enumerated

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from chaossde.errors import DimensionMismatch, OrderTooLarge
-from chaossde.hermite import (hermite_n, hermite_table, product_expansion, psi,
+from chaossde.errors import OrderTooLarge
+from chaossde.hermite import (hermite_n, hermite_table, product_expansion,
                               triple_multi, triple_scalar)
-from chaossde.oracle import RngSpec, normal_draws, _chunk_generator
 
 
 def gauss_hermite_expect(f, nodes=64):
@@ -128,51 +127,3 @@ class TestTripleMulti:
             triple_multi((1, 0), (1,), (0, 0))
         with pytest.raises(ValueError):
             list(product_expansion((1, 0), (1,)))
-
-
-class TestPsi:
-    def test_zero_index_is_one(self):
-        assert psi((0, 0), [0.3, -2.0]) == 1.0
-
-    def test_first_orders_multiply(self):
-        assert psi((1, 1), [1.5, -2.0]) == pytest.approx(-3.0)
-
-    def test_second_order_root(self):
-        assert psi((2,), [1.0]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            psi((0, 0, 1), [0.1, 0.2])
-
-    def test_monte_carlo_orthonormality(self):
-        # sample mean of psi(a)*psi(b) within 4 standard errors of delta_ab
-        n = 1_000_000
-        gen = _chunk_generator(RngSpec(seed=20240601), 0)
-        xi = normal_draws(gen, (n, 3))
-        pairs = [
-            ((0, 0, 0), (0, 0, 0)),
-            ((1, 0, 0), (1, 0, 0)),
-            ((1, 0, 0), (0, 1, 0)),
-            ((2, 0, 0), (2, 0, 0)),
-            ((2, 0, 0), (1, 0, 0)),
-            ((1, 1, 0), (1, 1, 0)),
-            ((1, 1, 0), (2, 0, 0)),
-            ((3, 0, 0), (3, 0, 0)),
-            ((2, 1, 0), (2, 1, 0)),
-            ((1, 0, 2), (1, 0, 2)),
-        ]
-        table = hermite_table(3, xi)  # (4, n, 3)
-
-        def values(alpha):
-            out = np.ones(n)
-            for coord, a in enumerate(alpha):
-                if a:
-                    out = out * table[a, :, coord]
-            return out
-
-        for a, b in pairs:
-            prod = values(a) * values(b)
-            mean = prod.mean()
-            se = prod.std(ddof=1) / math.sqrt(n)
-            target = 1.0 if a == b else 0.0
-            assert abs(mean - target) <= 4 * max(se, 1e-12), (a, b, mean, se)

@@ -432,7 +432,7 @@ class TestThirdMoment:
     def test_matches_triple_loop(self, spec, seed):
         index_set = enumerate_indices(spec)
         x = np.random.default_rng(seed).standard_normal(len(index_set))
-        sol = ChaosSolution(index_set=index_set, grid=np.array([0.0]), coeffs=x[None, :])
+        sol = ChaosSolution(index_set=index_set, grid=np.array([0.0]), rows=x[None, :])
         want, scale = old_third_moment(index_set, x)
         assert math.isclose(third_moment(sol, 0.0), want, rel_tol=0.0,
                             abs_tol=1e-12 * scale)

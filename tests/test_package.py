@@ -22,7 +22,8 @@ def test_star_import():
 ROOT = Path(__file__).resolve().parent.parent
 # Public names that only tests call, each kept on purpose.
 KEPT_FOR_TESTS = {
-    "psi": "reference oracle: the product functional the samplers are checked against",
+    "hermite_n": "reference oracle: the scalar recurrence the Hermite table and "
+                 "criterion 7's derivative identity are checked against",
     "triple_multi": "reference oracle: the weights the Galerkin tensor is checked against",
     "closed_form_gbm_grid": "exact GBM coefficients the solver is checked against",
     "closed_form_bm": "exact Brownian-motion coefficients the solver is checked against",

@@ -197,9 +197,9 @@ class TestStructuralInvariants:
     def test_grid_position_guard(self):
         sol = solve(gbm(), FullTruncation(p=1, k=2), make_basis("trig"), GRID, TIGHT)
         assert isinstance(sol, ChaosSolution)
-        assert sol.grid_position(0.37) == 37
+        assert sol.coeffs_at(0.37).tobytes() == sol.coeffs[37].tobytes()
         with pytest.raises(TimeNotOnGrid):
-            sol.grid_position(0.375)
+            sol.coeffs_at(0.375)
 
     def test_grid_must_span_horizon(self):
         # solve owns the rule, exactly: a grid 1e-13 past the horizon is refused

@@ -20,7 +20,8 @@ from chaossde.basis import make_basis
 from chaossde.errors import IndexSetTooLarge
 from chaossde.hermite import hermite_table
 from chaossde.integrator import ToleranceSpec
-from chaossde.multiindex import INDEX_DTYPE, FullTruncation, IndexSet, enumerate_indices
+from chaossde.multiindex import (INDEX_DTYPE, FullTruncation, IndexSet, SparseFirstOrder,
+                                 enumerate_indices)
 from chaossde.oracle import (RngSpec, _chunk_generator, _power_sums,
                              _stats_from_power_sums, normal_draws, sample_expansion)
 from chaossde.propagator import ChaosSolution, SdeModel, solve
@@ -30,15 +31,17 @@ GRID = np.array([0.0, 1.0])
 
 def old_sample_expansion(sol, t, n_paths, rng):
     """The per-index ``np.full`` loop, run serially over the chunks."""
-    row = sol.coeffs[sol.grid_position(t)]
+    row = sol.coeffs_at(t)
     indices = sol.index_set
     k, p_max = indices.k, indices.max_order
+    # coordinates past the last one an index uses never enter a term
+    used = int(np.flatnonzero(indices.dense.any(axis=0)).max(initial=-1)) + 1
     chunk = oracle.CHUNK
     total = np.zeros(6)
     for chunk_index in range(-(-n_paths // chunk)):
         size = min(chunk, n_paths - chunk_index * chunk)
         xi = normal_draws(_chunk_generator(rng, chunk_index), (size, k))
-        table = hermite_table(p_max, xi)  # (p+1, size, k)
+        table = hermite_table(p_max, xi[:, :used])  # (p+1, size, used)
         values = np.zeros(size)
         for n_ord, alpha in enumerate(row_tuples(indices)):
             coeff = row[n_ord]
@@ -87,11 +90,11 @@ def record_block_sizes(monkeypatch) -> list:
 class TestBitIdentity:
     @settings(max_examples=150, deadline=None)
     @given(solutions(), st.integers(1, 5 * 64 + 7), st.sampled_from(("1", "2")),
-           st.integers(0, 2 ** 32), st.sampled_from((0, 1, 7, 24, 63, 64)))
+           st.integers(0, 2 ** 32), st.sampled_from((1, 7, 24, 63, 64)))
     def test_matches_old_loop(self, sol, n_paths, threads, seed, block_paths):
         # a 64-path chunk makes most path counts span several ragged chunks,
-        # and a budget of block_paths paths (0: less than one path) splits
-        # each chunk into equal blocks, the last one ragged
+        # and a budget of block_paths paths splits each chunk into equal
+        # blocks, the last one ragged
         rng = RngSpec(seed=seed, stream=3)
         per_path = 8 * sol.index_set.k * (sol.index_set.max_order + 2)
         with pytest.MonkeyPatch.context() as mp:
@@ -120,6 +123,22 @@ class TestBitIdentity:
         assert stats_hex(got) == stats_hex(want)
         assert sorted(sizes) == sorted(blocks + [4097])
 
+    def test_matches_old_loop_above_the_old_chunk_cap(self, monkeypatch):
+        # orders 0..64 on the first of 32 coordinates, on two workers: whole-chunk
+        # tables would take 8 k CHUNK (p+2) 2 = 2.2e9 bytes, but one path takes
+        # 16,896, so each chunk runs in 66 blocks of 979 paths and one of 922
+        index_set = enumerate_indices(SparseFirstOrder((64,) + (0,) * 31))
+        row = np.cos(np.arange(len(index_set)))
+        sol = ChaosSolution(index_set, GRID, np.stack([np.zeros_like(row), row]))
+        rng = RngSpec(seed=7)
+        n_paths = 2 * oracle.CHUNK
+        monkeypatch.setenv("CHAOS_THREADS", "2")
+        want = old_sample_expansion(sol, 1.0, n_paths, rng)
+        sizes = record_block_sizes(monkeypatch)
+        got = sample_expansion(sol, 1.0, n_paths, rng)
+        assert stats_hex(got) == stats_hex(want)
+        assert sorted(set(sizes)) == [922, 979] and sum(sizes) == n_paths
+
 
 class TestWorkingSet:
     def test_sampling_peak_stays_below_20_mib(self, monkeypatch):
@@ -140,10 +159,10 @@ class TestWorkingSet:
 
 class TestMemoryBound:
     def test_oversized_table_raises_before_drawing(self, monkeypatch):
-        # the zero and first unit index of FullTruncation(p=1, k=100_000): the
-        # full set's 100,001 dense rows would themselves take 20 GB, and only
-        # p and k enter the bound
-        k = 100_000
+        # the zero and first unit index on k coordinates, one more than a
+        # block holds with one path: 8 k (p+2) bytes of draws and table
+        k = oracle.SAMPLE_BLOCK_BYTES // (8 * 3) + 1
+        assert oracle.block_paths(1, k - 1) == 1
         dense = np.zeros((2, k), dtype=INDEX_DTYPE)
         dense[1, 0] = 1
         sol = ChaosSolution(IndexSet(dense), GRID, np.zeros((2, 2)))
@@ -154,6 +173,6 @@ class TestMemoryBound:
         for name in ("_chunk_generator", "normal_draws", "hermite_table"):
             monkeypatch.setattr(oracle, name, refuse)
         monkeypatch.setenv("CHAOS_THREADS", "1")
-        needed = 8 * k * oracle.CHUNK * 3
+        needed = 8 * k * 3
         with pytest.raises(IndexSetTooLarge, match=f"p=1, k={k} needs {needed} bytes"):
             sample_expansion(sol, 1.0, oracle.CHUNK, RngSpec(seed=0))
