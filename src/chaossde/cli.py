@@ -31,14 +31,13 @@ from .analysis import (error_curve, gbm_variance_exact, gbm_variance_order_limit
 from .basis import KINDS, breakpoints, make_basis, tail_sum
 from .errors import ChaosError, IndexSetTooLarge, IntegratorFailure
 from .integrator import ToleranceSpec
-from .multiindex import (FullTruncation, SparseFirstOrder, TruncationSpec, checked_count,
-                         format_sparse_text, parse_sparse_text)
+from .multiindex import (FullTruncation, TruncationSpec, checked_count, format_sparse_text,
+                         parse_sparse_text)
 from .oracle import RngSpec, block_paths, euler_maruyama, pool_size, sample_expansion
 from .presets import BENCHMARK_ROWS, BenchmarkRow
 from .propagator import SdeModel, gbm_parameters, solve
 
-BENCHMARK_BASES = ("klcos", "haar")
-# Largest coefficient trajectory, grid points times indices, in float64
+# Largest coefficient trajectory, grid points times held columns, in float64
 # cells (2 GiB): every set within MAX_INDICES runs on a 1001-point grid.
 MAX_TRAJECTORY_CELLS = 1 << 28
 
@@ -123,53 +122,50 @@ def read_curve_csv(path: str) -> dict[str, np.ndarray]:
 
 
 def _resolve_truncation(args, parser) -> TruncationSpec:
-    if args.trunc == "full":
-        return FullTruncation(p=args.p, k=args.k)
+    """The full set of ``--p``/``--k``, or the sp1/sp2 set ``--sparse`` spells out."""
     if not args.sparse:
-        parser.error("--trunc sp1/sp2 requires --sparse \"<index text>\"")
+        return FullTruncation(p=args.p, k=args.k)
     try:
         spec = parse_sparse_text(args.sparse)
     except ChaosError as exc:
         parser.error(str(exc))
-    want_first = args.trunc == "sp1"
-    if want_first != isinstance(spec, SparseFirstOrder):
-        parser.error(f"--trunc {args.trunc} does not match the sparse text shape")
     if spec.p != args.p or spec.k != args.k:
         parser.error(f"--p/--k ({args.p}/{args.k}) disagree with the sparse "
                      f"index (p={spec.p}, k={spec.k})")
     return spec
 
 
-def _grid(specs, t_end: float, points: int) -> np.ndarray:
-    """``points`` equidistant times on [0, t_end] for solving every spec.
+def _grid(columns: int, t_end: float, points: int) -> np.ndarray:
+    """``points`` equidistant times on [0, t_end] for ``columns`` values each.
 
-    A spec above the index-set caps, or trajectories above
-    ``MAX_TRAJECTORY_CELLS``, raise ``IndexSetTooLarge`` before the grid.
+    Trajectories above ``MAX_TRAJECTORY_CELLS`` raise ``IndexSetTooLarge``
+    before the grid is allocated.
     """
-    for spec in specs:
-        cells = checked_count(spec) * points
-        if cells > MAX_TRAJECTORY_CELLS:
-            raise IndexSetTooLarge(
-                f"a {points}-point grid for p={spec.p}, k={spec.k} needs {cells} "
-                f"trajectory cells, above the cap of {MAX_TRAJECTORY_CELLS}")
+    cells = columns * points
+    if cells > MAX_TRAJECTORY_CELLS:
+        raise IndexSetTooLarge(
+            f"a {points}-point grid of {columns} columns needs {cells} "
+            f"trajectory cells, above the cap of {MAX_TRAJECTORY_CELLS}")
     return np.linspace(0.0, t_end, points)
 
 
 def _problem(args, parser):
-    """The model, truncation, basis, grid and tolerances of ``solve``/``mc``."""
+    """The model, truncation, basis and tolerances of ``solve``/``mc``."""
     model = (SdeModel.gbm(args.mu, args.sigma, args.x0) if args.sde == "gbm"
              else SdeModel.bm(args.b, args.sigma, args.x0))
     spec = _resolve_truncation(args, parser)
     basis = make_basis(args.basis, args.t_end)
-    grid = _grid([spec], args.t_end, args.grid)
-    return model, spec, basis, grid, ToleranceSpec(rtol=args.rtol, atol=args.atol)
+    return model, spec, basis, ToleranceSpec(rtol=args.rtol, atol=args.atol)
 
 
 def cmd_solve(args, parser) -> int:
-    model, spec, basis, grid, tol = _problem(args, parser)
+    model, spec, basis, tol = _problem(args, parser)
+    grid = _grid(checked_count(spec), args.t_end, args.grid)
     sol = solve(model, spec, basis, grid, tol)
     header = ["t", *sol.index_set.labels()]
-    rows = np.column_stack((sol.grid, sol.coeffs)).tolist()
+    rows = ([t, *row.tolist()] for t, row in zip(sol.grid.tolist(), sol.coeffs))
+    if args.format == "json":  # one list; CSV writes the rows one at a time
+        rows = list(rows)
     _write(args, tol, header, rows, {"header": header, "rows": rows})
     return 0
 
@@ -208,10 +204,11 @@ def _parse_row_filter(text: str):
     return accept
 
 
-def _check_bases(tokens: list[str], parser) -> list[str]:
+def _bases(text: str) -> list[str]:
+    tokens = text.split(",")
     for token in tokens:
         if token not in KINDS:
-            parser.error(f"unknown basis {token!r}")
+            raise argparse.ArgumentTypeError(f"unknown basis {token!r}")
     return tokens
 
 
@@ -240,12 +237,10 @@ def cmd_table1(args, parser) -> int:
         accept = _parse_row_filter(args.rows)
     except ValueError as exc:
         parser.error(str(exc))
-    bases = (_check_bases(args.basis.split(","), parser) if args.basis
-             else list(BENCHMARK_BASES))
     model = SdeModel.gbm(args.mu, args.sigma, args.x0)
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
     reports = [run_benchmark_row(row, token, model, tol)
-               for row in BENCHMARK_ROWS if accept(row) for token in bases]
+               for row in BENCHMARK_ROWS if accept(row) for token in args.basis]
     if args.format == "csv":  # by module name: the benchmark self-test patches it
         write_report_csv(args.out, reports)
     else:
@@ -254,14 +249,15 @@ def cmd_table1(args, parser) -> int:
 
 
 def cmd_fig1(args, parser) -> int:
-    bases = _check_bases(args.basis.split(","), parser)
     ps = [int(v) for v in args.p.split(",")]
     ks = [int(v) for v in args.k.split(",")]
     model = SdeModel.gbm(args.mu, args.sigma, args.x0)
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
-    grid = _grid([FullTruncation(p=p, k=k) for p in ps for k in ks], 1.0, args.grid)
+    for spec in (FullTruncation(p=p, k=k) for p in ps for k in ks):
+        checked_count(spec)  # every set is refused before the first curve is written
+    grid = _grid(2, 1.0, args.grid)  # the streamed mean and sum of squares
     os.makedirs(args.out, exist_ok=True)
-    for token in bases:
+    for token in args.basis:
         for p in ps:
             for k in ks:
                 _, curve = _gbm_error(model, FullTruncation(p=p, k=k), token, grid, tol)
@@ -288,14 +284,12 @@ def cmd_mc(args, parser) -> int:
     next to the coefficient-based moments.
     """
     pool_size(args.paths, args.steps)  # bad sizes or CHAOS_THREADS fail before the solve
-    model, spec, basis, grid, tol = _problem(args, parser)
-    block_paths(spec.p, spec.k)  # and so does a set whose one path outgrows a block
-    sol = solve(model, spec, basis, grid, tol)
+    model, spec, basis, tol = _problem(args, parser)
+    block_paths(spec.p, spec.k)  # and so does a set that cannot be sampled
+    sol = solve(model, spec, basis, (0.0, args.t_end), tol)  # steps ignore the grid
     mean, variance = moments(sol, args.t_end)
-    rng = RngSpec(seed=args.seed, stream=args.stream)
-    sampled = sample_expansion(sol, args.t_end, args.paths, rng)
-    euler = euler_maruyama(model, args.steps, args.paths,
-                           RngSpec(seed=args.seed, stream=args.stream + 1),
+    sampled = sample_expansion(sol, args.t_end, args.paths, RngSpec(seed=args.seed, stream=0))
+    euler = euler_maruyama(model, args.steps, args.paths, RngSpec(seed=args.seed, stream=1),
                            t_end=args.t_end)
     payload = {"coefficient_moments": {"mean": mean, "variance": variance},
                "expansion_sampling": sampled.__dict__, "euler": euler.__dict__,
@@ -309,7 +303,6 @@ def cmd_mc(args, parser) -> int:
 
 
 def cmd_rates(args, parser) -> int:
-    _check_bases([args.basis], parser)
     ks = [int(v) for v in args.k.split(",")]
     model = SdeModel.gbm(args.mu, args.sigma, args.x0)
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
@@ -346,29 +339,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--basis", choices=KINDS, required=True)
         p.add_argument("--p", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--trunc", choices=("full", "sp1", "sp2"), default="full")
-        p.add_argument("--sparse", default="")
+        p.add_argument("--sparse", default="")  # sp1 or sp2 caps; full if empty
         p.add_argument("--t-end", type=float, default=1.0)
-        p.add_argument("--grid", type=int, default=101)
+
+    bases = {"type": _bases, "default": "klcos,haar"}  # table1 and fig1
 
     ps = sub.add_parser("solve", help="integrate one configuration")
     add_problem(ps)
+    ps.add_argument("--grid", type=int, default=101)
     add_common(ps)
 
     pt = sub.add_parser("table1", help="run the benchmark grid")
     pt.add_argument("--rows", default="all")
-    pt.add_argument("--basis", default="")
+    pt.add_argument("--basis", **bases)
     add_common(pt)
 
     pf = sub.add_parser("fig1", help="per-time error curves")
-    pf.add_argument("--basis", default="klcos,haar")
+    pf.add_argument("--basis", **bases)
     pf.add_argument("--p", default="1,2,3,4")
     pf.add_argument("--k", default="2,4,8")
     pf.add_argument("--grid", type=int, default=1001)
     add_common(pf, formats=False)
 
     pr = sub.add_parser("rates", help="decay slopes over a k sweep")
-    pr.add_argument("--basis", default="trig")
+    pr.add_argument("--basis", choices=KINDS, default="trig")
     pr.add_argument("--k", default="8,16,32,64,128")
     pr.add_argument("--p", type=int, default=1)
     add_common(pr)
@@ -378,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--paths", type=int, default=100_000)
     pm.add_argument("--steps", type=int, default=1024)
     pm.add_argument("--seed", type=int, default=0)
-    pm.add_argument("--stream", type=int, default=0)
     add_common(pm)
     return parser
 

@@ -105,8 +105,8 @@ TruncationSpec = Union[FullTruncation, SparseFirstOrder, SparseSecondOrder]
 
 
 INDEX_DTYPE = np.int16
-# Largest truncation order stored: Galerkin sums beta + gamma of two stored
-# rows must still fit the int16 entries.
+# Largest truncation order stored: half the range of the int16 order column of
+# ``row_keys``, which binds; Galerkin rows stop at ``hermite.MAX_ORDER``.
 MAX_STORED_ORDER = np.iinfo(INDEX_DTYPE).max // 2
 # Largest index set enumerated.  A full p=6, k=16 set (74,613 indices) still
 # runs; far larger sets would exhaust memory in the coefficient trajectories

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .multiindex import (FullTruncation, SparseFirstOrder, SparseSecondOrder,
-                         TruncationSpec)
+                         TruncationSpec, count_indices)
 
 
 def _ones(k: int) -> tuple[int, ...]:
@@ -62,7 +62,6 @@ class BenchmarkRow:
 
     k: int
     p: int
-    n_coeff: int
     trunc_label: str  # "full" or a preset name
 
     @property
@@ -71,48 +70,52 @@ class BenchmarkRow:
             return FullTruncation(p=self.p, k=self.k)
         return SPARSE_PRESETS[self.trunc_label]
 
+    @property
+    def n_coeff(self) -> int:
+        return count_indices(self.spec)
+
 
 BENCHMARK_ROWS: tuple[BenchmarkRow, ...] = (
-    BenchmarkRow(2, 1, 3, "full"),
-    BenchmarkRow(4, 1, 5, "full"),
-    BenchmarkRow(8, 1, 9, "full"),
-    BenchmarkRow(16, 1, 17, "full"),
-    BenchmarkRow(32, 1, 33, "full"),
-    BenchmarkRow(64, 1, 65, "full"),
-    BenchmarkRow(2, 2, 6, "full"),
-    BenchmarkRow(4, 2, 15, "full"),
-    BenchmarkRow(8, 2, 45, "full"),
-    BenchmarkRow(8, 2, 41, "sp1"),
-    BenchmarkRow(8, 2, 19, "sp2"),
-    BenchmarkRow(16, 2, 153, "full"),
-    BenchmarkRow(16, 2, 141, "sp3"),
-    BenchmarkRow(16, 2, 27, "sp4"),
-    BenchmarkRow(32, 2, 561, "full"),
-    BenchmarkRow(32, 2, 537, "sp5"),
-    BenchmarkRow(32, 2, 69, "sp6"),
-    BenchmarkRow(64, 2, 2145, "full"),
-    BenchmarkRow(2, 3, 10, "full"),
-    BenchmarkRow(4, 3, 35, "full"),
-    BenchmarkRow(8, 3, 165, "full"),
-    BenchmarkRow(8, 3, 127, "sp7"),
-    BenchmarkRow(8, 3, 37, "sp8"),
-    BenchmarkRow(16, 3, 969, "full"),
-    BenchmarkRow(16, 3, 763, "sp9"),
-    BenchmarkRow(16, 3, 45, "sp10"),
-    BenchmarkRow(2, 4, 15, "full"),
-    BenchmarkRow(4, 4, 70, "full"),
-    BenchmarkRow(8, 4, 495, "full"),
-    BenchmarkRow(8, 4, 303, "sp11"),
-    BenchmarkRow(8, 4, 32, "sp12"),
-    BenchmarkRow(16, 4, 4845, "full"),
-    BenchmarkRow(16, 4, 40, "sp13"),
-    BenchmarkRow(32, 4, 92, "sp14"),
-    BenchmarkRow(2, 5, 21, "full"),
-    BenchmarkRow(4, 5, 126, "full"),
-    BenchmarkRow(8, 5, 1287, "full"),
-    BenchmarkRow(8, 5, 599, "sp15"),
-    BenchmarkRow(8, 5, 36, "sp16"),
-    BenchmarkRow(16, 5, 20349, "full"),
-    BenchmarkRow(16, 5, 44, "sp17"),
-    BenchmarkRow(32, 5, 98, "sp18"),
+    BenchmarkRow(2, 1, "full"),
+    BenchmarkRow(4, 1, "full"),
+    BenchmarkRow(8, 1, "full"),
+    BenchmarkRow(16, 1, "full"),
+    BenchmarkRow(32, 1, "full"),
+    BenchmarkRow(64, 1, "full"),
+    BenchmarkRow(2, 2, "full"),
+    BenchmarkRow(4, 2, "full"),
+    BenchmarkRow(8, 2, "full"),
+    BenchmarkRow(8, 2, "sp1"),
+    BenchmarkRow(8, 2, "sp2"),
+    BenchmarkRow(16, 2, "full"),
+    BenchmarkRow(16, 2, "sp3"),
+    BenchmarkRow(16, 2, "sp4"),
+    BenchmarkRow(32, 2, "full"),
+    BenchmarkRow(32, 2, "sp5"),
+    BenchmarkRow(32, 2, "sp6"),
+    BenchmarkRow(64, 2, "full"),
+    BenchmarkRow(2, 3, "full"),
+    BenchmarkRow(4, 3, "full"),
+    BenchmarkRow(8, 3, "full"),
+    BenchmarkRow(8, 3, "sp7"),
+    BenchmarkRow(8, 3, "sp8"),
+    BenchmarkRow(16, 3, "full"),
+    BenchmarkRow(16, 3, "sp9"),
+    BenchmarkRow(16, 3, "sp10"),
+    BenchmarkRow(2, 4, "full"),
+    BenchmarkRow(4, 4, "full"),
+    BenchmarkRow(8, 4, "full"),
+    BenchmarkRow(8, 4, "sp11"),
+    BenchmarkRow(8, 4, "sp12"),
+    BenchmarkRow(16, 4, "full"),
+    BenchmarkRow(16, 4, "sp13"),
+    BenchmarkRow(32, 4, "sp14"),
+    BenchmarkRow(2, 5, "full"),
+    BenchmarkRow(4, 5, "full"),
+    BenchmarkRow(8, 5, "full"),
+    BenchmarkRow(8, 5, "sp15"),
+    BenchmarkRow(8, 5, "sp16"),
+    BenchmarkRow(16, 5, "full"),
+    BenchmarkRow(16, 5, "sp17"),
+    BenchmarkRow(32, 5, "sp18"),
 )

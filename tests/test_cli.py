@@ -7,6 +7,7 @@ import pytest
 
 from chaossde import cli, multiindex, oracle
 from chaossde.analysis import gbm_variance_order_limit
+from chaossde.basis import make_basis
 from chaossde.errors import StepSizeUnderflow
 from chaossde.integrator import ToleranceSpec
 from chaossde.presets import BENCHMARK_ROWS
@@ -40,13 +41,50 @@ class TestSolveCommand:
         assert len(lines) == 1 + 101
 
     def test_second_order_sparse_column_count(self, tmp_path):
+        # the sparse text alone selects the 19-index sp2 set, not the
+        # 45-index full set of p=2, k=8
         out = tmp_path / "sol.csv"
         assert run(["solve", "--sde", "gbm", "--basis", "trig", "--p", "2",
-                    "--k", "8", "--trunc", "sp2",
-                    "--sparse", "1,1,1,1,1,1,1,1;2,2,2,2,0,0,0,0",
+                    "--k", "8", "--sparse", "1,1,1,1,1,1,1,1;2,2,2,2,0,0,0,0",
                     "--out", str(out)]) == 0
         header = out.read_text().splitlines()[0].split(",")
         assert len(header) == 1 + 19
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--basis", "klcos"],
+        ["mc", "--basis", "klcos", "--paths", "10", "--steps", "2"]])
+    @pytest.mark.parametrize("text", ["2,1,1", "1,1,1;2,0,0"])  # sp1, sp2
+    def test_sparse_text_picks_the_truncation(self, tmp_path, monkeypatch, command, text):
+        solved = []
+
+        def record(model, spec, *args, **kwargs):
+            solved.append(spec)
+            raise StepSizeUnderflow("stop after the truncation is chosen", time=0.0)
+
+        monkeypatch.setattr(cli, "solve", record)
+        assert run(command + ["--p", "2", "--k", "3", "--sparse", text,
+                              "--out", str(tmp_path / "x.csv")]) == 3
+        assert solved == [multiindex.parse_sparse_text(text)]
+
+    def test_csv_rows_are_written_one_at_a_time(self, tmp_path, monkeypatch):
+        # klcos p=3, k=16 on 1001 points is a 7.8 MB trajectory; a copy of
+        # it, or a list of its rows, would take as much again or more
+        args = ["solve", "--basis", "klcos", "--p", "3", "--k", "16", "--grid", "1001"]
+        sol = cli.solve(SdeModel.gbm(1.0, 1.0, 1.0), multiindex.FullTruncation(p=3, k=16),
+                        make_basis("klcos", 1.0), np.linspace(0.0, 1.0, 1001),
+                        ToleranceSpec(rtol=1e-6, atol=1e-9))
+        monkeypatch.setattr(cli, "solve", lambda *a, **kw: sol)
+        tracemalloc.start()
+        try:
+            assert run(args + ["--out", str(tmp_path / "x.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sol.coeffs.nbytes / 4
+        lines = (tmp_path / "x.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 1001
+        assert lines[-1].split(",") == [format(v, ".17g")
+                                        for v in [1.0, *sol.coeffs[-1].tolist()]]
 
     def test_bm_mean_column_is_linear(self, tmp_path):
         out = tmp_path / "sol.csv"
@@ -87,15 +125,19 @@ class TestExitCodes:
     def test_bad_sparse_text_is_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["solve", "--sde", "gbm", "--basis", "trig", "--p", "2",
-                 "--k", "3", "--trunc", "sp1", "--sparse", "1,3,2",
+                 "--k", "3", "--sparse", "1,3,2",
                  "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
-    def test_missing_sparse_text_is_2(self, tmp_path):
+    @pytest.mark.parametrize("option", [["solve", "--trunc", "full"], ["mc", "--trunc", "full"],
+                                        ["mc", "--grid", "11"], ["mc", "--stream", "1"]])
+    def test_removed_option_is_2(self, tmp_path, capsys, option):
+        command, *flag = option
         with pytest.raises(SystemExit) as exc:
-            run(["solve", "--sde", "gbm", "--basis", "trig", "--p", "2",
-                 "--k", "3", "--trunc", "sp1", "--out", str(tmp_path / "x.csv")])
+            run([command, "--basis", "trig", "--p", "1", "--k", "2", *flag,
+                 "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_degenerate_grid_is_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -105,7 +147,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [
         ["solve", "--basis", "trig", "--p", "1", "--k", "2"],
-        ["mc", "--basis", "trig", "--p", "1", "--k", "2", "--paths", "10", "--steps", "2"],
         ["fig1", "--basis", "klcos", "--p", "1", "--k", "2"]])
     def test_empty_grid_is_2(self, tmp_path, capsys, command):
         with pytest.raises(SystemExit) as exc:
@@ -159,11 +200,24 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "solve", refuse)
         with pytest.raises(SystemExit) as exc:
-            run(["mc", "--basis", "trig", "--p", "64", "--k", str(k), "--trunc", "sp1",
+            run(["mc", "--basis", "trig", "--p", "64", "--k", str(k),
                  "--sparse", ",".join(["64"] + ["0"] * (k - 1)), "--paths", "10",
                  "--steps", "2", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert f"p=64, k={k} needs {8 * k * 66} bytes" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_order_above_the_hermite_cap_is_2_before_the_solve(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the order check")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        with pytest.raises(SystemExit) as exc:
+            run(["mc", "--basis", "klcos", "--p", "65", "--k", "3", "--paths", "10",
+                 "--steps", "2", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: order 65 exceeds the cap 64\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_oversized_index_set_is_2(self, tmp_path, capsys):
@@ -191,7 +245,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [
         ["solve", "--basis", "klcos", "--p", "1", "--k", "2"],
-        ["mc", "--basis", "klcos", "--p", "1", "--k", "2", "--paths", "10", "--steps", "2"],
         ["fig1", "--basis", "klcos", "--p", "1", "--k", "2"]])
     def test_oversized_grid_is_2(self, tmp_path, capsys, monkeypatch, command):
         # 4e8 points of 3 coefficients: refused from the index count before
@@ -399,6 +452,21 @@ class TestFig1Command:
         flagged = haar["t"][haar["is_dyadic"] == 1]
         assert np.array_equal(flagged, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert haar["basis_component_err"][haar["is_dyadic"] == 1].max() <= 1e-6
+
+    def test_grid_cap_counts_the_streamed_columns(self, tmp_path, monkeypatch):
+        # p=5, k=16 has 20,349 indices: 20,000 points of them would exceed
+        # the trajectory cap, but fig1 holds two moment columns per point
+        class Solved(Exception):
+            pass
+
+        def stop(model, spec, token, grid, tol):
+            assert (spec, len(grid)) == (multiindex.FullTruncation(p=5, k=16), 20000)
+            raise Solved
+
+        monkeypatch.setattr(cli, "_gbm_error", stop)
+        with pytest.raises(Solved):
+            run(["fig1", "--basis", "klcos", "--p", "5", "--k", "16", "--grid", "20000",
+                 "--out", str(tmp_path / "fig")])
 
     def test_format_option_is_rejected(self, tmp_path, capsys):
         # fig1 writes only CSV curves, so it offers no --format

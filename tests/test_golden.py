@@ -20,9 +20,9 @@ FILE_OUTPUTS = {
     "solve_klcos_p2_k4.json": ["solve", "--basis", "klcos", "--p", "2", "--k", "4",
                                "--grid", "11", "--format", "json"],
     "solve_klcos_sp2.csv": ["solve", "--basis", "klcos", "--p", "2", "--k", "8",
-                            "--trunc", "sp2", "--sparse", SPARSE_SP2, "--grid", "11"],
+                            "--sparse", SPARSE_SP2, "--grid", "11"],
     "mc_klcos_p2_k4.json": ["mc", "--basis", "klcos", "--p", "2", "--k", "4",
-                            "--grid", "11", "--paths", "70000", "--steps", "8",
+                            "--paths", "70000", "--steps", "8",
                             "--seed", "7", "--format", "json"],
     "rates_trig_p1.csv": ["rates", "--basis", "trig", "--k", "4,8,16"],
     # grid points on the Haar breakpoints of a non-unit horizon
