@@ -14,13 +14,11 @@ output is UTF-8 with LF line endings and 17-significant-digit reals.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import operator
 import os
 import sys
 import time
-import typing
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -40,6 +38,11 @@ from .propagator import SdeModel, gbm_parameters, solve
 # Largest coefficient trajectory, grid points times held columns, in float64
 # cells (2 GiB): every set within MAX_INDICES runs on a 1001-point grid.
 MAX_TRAJECTORY_CELLS = 1 << 28
+# Float64 columns fig1 holds per grid point at its peak: the grid, the two
+# streamed moments, the variance and three for the exact variance's temporaries.
+_CURVE_COLUMNS = 7
+# Rows of a fig1 curve converted to Python objects at a time.
+_CURVE_BLOCK_ROWS = 1 << 10
 
 
 def _fmt(x) -> str:
@@ -57,14 +60,25 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _write(args, tol: ToleranceSpec, header, rows, payload: dict, seed=None) -> None:
-    """Write ``rows`` as CSV, or ``payload`` as JSON after a metadata object."""
+    """Write ``rows`` as CSV, or ``payload`` as JSON after a metadata object.
+
+    Both formats write ``rows`` one at a time: a payload whose last value is
+    ``rows`` itself lists them in JSON, each as ``json.dumps`` would.
+    """
     if args.format == "csv":
         _write_csv(args.out, header, rows)
         return
     meta = {"tool": "chaossde", "version": __version__, "rtol": tol.rtol, "atol": tol.atol,
             **({} if seed is None else {"seed": seed})}
+    *_, last = payload
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps({"metadata": meta, **payload}) + "\n")
+        if payload[last] is not rows:
+            fh.write(json.dumps({"metadata": meta, **payload}) + "\n")
+            return
+        # everything up to the empty list's "]}", then the rows and the close
+        fh.write(json.dumps({"metadata": meta, **payload, last: []})[:-2])
+        fh.writelines((", " if i else "") + json.dumps(row) for i, row in enumerate(rows))
+        fh.write("]}\n")
 
 
 @dataclass(frozen=True)
@@ -83,11 +97,6 @@ class ExperimentReport:
     rtol: float
     atol: float
 
-    @classmethod
-    def from_fields(cls, parts: list[str]) -> "ExperimentReport":
-        types = typing.get_type_hints(cls)
-        return cls(*(types[name](v) for name, v in zip(cls.FIELDS, parts)))
-
 
 # the CSV header: the report's fields in declaration order
 ExperimentReport.FIELDS = tuple(f.name for f in fields(ExperimentReport))
@@ -95,30 +104,6 @@ ExperimentReport.FIELDS = tuple(f.name for f in fields(ExperimentReport))
 
 def write_report_csv(path: str, reports: list[ExperimentReport]) -> None:
     _write_csv(path, ExperimentReport.FIELDS, map(astuple, reports))
-
-
-def read_report_csv(path: str) -> list[ExperimentReport]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if tuple(rows[0]) != ExperimentReport.FIELDS:
-        raise ValueError("not a report CSV")
-    return [ExperimentReport.from_fields(row) for row in rows[1:]]
-
-
-def write_curve_csv(path: str, curve, extra: dict | None = None) -> None:
-    """Write an error curve; ``extra`` appends named per-time columns."""
-    columns = {"t": curve.grid, "exact_var": curve.exact_var,
-               "approx_var": curve.approx_var, "abs_err": curve.values,
-               **(extra or {})}
-    _write_csv(path, columns, zip(*(col.tolist() for col in columns.values())))
-
-
-def read_curve_csv(path: str) -> dict[str, np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    header = lines[0].split(",")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return {name: data[:, i] for i, name in enumerate(header)}
 
 
 def _resolve_truncation(args, parser) -> TruncationSpec:
@@ -164,8 +149,6 @@ def cmd_solve(args, parser) -> int:
     sol = solve(model, spec, basis, grid, tol)
     header = ["t", *sol.index_set.labels()]
     rows = ([t, *row.tolist()] for t, row in zip(sol.grid.tolist(), sol.coeffs))
-    if args.format == "json":  # one list; CSV writes the rows one at a time
-        rows = list(rows)
     _write(args, tol, header, rows, {"header": header, "rows": rows})
     return 0
 
@@ -248,6 +231,30 @@ def cmd_table1(args, parser) -> int:
     return 0
 
 
+def _write_curve(path: str, model: SdeModel, spec: FullTruncation, token: str, grid,
+                 tol: ToleranceSpec) -> None:
+    """Solve one fig1 curve and write it, ``_CURVE_BLOCK_ROWS`` rows at a time."""
+    curve = _gbm_error(model, spec, token, grid, tol)[1]  # the solution is freed here
+    cells = len(breakpoints(make_basis(token, 1.0), spec.k)) + 1  # Haar's dyadic cells
+    intervals = len(grid) - 1
+
+    def rows():
+        for start in range(0, len(grid), _CURVE_BLOCK_ROWS):
+            block = slice(start, start + _CURVE_BLOCK_ROWS)
+            t, approx = grid[block], curve.approx_var[block]
+            columns = [t, curve.exact_var[block], approx, curve.values[block]]
+            if token == "haar":  # grid point m sits at t = m / intervals: flag it
+                # when t is a multiple of 1 / cells, in exact integers
+                limit = gbm_variance_order_limit(*gbm_parameters(model), model.x0, spec.p, t)
+                m = np.arange(start, start + len(t))
+                columns += [limit, np.abs(approx - limit),
+                            (m * cells % intervals == 0).astype(int)]
+            yield from zip(*(col.tolist() for col in columns))
+
+    extra = ["order_limit_var", "basis_component_err", "is_dyadic"] if token == "haar" else []
+    _write_csv(path, ["t", "exact_var", "approx_var", "abs_err", *extra], rows())
+
+
 def cmd_fig1(args, parser) -> int:
     ps = [int(v) for v in args.p.split(",")]
     ks = [int(v) for v in args.k.split(",")]
@@ -255,24 +262,13 @@ def cmd_fig1(args, parser) -> int:
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
     for spec in (FullTruncation(p=p, k=k) for p in ps for k in ks):
         checked_count(spec)  # every set is refused before the first curve is written
-    grid = _grid(2, 1.0, args.grid)  # the streamed mean and sum of squares
+    grid = _grid(_CURVE_COLUMNS, 1.0, args.grid)
     os.makedirs(args.out, exist_ok=True)
     for token in args.basis:
         for p in ps:
             for k in ks:
-                _, curve = _gbm_error(model, FullTruncation(p=p, k=k), token, grid, tol)
-                extra = None
-                if token == "haar":
-                    limit = gbm_variance_order_limit(*gbm_parameters(model), model.x0, p, grid)
-                    cells = len(breakpoints(make_basis(token, 1.0), k)) + 1
-                    # grid point m sits at t = m / (len(grid) - 1): flag it
-                    # when t is a multiple of 1 / cells, in exact integers
-                    dyadic = (np.arange(len(grid)) * cells % (len(grid) - 1) == 0).astype(int)
-                    extra = {"order_limit_var": limit,
-                             "basis_component_err": np.abs(curve.approx_var - limit),
-                             "is_dyadic": dyadic}
-                write_curve_csv(
-                    os.path.join(args.out, f"fig1_{token}_p{p}_k{k}.csv"), curve, extra)
+                _write_curve(os.path.join(args.out, f"fig1_{token}_p{p}_k{k}.csv"), model,
+                             FullTruncation(p=p, k=k), token, grid, tol)
     return 0
 
 

@@ -27,6 +27,11 @@ MAX_TENSOR_ENTRIES = 1 << 25
 BLOCK_CELLS = 1 << 20
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise OrderTooLarge(f"order {n} exceeds the cap {MAX_ORDER}")
+
+
 def hermite_n(n: int, x: float) -> float:
     """Normalized Hermite polynomial H_n(x).
 
@@ -36,8 +41,7 @@ def hermite_n(n: int, x: float) -> float:
     """
     if n < 0:
         raise ValueError("order must be non-negative")
-    if n > MAX_ORDER:
-        raise OrderTooLarge(f"order {n} exceeds the cap {MAX_ORDER}")
+    _check_order(n)
     if n == 0:
         return 1.0
     prev, cur = 1.0, x
@@ -52,8 +56,7 @@ def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
     The result is C-contiguous whatever the layout of ``x``; the recurrence
     reads x back from ``out[1]``, so a transposed view costs one copy.
     """
-    if n_max > MAX_ORDER:
-        raise OrderTooLarge(f"order {n_max} exceeds the cap {MAX_ORDER}")
+    _check_order(n_max)
     x = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1,) + x.shape)
     out[0] = 1.0
@@ -169,8 +172,7 @@ def _build_galerkin_tensor(index_set: IndexSet) -> GalerkinTensor:
     """
     dense = index_set.dense
     n, k, p = len(index_set), index_set.k, index_set.max_order
-    if p > MAX_ORDER:
-        raise OrderTooLarge(f"order {p} exceeds the cap {MAX_ORDER}")
+    _check_order(p)
     table = np.array([[[triple_scalar(a, b, c) for c in range(p + 1)]
                        for b in range(p + 1)] for a in range(p + 1)])
     orders = dense.sum(axis=1, dtype=np.intp)

@@ -143,87 +143,88 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
     stops.append(t_end)
     si = 0
 
-    t = t0
-    f_now = np.asarray(rhs(t, y), dtype=float)
-    h_prop = _initial_step(rhs, t0, y, f_now, t_end, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed step is rejected
+        t = t0
+        f_now = np.asarray(rhs(t, y), dtype=float)
+        h_prop = _initial_step(rhs, t0, y, f_now, t_end, tol)
 
-    k = np.empty((7, n))
-    terms = np.empty((7, n))  # tableau weight times stage, row by row
-    acc = np.empty(n)
-    n_attempts = 0
-    while t < t_end:
-        while stops[si] <= t:
-            si += 1
-        target = stops[si]
-        if n_attempts >= MAX_STEPS:
-            raise MaxStepsExceeded("step budget exhausted", time=t)
-        h = min(h_prop, target - t)
-        if h < 1e-14 * max(abs(t), 1.0):
-            raise StepSizeUnderflow("step size underflow", time=t)
-        forced = h >= (target - t) * (1.0 - 1e-12)
-        if forced:
-            h = target - t
-        t_new = target if forced else t + h
-        inside = forced and si < len(stops) - 1  # keep right-end stages in this piece
+        k = np.empty((7, n))
+        terms = np.empty((7, n))  # tableau weight times stage, row by row
+        acc = np.empty(n)
+        n_attempts = 0
+        while t < t_end:
+            while stops[si] <= t:
+                si += 1
+            target = stops[si]
+            if n_attempts >= MAX_STEPS:
+                raise MaxStepsExceeded("step budget exhausted", time=t)
+            h = min(h_prop, target - t)
+            if h < 1e-14 * max(abs(t), 1.0):
+                raise StepSizeUnderflow("step size underflow", time=t)
+            forced = h >= (target - t) * (1.0 - 1e-12)
+            if forced:
+                h = target - t
+            t_new = target if forced else t + h
+            inside = forced and si < len(stops) - 1  # keep right-end stages in this piece
 
-        k[0] = f_now
-        for s in range(1, 7):
-            ts = math.nextafter(t_new, t) if inside and _C[s] == 1.0 else t + _C[s] * h
-            np.multiply(k[:s], _A_COLS[s], out=terms[:s])
-            np.add(terms[0], 0.0, out=acc)  # sum()'s start 0 turns -0.0 into +0.0
-            for m in range(1, s):
+            k[0] = f_now
+            for s in range(1, 7):
+                ts = math.nextafter(t_new, t) if inside and _C[s] == 1.0 else t + _C[s] * h
+                np.multiply(k[:s], _A_COLS[s], out=terms[:s])
+                np.add(terms[0], 0.0, out=acc)  # sum()'s start 0 turns -0.0 into +0.0
+                for m in range(1, s):
+                    acc += terms[m]
+                acc *= h
+                ys = y + acc
+                k[s] = rhs(ts, ys)
+            y_new = ys  # FSAL: the last stage is evaluated at the fifth-order solution
+            # h * (E0 k0 + E2 k2 + ... + E6 k6), left to right; E1 = 0 is skipped
+            np.multiply(k, _E_COL, out=terms)
+            np.add(terms[0], terms[2], out=acc)
+            for m in range(3, 7):
                 acc += terms[m]
             acc *= h
-            ys = y + acc
-            k[s] = rhs(ts, ys)
-        y_new = ys  # FSAL: the last stage is evaluated at the fifth-order solution
-        # h * (E0 k0 + E2 k2 + ... + E6 k6), left to right; E1 = 0 is skipped
-        np.multiply(k, _E_COL, out=terms)
-        np.add(terms[0], terms[2], out=acc)
-        for m in range(3, 7):
-            acc += terms[m]
-        acc *= h
-        sc = tol.atol + tol.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(np.divide(acc, sc, out=acc))
-        if not math.isfinite(err):
-            err = math.inf  # overflow/nan in the rhs: force a strong shrink
-        n_attempts += 1
+            sc = tol.atol + tol.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = _rms(np.divide(acc, sc, out=acc))
+            if not math.isfinite(err):
+                err = math.inf  # overflow/nan in the rhs: force a strong shrink
+            n_attempts += 1
 
-        if err <= 1.0:
-            stop = int(np.searchsorted(grid, t_new, side="right"))
-            end = stop - 1 if grid[stop - 1] == t_new else stop
-            if end > gi:
-                ydiff = y_new - y
-                bspl = h * k[0] - ydiff
-                r4 = ydiff - h * k[6] - bspl
-                r5 = h * (_D[0] * k[0] + _D[2] * k[2] + _D[3] * k[3]
-                          + _D[4] * k[4] + _D[5] * k[5] + _D[6] * k[6])
-                lo = gi
-                while lo < end:  # blocks end where the stage fills
-                    hi = min(end, base + block)
-                    theta = ((grid[lo:hi] - t) / h)[:, None]
-                    theta1 = 1.0 - theta
-                    # y + theta (ydiff + theta1 (bspl + theta (r4 + theta1 r5))), in place
-                    rows = np.multiply(r5, theta1, out=stage[lo - base:hi - base])
-                    for term, factor in ((r4, theta), (bspl, theta1), (ydiff, theta)):
-                        rows += term
-                        rows *= factor
-                    rows += y
-                    flush(hi)
-                    lo = hi
-            if stop > end:
-                stage[end - base] = y_new  # a point at the step end takes its end state
-                flush(stop)
-            gi = stop
-            t = t_new
-            y = y_new
-            if t < t_end:
-                # FSAL: the last stage already evaluated f at the step end (copied:
-                # a rejected attempt overwrites k[6]), except at a breakpoint.
-                f_now = np.asarray(rhs(t, y), dtype=float) if forced else k[6].copy()
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_EXPONENT))
-            h_prop = h * factor
-        else:
-            h_prop = h * max(_MIN_FACTOR, min(1.0, _SAFETY * err ** -_EXPONENT))
+            if err <= 1.0:
+                stop = int(np.searchsorted(grid, t_new, side="right"))
+                end = stop - 1 if grid[stop - 1] == t_new else stop
+                if end > gi:
+                    ydiff = y_new - y
+                    bspl = h * k[0] - ydiff
+                    r4 = ydiff - h * k[6] - bspl
+                    r5 = h * (_D[0] * k[0] + _D[2] * k[2] + _D[3] * k[3]
+                              + _D[4] * k[4] + _D[5] * k[5] + _D[6] * k[6])
+                    lo = gi
+                    while lo < end:  # blocks end where the stage fills
+                        hi = min(end, base + block)
+                        theta = ((grid[lo:hi] - t) / h)[:, None]
+                        theta1 = 1.0 - theta
+                        # y + theta (ydiff + theta1 (bspl + theta (r4 + theta1 r5))), in place
+                        rows = np.multiply(r5, theta1, out=stage[lo - base:hi - base])
+                        for term, factor in ((r4, theta), (bspl, theta1), (ydiff, theta)):
+                            rows += term
+                            rows *= factor
+                        rows += y
+                        flush(hi)
+                        lo = hi
+                if stop > end:
+                    stage[end - base] = y_new  # a point at the step end takes its end state
+                    flush(stop)
+                gi = stop
+                t = t_new
+                y = y_new
+                if t < t_end:
+                    # FSAL: the last stage already evaluated f at the step end (copied:
+                    # a rejected attempt overwrites k[6]), except at a breakpoint.
+                    f_now = np.asarray(rhs(t, y), dtype=float) if forced else k[6].copy()
+                factor = _MAX_FACTOR if err == 0.0 else min(
+                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_EXPONENT))
+                h_prop = h * factor
+            else:
+                h_prop = h * max(_MIN_FACTOR, min(1.0, _SAFETY * err ** -_EXPONENT))
     return out

@@ -108,9 +108,9 @@ INDEX_DTYPE = np.int16
 # Largest truncation order stored: half the range of the int16 order column of
 # ``row_keys``, which binds; Galerkin rows stop at ``hermite.MAX_ORDER``.
 MAX_STORED_ORDER = np.iinfo(INDEX_DTYPE).max // 2
-# Largest index set enumerated.  A full p=6, k=16 set (74,613 indices) still
-# runs; far larger sets would exhaust memory in the coefficient trajectories
-# (8 bytes per index per grid point) long before the solve finished.
+# Largest index set enumerated; a full p=6, k=16 set (74,613 indices) runs.
+# Trajectories are capped by ``cli.MAX_TRAJECTORY_CELLS`` or streamed, so this
+# bounds what grows with the set alone: its rows, system and solver state.
 MAX_INDICES = 200_000
 # Largest dense array enumerated, in cells (64 MiB of int16): every set
 # within MAX_INDICES on up to 167 coordinates fits, p=1 on k=100,000 not.

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, antiderivative_grid, kl_partial_grid
-from .errors import IndexSetTooLarge, NonFiniteValue, OrderTooLarge
-from .hermite import MAX_ORDER, hermite_table
+from .errors import IndexSetTooLarge, NonFiniteValue
+from .hermite import _check_order, hermite_table
 from .propagator import ChaosSolution, SdeModel
 
 CHUNK = 1 << 16  # paths per substream; fixed so results never depend on threading
@@ -160,8 +160,7 @@ def block_paths(p: int, k: int) -> int:
     An order above ``hermite.MAX_ORDER`` raises ``OrderTooLarge``, and a set
     whose one path exceeds ``SAMPLE_BLOCK_BYTES`` raises ``IndexSetTooLarge``.
     """
-    if p > MAX_ORDER:
-        raise OrderTooLarge(f"order {p} exceeds the cap {MAX_ORDER}")
+    _check_order(p)
     path_bytes = 8 * k * (p + 2)
     if path_bytes > SAMPLE_BLOCK_BYTES:
         raise IndexSetTooLarge(

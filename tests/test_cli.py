@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from chaossde.errors import StepSizeUnderflow
 from chaossde.integrator import ToleranceSpec
 from chaossde.presets import BENCHMARK_ROWS
 from chaossde.propagator import SdeModel
+from reference import read_curve_csv, read_report_csv
 
 
 def run(args):
@@ -66,25 +68,34 @@ class TestSolveCommand:
                               "--out", str(tmp_path / "x.csv")]) == 3
         assert solved == [multiindex.parse_sparse_text(text)]
 
-    def test_csv_rows_are_written_one_at_a_time(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_are_written_one_at_a_time(self, tmp_path, monkeypatch, fmt):
         # klcos p=3, k=16 on 1001 points is a 7.8 MB trajectory; a copy of
         # it, or a list of its rows, would take as much again or more
-        args = ["solve", "--basis", "klcos", "--p", "3", "--k", "16", "--grid", "1001"]
+        args = ["solve", "--basis", "klcos", "--p", "3", "--k", "16", "--grid", "1001",
+                "--format", fmt]
         sol = cli.solve(SdeModel.gbm(1.0, 1.0, 1.0), multiindex.FullTruncation(p=3, k=16),
                         make_basis("klcos", 1.0), np.linspace(0.0, 1.0, 1001),
                         ToleranceSpec(rtol=1e-6, atol=1e-9))
         monkeypatch.setattr(cli, "solve", lambda *a, **kw: sol)
         tracemalloc.start()
         try:
-            assert run(args + ["--out", str(tmp_path / "x.csv")]) == 0
+            assert run(args + ["--out", str(tmp_path / "x")]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < sol.coeffs.nbytes / 4
-        lines = (tmp_path / "x.csv").read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 1 + 1001
-        assert lines[-1].split(",") == [format(v, ".17g")
-                                        for v in [1.0, *sol.coeffs[-1].tolist()]]
+        text = (tmp_path / "x").read_text(encoding="utf-8")
+        last = [1.0, *sol.coeffs[-1].tolist()]
+        if fmt == "csv":
+            lines = text.splitlines()
+            assert len(lines) == 1 + 1001
+            assert lines[-1].split(",") == [format(v, ".17g") for v in last]
+        else:
+            payload = json.loads(text)
+            assert list(payload) == ["metadata", "header", "rows"]
+            assert len(payload["rows"]) == 1001
+            assert payload["rows"][-1] == last
 
     def test_bm_mean_column_is_linear(self, tmp_path):
         out = tmp_path / "sol.csv"
@@ -325,6 +336,24 @@ class TestExitCodes:
             "error: horizon must be finite and positive, got inf"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--basis", "klcos", "--p", "1", "--k", "2", "--grid", "3", "--mu", "720"],
+        ["table1", "--rows", "k=2,p=1", "--mu", "720"],
+        ["mc", "--basis", "trig", "--p", "1", "--k", "2", "--paths", "10", "--steps", "2",
+         "--mu", "709.7"]])
+    def test_integrator_overflow_is_3_without_warnings(self, tmp_path, capsys, command):
+        # the stages overflow near t = 1; integrate rejects those steps
+        # until the step size underflows, and numpy must not warn on the way
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([*command, "--sigma", "0.1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: step size underflow (t=0.9")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch):
         def exploding_solve(*args, **kwargs):
             raise StepSizeUnderflow("step size underflow", time=0.42)
@@ -339,7 +368,7 @@ class TestTable1Command:
     def test_selected_rows_values(self, tmp_path):
         out = tmp_path / "table.csv"
         assert run(["table1", "--rows", "k=8,p=2", "--out", str(out)]) == 0
-        reports = {(r.basis, r.truncation): r for r in cli.read_report_csv(str(out))}
+        reports = {(r.basis, r.truncation): r for r in read_report_csv(str(out))}
         assert len(reports) == 6  # three truncations x two bases
         assert reports[("klcos", "full")].error_at_T == pytest.approx(1.98, abs=0.01)
         assert reports[("klcos", "sp2")].error_at_T == pytest.approx(2.16, abs=0.01)
@@ -351,7 +380,7 @@ class TestTable1Command:
         out = tmp_path / "table.csv"
         assert run(["table1", "--rows", "type=sp13", "--basis", "haar",
                     "--out", str(out)]) == 0
-        (report,) = cli.read_report_csv(str(out))
+        (report,) = read_report_csv(str(out))
         assert report.k == 16 and report.p == 4 and report.n_coeff == 40
         assert report.error_at_T == pytest.approx(0.07, abs=0.01)
         assert report.sparse.startswith("1,1,1,1,")
@@ -359,10 +388,10 @@ class TestTable1Command:
     def test_round_trip(self, tmp_path):
         out = tmp_path / "table.csv"
         assert run(["table1", "--rows", "p=2,k=8", "--out", str(out)]) == 0
-        reports = cli.read_report_csv(str(out))
+        reports = read_report_csv(str(out))
         rewritten = tmp_path / "again.csv"
         cli.write_report_csv(str(rewritten), reports)
-        assert cli.read_report_csv(str(rewritten)) == reports
+        assert read_report_csv(str(rewritten)) == reports
         assert rewritten.read_bytes() == out.read_bytes()
 
     def test_deterministic_apart_from_wall_time(self, tmp_path):
@@ -412,11 +441,11 @@ class TestFig1Command:
                     "--grid", "201", "--out", str(out)]) == 0
         files = sorted(os.listdir(out))
         assert len(files) == 8
-        curve = cli.read_curve_csv(str(out / "fig1_klcos_p2_k4.csv"))
+        curve = read_curve_csv(str(out / "fig1_klcos_p2_k4.csv"))
         assert set(curve) == {"t", "exact_var", "approx_var", "abs_err"}
         # the trigonometric-family error peaks at the final time
         assert curve["abs_err"].argmax() == len(curve["t"]) - 1
-        haar = cli.read_curve_csv(str(out / "fig1_haar_p2_k4.csv"))
+        haar = read_curve_csv(str(out / "fig1_haar_p2_k4.csv"))
         assert "basis_component_err" in haar and "is_dyadic" in haar
         on_dyadic = haar["is_dyadic"] == 1
         assert on_dyadic.sum() == 5
@@ -434,7 +463,7 @@ class TestFig1Command:
             assert lines[0] == ("t,exact_var,approx_var,abs_err,order_limit_var,"
                                 "basis_component_err,is_dyadic")
             assert {ln.rsplit(",", 1)[1] for ln in lines[1:]} == {"0", "1"}
-            haar = cli.read_curve_csv(str(path))
+            haar = read_curve_csv(str(path))
             # flagged exactly where t is a multiple of 1/2^level
             scaled = haar["t"] * cells
             assert np.array_equal(haar["is_dyadic"] == 1, scaled == np.round(scaled))
@@ -448,14 +477,14 @@ class TestFig1Command:
         out = tmp_path / "fig"
         assert run(["fig1", "--basis", "haar", "--p", "2", "--k", "5",
                     "--grid", "101", "--out", str(out)]) == 0
-        haar = cli.read_curve_csv(str(out / "fig1_haar_p2_k5.csv"))
+        haar = read_curve_csv(str(out / "fig1_haar_p2_k5.csv"))
         flagged = haar["t"][haar["is_dyadic"] == 1]
         assert np.array_equal(flagged, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert haar["basis_component_err"][haar["is_dyadic"] == 1].max() <= 1e-6
 
     def test_grid_cap_counts_the_streamed_columns(self, tmp_path, monkeypatch):
         # p=5, k=16 has 20,349 indices: 20,000 points of them would exceed
-        # the trajectory cap, but fig1 holds two moment columns per point
+        # the trajectory cap, but fig1 holds a few columns per point
         class Solved(Exception):
             pass
 
@@ -467,6 +496,61 @@ class TestFig1Command:
         with pytest.raises(Solved):
             run(["fig1", "--basis", "klcos", "--p", "5", "--k", "16", "--grid", "20000",
                  "--out", str(tmp_path / "fig")])
+
+    def test_grid_cap_counts_the_held_columns(self, tmp_path, capsys, monkeypatch):
+        # one point more than the cap allows at 7 held columns; two columns
+        # per point would let it through
+        def refuse(*args, **kwargs):
+            raise AssertionError("went past the grid check")
+
+        monkeypatch.setattr(cli, "_gbm_error", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
+        points = cli.MAX_TRAJECTORY_CELLS // 7 + 1
+        with pytest.raises(SystemExit) as exc:
+            run(["fig1", "--basis", "haar", "--p", "1", "--k", "2", "--grid", str(points),
+                 "--out", str(tmp_path / "fig")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: a {points}-point grid of 7 columns needs {7 * points} trajectory "
+            f"cells, above the cap of {cli.MAX_TRAJECTORY_CELLS}\n")
+        assert not (tmp_path / "fig").exists()
+
+    def test_held_columns_bound_the_peak(self, tmp_path):
+        # the grid check counts 7 float64 columns per point: the traced peak
+        # grows by at most that much per point, and by more than 6 columns
+        peaks = []
+        for points in (25001, 100001):
+            tracemalloc.start()
+            try:
+                assert run(["fig1", "--basis", "haar", "--p", "1", "--k", "2",
+                            "--grid", str(points), "--out", str(tmp_path / str(points))]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_point = (peaks[1] - peaks[0]) / 75000
+        assert 6 * 8 < per_point <= 7 * 8
+
+    def test_curve_rows_are_written_one_block_at_a_time(self, tmp_path, monkeypatch):
+        # the seven Haar columns as lists of Python floats would take about
+        # 28 times the grid; the writer holds one block of rows beside it
+        grid = np.linspace(0.0, 1.0, 100001)
+        model = SdeModel.gbm(1.0, 1.0, 1.0)
+        solved = cli._gbm_error(model, multiindex.FullTruncation(p=1, k=2), "haar", grid,
+                                ToleranceSpec(rtol=1e-6, atol=1e-9))
+        monkeypatch.setattr(cli, "_gbm_error", lambda *a, **kw: solved)
+        out = tmp_path / "fig"
+        tracemalloc.start()
+        try:
+            assert run(["fig1", "--basis", "haar", "--p", "1", "--k", "2", "--grid", "100001",
+                        "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * grid.nbytes  # the command's own grid and one block of rows
+        last = (out / "fig1_haar_p1_k2.csv").read_text(encoding="utf-8").splitlines()[-1]
+        curve = solved[1]
+        assert last.split(",")[:4] == [format(float(col[-1]), ".17g") for col in
+                                      (grid, curve.exact_var, curve.approx_var, curve.values)]
 
     def test_format_option_is_rejected(self, tmp_path, capsys):
         # fig1 writes only CSV curves, so it offers no --format
@@ -483,14 +567,14 @@ class TestFig1Command:
         assert run(["fig1", "--basis", "klcos", "--p", "1", "--k", "2",
                     "--grid", "51", "--out", str(out)]) == 0
         path = str(out / "fig1_klcos_p1_k2.csv")
-        curve = cli.read_curve_csv(path)
+        curve = read_curve_csv(path)
         again = tmp_path / "again.csv"
         lines = ["t,exact_var,approx_var,abs_err"]
         for m in range(len(curve["t"])):
             lines.append(",".join(format(curve[c][m], ".17g")
                                   for c in ("t", "exact_var", "approx_var", "abs_err")))
         again.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        reread = cli.read_curve_csv(str(again))
+        reread = read_curve_csv(str(again))
         for key in curve:
             assert np.array_equal(curve[key], reread[key])
 

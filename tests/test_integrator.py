@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from chaossde.basis import make_basis
 from chaossde.errors import MaxStepsExceeded, StepSizeUnderflow
 from chaossde import integrator
 from chaossde.integrator import ToleranceSpec, integrate
+from chaossde.multiindex import FullTruncation
+from chaossde.propagator import SdeModel, solve
 
 
 def test_zero_rhs_is_constant():
@@ -142,6 +146,18 @@ def test_nan_rhs_terminates_with_underflow():
     with pytest.raises(StepSizeUnderflow) as exc:
         integrate(rhs, np.array([1.0]), np.array([0.0, 1.0]))
     assert exc.value.time <= 1.0
+
+
+def test_overflowing_stages_underflow_without_warnings():
+    # GBM at mu = 720 overflows the stages near t = 1: the rejected steps end
+    # in a step size underflow, and numpy warns of none of the overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSizeUnderflow) as exc:
+            solve(SdeModel.gbm(720.0, 0.1, 1.0), FullTruncation(p=1, k=2),
+                  make_basis("klcos", 1.0), np.linspace(0.0, 1.0, 3),
+                  ToleranceSpec(rtol=1e-6, atol=1e-9))
+    assert 0.9 < exc.value.time < 1.0
 
 
 @pytest.mark.parametrize("y0, scale", [([1.0], 1e300), ([math.inf], 1.0),

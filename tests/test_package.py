@@ -28,8 +28,6 @@ KEPT_FOR_TESTS = {
     "closed_form_gbm_grid": "exact GBM coefficients the solver is checked against",
     "closed_form_bm": "exact Brownian-motion coefficients the solver is checked against",
     "kl_path_check": "Monte Carlo check of the Karhunen-Loeve partial sums",
-    "read_report_csv": "reads table1 output back for round-trip and reference checks",
-    "read_curve_csv": "reads fig1 output back for round-trip and diagnostic checks",
     "bound_shape": "the paper's rate shape, to be reported by the rates command",
     "element_values": "basis values at one time; the solver calls its cached form "
                       "element_evaluator, and the benchmark tracer wraps it by name",
