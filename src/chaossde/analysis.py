@@ -28,7 +28,6 @@ class ErrorCurve:
     last value and ``error_max`` the maximum over the grid.
     """
 
-    grid: np.ndarray
     values: np.ndarray
     exact_var: np.ndarray
     approx_var: np.ndarray
@@ -111,14 +110,17 @@ def error_curve(sol: ChaosSolution, exact_var) -> ErrorCurve:
     exact variance or error raises ``NonFiniteValue`` at its first grid time.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the raise below reports it
-        means, approx = moment_curves(sol)
+        # the exact variance's temporaries before the moments, the error in
+        # place: at most six grid-length float64 columns are held at once
         exact = np.asarray(exact_var(sol.grid), dtype=float)
-        values = np.abs(exact - approx)
+        means, approx = moment_curves(sol)
+        values = np.subtract(exact, approx)
+        np.abs(values, out=values)
     bad = ~(np.isfinite(means) & np.isfinite(values))
     if bad.any():
         raise NonFiniteValue("variance or its error is not finite",
                              time=float(sol.grid[bad.argmax()]))
-    return ErrorCurve(grid=sol.grid, values=values, exact_var=exact, approx_var=approx)
+    return ErrorCurve(values=values, exact_var=exact, approx_var=approx)
 
 
 def bound_shape(basis: BasisSpec, p: int, k: int, t: float, x0: float) -> float:

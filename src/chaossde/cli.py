@@ -38,8 +38,9 @@ from .propagator import SdeModel, gbm_parameters, solve
 # Largest coefficient trajectory, grid points times held columns, in float64
 # cells (2 GiB): every set within MAX_INDICES runs on a 1001-point grid.
 MAX_TRAJECTORY_CELLS = 1 << 28
-# Float64 columns fig1 holds per grid point at its peak: the grid, the two
-# streamed moments, the variance and three for the exact variance's temporaries.
+# Float64 columns fig1 counts per grid point: at its peak it holds six (the
+# grid, the two streamed moments and three variance columns or temporaries)
+# and three bytes of finiteness masks.
 _CURVE_COLUMNS = 7
 # Rows of a fig1 curve converted to Python objects at a time.
 _CURVE_BLOCK_ROWS = 1 << 10
@@ -160,9 +161,11 @@ _FILTER_KEYS = {"k": operator.attrgetter("k"), "p": operator.attrgetter("p"),
 _FILTER_OPS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
 
 
-def _parse_row_filter(text: str):
+def _parse_row_filter(text: str, parser):
     """Filter mini-language: comma-separated clauses like k=8, p<=2,
-    n<=1300, type=full; 'all' selects everything."""
+    n<=1300, type=full; 'all' selects everything.  Every clause is checked
+    before any row is matched: an unparseable clause is a usage error, an
+    unknown key or a k/p/n value that is not an integer a ``ValueError``."""
     text = text.strip()
     if text == "all":
         return lambda row: True
@@ -171,20 +174,13 @@ def _parse_row_filter(text: str):
         raw = raw.strip()
         op = next((op for op in _FILTER_OPS if op in raw), None)
         if op is None:
-            raise ValueError(f"cannot parse row filter clause {raw!r}")
-        key, value = raw.split(op, 1)
-        clauses.append((key.strip(), _FILTER_OPS[op], value.strip()))
-
-    def accept(row: BenchmarkRow) -> bool:
-        for key, compare, value in clauses:
-            if key not in _FILTER_KEYS:
-                raise ValueError(f"unknown row filter key {key!r}")
-            actual = _FILTER_KEYS[key](row)
-            if not compare(actual, int(value) if isinstance(actual, int) else value):
-                return False
-        return True
-
-    return accept
+            parser.error(f"cannot parse row filter clause {raw!r}")
+        key, value = (part.strip() for part in raw.split(op, 1))
+        if key not in _FILTER_KEYS:
+            raise ValueError(f"unknown row filter key {key!r}")
+        clauses.append((_FILTER_KEYS[key], _FILTER_OPS[op],
+                        value if key == "type" else int(value)))
+    return lambda row: all(compare(get(row), value) for get, compare, value in clauses)
 
 
 def _bases(text: str) -> list[str]:
@@ -216,10 +212,7 @@ def run_benchmark_row(row: BenchmarkRow, basis_token: str, model: SdeModel,
 
 
 def cmd_table1(args, parser) -> int:
-    try:
-        accept = _parse_row_filter(args.rows)
-    except ValueError as exc:
-        parser.error(str(exc))
+    accept = _parse_row_filter(args.rows, parser)
     model = SdeModel.gbm(args.mu, args.sigma, args.x0)
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
     reports = [run_benchmark_row(row, token, model, tol)
@@ -235,6 +228,7 @@ def _write_curve(path: str, model: SdeModel, spec: FullTruncation, token: str, g
                  tol: ToleranceSpec) -> None:
     """Solve one fig1 curve and write it, ``_CURVE_BLOCK_ROWS`` rows at a time."""
     curve = _gbm_error(model, spec, token, grid, tol)[1]  # the solution is freed here
+    os.makedirs(os.path.dirname(path), exist_ok=True)  # after the solve: a refused grid makes none
     cells = len(breakpoints(make_basis(token, 1.0), spec.k)) + 1  # Haar's dyadic cells
     intervals = len(grid) - 1
 
@@ -263,7 +257,6 @@ def cmd_fig1(args, parser) -> int:
     for spec in (FullTruncation(p=p, k=k) for p in ps for k in ks):
         checked_count(spec)  # every set is refused before the first curve is written
     grid = _grid(_CURVE_COLUMNS, 1.0, args.grid)
-    os.makedirs(args.out, exist_ok=True)
     for token in args.basis:
         for p in ps:
             for k in ks:
@@ -279,14 +272,14 @@ def cmd_mc(args, parser) -> int:
     scheme on the same model; the report carries both sets of statistics
     next to the coefficient-based moments.
     """
-    pool_size(args.paths, args.steps)  # bad sizes or CHAOS_THREADS fail before the solve
+    pool_size(args.paths, args.steps)  # bad sizes, CHAOS_THREADS or seeds fail before the solve
+    rng_expansion, rng_euler = (RngSpec(seed=args.seed, stream=s) for s in (0, 1))
     model, spec, basis, tol = _problem(args, parser)
     block_paths(spec.p, spec.k)  # and so does a set that cannot be sampled
     sol = solve(model, spec, basis, (0.0, args.t_end), tol)  # steps ignore the grid
     mean, variance = moments(sol, args.t_end)
-    sampled = sample_expansion(sol, args.t_end, args.paths, RngSpec(seed=args.seed, stream=0))
-    euler = euler_maruyama(model, args.steps, args.paths, RngSpec(seed=args.seed, stream=1),
-                           t_end=args.t_end)
+    sampled = sample_expansion(sol, args.t_end, args.paths, rng_expansion)
+    euler = euler_maruyama(model, args.steps, args.paths, rng_euler, t_end=args.t_end)
     payload = {"coefficient_moments": {"mean": mean, "variance": variance},
                "expansion_sampling": sampled.__dict__, "euler": euler.__dict__,
                "paths": args.paths, "steps": args.steps}

@@ -25,10 +25,6 @@ class NotGbm(ChaosError):
     """Closed form requires a model of geometric Brownian motion shape."""
 
 
-class NotBm(ChaosError):
-    """Closed form requires a model of Brownian-motion-with-drift shape."""
-
-
 class TimeNotOnGrid(ChaosError):
     """Requested time is not a point of the solution grid."""
 

@@ -1,10 +1,10 @@
 """Normalized (probabilists') Hermite polynomials and product expectations.
 
-``hermite_n`` evaluates H_n with E[H_n(xi)^2] = 1 for standard normal xi.
-``triple_scalar``/``triple_multi`` give expectations of products of two and
-three basis functionals; ``galerkin_tensor`` collects them over an index
-set for the Galerkin projection of quadratic coefficients and the third
-moment.
+``hermite_table`` evaluates H_0..H_n with E[H_n(xi)^2] = 1 for standard
+normal xi.  ``triple_scalar`` gives E[H_a H_b H_c] for one coordinate;
+``galerkin_tensor`` multiplies it over coordinates and collects the
+products over an index set for the Galerkin projection of quadratic
+coefficients and the third moment.
 """
 from __future__ import annotations
 
@@ -30,24 +30,6 @@ BLOCK_CELLS = 1 << 20
 def _check_order(n: int) -> None:
     if n > MAX_ORDER:
         raise OrderTooLarge(f"order {n} exceeds the cap {MAX_ORDER}")
-
-
-def hermite_n(n: int, x: float) -> float:
-    """Normalized Hermite polynomial H_n(x).
-
-    Uses the stable three-term recurrence
-    H_{n+1}(x) = (x H_n(x) - sqrt(n) H_{n-1}(x)) / sqrt(n+1)
-    with H_0 = 1, H_1(x) = x.  Orders above 64 are rejected.
-    """
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    _check_order(n)
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, x
-    for m in range(1, n):
-        prev, cur = cur, (x * cur - math.sqrt(m) * prev) / math.sqrt(m + 1)
-    return cur
 
 
 def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -89,18 +71,6 @@ def triple_scalar(a: int, b: int, c: int) -> float:
     log_val = 0.5 * (math.lgamma(a + 1) + math.lgamma(b + 1) + math.lgamma(c + 1))
     log_val -= math.lgamma(s - a + 1) + math.lgamma(s - b + 1) + math.lgamma(s - c + 1)
     return math.exp(log_val)
-
-
-def triple_multi(alpha: Sequence[int], beta: Sequence[int],
-                 gamma: Sequence[int]) -> float:
-    """E[Psi^a Psi^b Psi^c] = prod_i triple_scalar(a_i, b_i, c_i) over dense rows.
-
-    Coordinates are independent, so the expectation factorizes.
-    """
-    out = 1.0
-    for orders in zip(alpha, beta, gamma, strict=True):
-        out *= triple_scalar(*orders)
-    return out
 
 
 def product_expansion(beta: Sequence[int], gamma: Sequence[int]):

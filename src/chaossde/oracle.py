@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, antiderivative_grid, kl_partial_grid
 from .errors import IndexSetTooLarge, NonFiniteValue
 from .hermite import _check_order, hermite_table
 from .propagator import ChaosSolution, SdeModel
@@ -262,32 +261,3 @@ def euler_maruyama(model: SdeModel, n_steps: int, n_paths: int, rng: RngSpec,
 
     return _stats_from_power_sums(n_paths, _chunk_sums(worker, rng, n_paths, threads),
                                   t_end)
-
-
-def kl_path_check(basis: BasisSpec, k: int, t_grid, n_paths: int,
-                  rng: RngSpec) -> float:
-    """Worst standardized deviation of the sampled partial-sum variance.
-
-    Samples sum_{l<=k} E_l(t) xi_l over the grid and compares its sample
-    variance against kl_partial(k, t); the return value is the largest
-    |deviation| / se over the grid.
-    """
-    threads = pool_size(n_paths)
-    t_grid = np.asarray(t_grid, dtype=float)
-    E = antiderivative_grid(basis, k, t_grid)  # (G, k)
-    target = kl_partial_grid(basis, k, t_grid)
-
-    def worker(gen: np.random.Generator, size: int) -> np.ndarray:
-        xi = normal_draws(gen, (size, k))
-        paths = xi @ E.T  # (size, G)
-        return np.stack([paths.sum(axis=0), (paths ** 2).sum(axis=0),
-                         (paths ** 4).sum(axis=0)])
-
-    total = _chunk_sums(worker, rng, n_paths, threads)
-    mean = total[0] / n_paths
-    m2 = np.maximum(total[1] / n_paths - mean ** 2, 0.0)
-    # the process is centered, so the raw fourth moment is the central one
-    m4 = total[2] / n_paths
-    se = np.sqrt(np.maximum(m4 - m2 * m2, 1e-300) / n_paths)
-    dev = np.abs(m2 - target)
-    return float(np.max(np.where(dev == 0.0, 0.0, dev / se)))

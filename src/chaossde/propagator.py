@@ -17,7 +17,6 @@ lower-triangular in chaos order for affine models.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from .basis import BasisSpec
-from .errors import InvalidSparseIndex, NotATrajectory, NotBm, NotGbm, TimeNotOnGrid
+from .errors import InvalidSparseIndex, NotATrajectory, NotGbm, TimeNotOnGrid
 from .hermite import galerkin_tensor
 # unused here; kept bound because the benchmark's tracer rebinds this name
 from .hermite import product_expansion  # noqa: F401
@@ -120,7 +119,6 @@ class PropagatorSystem:
 
     def __init__(self, model: SdeModel, index_set: IndexSet, basis: BasisSpec):
         self.model = model
-        self.index_set = index_set
         self.basis = basis
         self.n = len(index_set)
         self.k = index_set.k
@@ -206,58 +204,9 @@ def solve(model: SdeModel, spec: TruncationSpec, basis: BasisSpec,
     return ChaosSolution(index_set=index_set, grid=grid, rows=rows, observe=observe)
 
 
-def _shape_entries(model: SdeModel, slot: int, error: type) -> tuple[float, float]:
-    """The constant (drift, diffusion) x^slot terms if all others are 0, else ``error``."""
-    entries = (*model.drift, *model.diffusion)
-    pair = (entries[slot], entries[3 + slot])
-    rest = [c for i, c in enumerate(entries) if i % 3 != slot]
-    if any(map(callable, pair)) or not all(map(_is_zero, rest)):
-        raise error(f"closed form needs constant x^{slot} terms and no others")
-    return pair
-
-
 def gbm_parameters(model: SdeModel) -> tuple[float, float]:
     """(mu, sigma) of dX = mu X dt + sigma X dW; ``NotGbm`` for other shapes."""
-    return _shape_entries(model, 1, NotGbm)
-
-
-def closed_form_gbm_grid(model: SdeModel, index_set: IndexSet, basis: BasisSpec,
-                         ts) -> np.ndarray:
-    """Exact coefficients of geometric Brownian motion, shape (len(ts), n).
-
-    x_a(t) = x0 sigma^|a| exp(mu t) prod_j E_j(t)^{a_j} / sqrt(a!).
-    The recursion behind it is triangular, so the expression is exact for
-    every index of any truncated set.
-    """
-    mu, sigma = gbm_parameters(model)
-    ts = np.asarray(ts, dtype=float)
-    E = basis_mod.antiderivative_grid(basis, index_set.k, ts)
-    growth = model.x0 * np.exp(mu * ts)
-    out = np.empty((len(ts), len(index_set)))
-    for n, row in enumerate(index_set.dense.tolist()):
-        col = growth * sigma ** sum(row) / np.sqrt(math.prod(map(math.factorial, row)))
-        for j, a in enumerate(row):
-            if a:
-                col = col * E[:, j] ** a
-        out[:, n] = col
-    return out
-
-
-def closed_form_bm(model: SdeModel, index_set: IndexSet, basis: BasisSpec,
-                   ts) -> np.ndarray:
-    """Exact coefficients of Brownian motion with drift, shape (len(ts), n).
-
-    The expansion terminates at order one: the mean coefficient is
-    x0 + b t, order-one coefficients are sigma E_j(t), everything else
-    vanishes.
-    """
-    b, sigma = _shape_entries(model, 0, NotBm)
-    ts = np.asarray(ts, dtype=float)
-    dense = index_set.dense
-    orders = dense.sum(axis=1)
-    E = basis_mod.antiderivative_grid(basis, index_set.k, ts)
-    out = np.zeros((len(ts), len(index_set)))
-    out[:, orders == 0] = (model.x0 + b * ts)[:, None]
-    first = np.flatnonzero(orders == 1)
-    out[:, first] = sigma * E[:, dense[first].argmax(axis=1)]
-    return out
+    (b0, mu, b2), (g0, sigma, g2) = model.drift, model.diffusion
+    if callable(mu) or callable(sigma) or not all(map(_is_zero, (b0, b2, g0, g2))):
+        raise NotGbm("closed form needs constant x^1 terms and no others")
+    return mu, sigma

@@ -18,13 +18,13 @@ from chaossde.analysis import (error_curve, gbm_variance_exact,
                                gbm_variance_order_limit, loglog_fit, moments)
 from chaossde.basis import kl_partial, make_basis, tail_sum
 from chaossde.cli import ExperimentReport, main, run_benchmark_row
-from chaossde.hermite import hermite_n, triple_scalar
+from chaossde.hermite import triple_scalar
 from chaossde.integrator import ToleranceSpec
 from chaossde.multiindex import FullTruncation, count_indices
 from chaossde.oracle import RngSpec, euler_maruyama, sample_expansion
 from chaossde.presets import BENCHMARK_ROWS
-from chaossde.propagator import SdeModel, closed_form_gbm_grid, solve
-from reference import read_report_csv
+from chaossde.propagator import SdeModel, solve
+from reference import closed_form_gbm_grid, hermite_n, read_report_csv
 
 GBM = SdeModel.gbm(1.0, 1.0, 1.0)
 TABLE_TOL = ToleranceSpec(rtol=1e-6, atol=1e-9)

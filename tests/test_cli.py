@@ -419,12 +419,19 @@ class TestTable1Command:
             run(["table1", "--rows", "bogus~3", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
-    # an unparseable clause is a usage error; an unknown key is found while
-    # rows are matched and reported without a usage line
+    # an unparseable clause is a usage error; an unknown key or a non-integer
+    # value is reported without a usage line.  Every clause is checked before
+    # any row is solved, even when an earlier clause rejects every row.
     @pytest.mark.parametrize("rows,last,usage", [
         ("bogus~3", "chaossde: error: cannot parse row filter clause 'bogus~3'", True),
-        ("x=1", "error: unknown row filter key 'x'", False)])
-    def test_bad_filter_messages(self, tmp_path, capsys, rows, last, usage):
+        ("x=1", "error: unknown row filter key 'x'", False),
+        ("k=3,bogus=1", "error: unknown row filter key 'bogus'", False),
+        ("k=999,n<=abc", "error: invalid literal for int() with base 10: 'abc'", False)])
+    def test_bad_filter_messages(self, tmp_path, capsys, monkeypatch, rows, last, usage):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row was solved before the filter was checked")
+
+        monkeypatch.setattr(cli, "_gbm_error", refuse)
         with pytest.raises(SystemExit) as exc:
             run(["table1", "--rows", rows, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
@@ -552,6 +559,14 @@ class TestFig1Command:
         assert last.split(",")[:4] == [format(float(col[-1]), ".17g") for col in
                                       (grid, curve.exact_var, curve.approx_var, curve.values)]
 
+    def test_refused_grid_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "fig"
+        with pytest.raises(SystemExit) as exc:
+            run(["fig1", "--p", "1", "--k", "2", "--grid", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: grid needs at least 2 points, got 1\n"
+        assert not out.exists()
+
     def test_format_option_is_rejected(self, tmp_path, capsys):
         # fig1 writes only CSV curves, so it offers no --format
         out = tmp_path / "fig"
@@ -605,6 +620,20 @@ class TestMcCommand:
         assert lines[0] == "source,mean,mean_se,variance,variance_se"
         assert [ln.split(",")[0] for ln in lines[1:]] == [
             "coefficients", "expansion", "euler"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_bad_seed_fails_before_the_solve(self, tmp_path, capsys, monkeypatch, seed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the seed was checked")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        out = tmp_path / "mc.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["mc", "--basis", "trig", "--p", "1", "--k", "2", "--paths", "10",
+                 "--steps", "2", "--seed", seed, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: seed must fit in 64 bits\n"
+        assert not out.exists()
 
 
     def test_thread_count_invariant(self, tmp_path, monkeypatch):

@@ -12,9 +12,9 @@ from chaossde.integrator import ToleranceSpec
 from chaossde.multiindex import FullTruncation
 from chaossde.oracle import (CHUNK, MAX_THREADS, RngSpec, SampleStats,
                              _chunk_generator, _thread_count, euler_maruyama,
-                             kl_path_check, normal_draws, pool_size,
-                             sample_expansion)
+                             normal_draws, pool_size, sample_expansion)
 from chaossde.propagator import ChaosSolution, SdeModel, solve
+from reference import kl_path_check
 
 GRID = np.linspace(0.0, 1.0, 101)
 TIGHT = ToleranceSpec(rtol=1e-9, atol=1e-12)

@@ -21,13 +21,8 @@ def test_star_import():
 
 ROOT = Path(__file__).resolve().parent.parent
 # Public names that only tests call, each kept on purpose.
+# Test-only oracles live in tests/reference.py instead.
 KEPT_FOR_TESTS = {
-    "hermite_n": "reference oracle: the scalar recurrence the Hermite table and "
-                 "criterion 7's derivative identity are checked against",
-    "triple_multi": "reference oracle: the weights the Galerkin tensor is checked against",
-    "closed_form_gbm_grid": "exact GBM coefficients the solver is checked against",
-    "closed_form_bm": "exact Brownian-motion coefficients the solver is checked against",
-    "kl_path_check": "Monte Carlo check of the Karhunen-Loeve partial sums",
     "bound_shape": "the paper's rate shape, to be reported by the rates command",
     "element_values": "basis values at one time; the solver calls its cached form "
                       "element_evaluator, and the benchmark tracer wraps it by name",

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from chaossde.basis import antiderivative_grid, element_values, make_basis
-from chaossde.errors import NotBm, NotGbm, TimeNotOnGrid
+from chaossde.errors import NotGbm, TimeNotOnGrid
 from chaossde.integrator import ToleranceSpec
 from chaossde.multiindex import FullTruncation, IndexSet, enumerate_indices
-from chaossde.propagator import (ChaosSolution, SdeModel, build_rhs,
-                                 closed_form_bm, closed_form_gbm_grid,
-                                 initial_state, solve)
+from chaossde.propagator import ChaosSolution, SdeModel, build_rhs, initial_state, solve
+from reference import NotBm, closed_form_bm, closed_form_gbm_grid
 
 TIGHT = ToleranceSpec(rtol=1e-10, atol=1e-12)
 GRID = np.linspace(0.0, 1.0, 101)
