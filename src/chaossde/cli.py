@@ -8,6 +8,9 @@ fig1     per-time error curves for a (basis, p, k) grid
 rates    tail-sum and measured-error decay slopes over a k sweep
 mc       Monte Carlo cross-check (expansion sampling + Euler scheme)
 
+Every command takes dX = b(X) dt + sigma(X) dW as ``--drift``, ``--diffusion`` (each
+``c0,c1,c2`` of c0 + c1 x + c2 x^2) and ``--x0``; table1, fig1 and rates need GBM.
+
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  All file
 output is UTF-8 with LF line endings and 17-significant-digit reals.
 """
@@ -136,16 +139,14 @@ def _grid(columns: int, t_end: float, points: int) -> np.ndarray:
 
 
 def _problem(args, parser):
-    """The model, truncation, basis and tolerances of ``solve``/``mc``."""
-    model = (SdeModel.gbm(args.mu, args.sigma, args.x0) if args.sde == "gbm"
-             else SdeModel.bm(args.b, args.sigma, args.x0))
+    """The truncation, basis and tolerances of ``solve``/``mc``."""
     spec = _resolve_truncation(args, parser)
     basis = make_basis(args.basis, args.t_end)
-    return model, spec, basis, ToleranceSpec(rtol=args.rtol, atol=args.atol)
+    return spec, basis, ToleranceSpec(rtol=args.rtol, atol=args.atol)
 
 
-def cmd_solve(args, parser) -> int:
-    model, spec, basis, tol = _problem(args, parser)
+def cmd_solve(args, parser, model: SdeModel) -> int:
+    spec, basis, tol = _problem(args, parser)
     grid = _grid(checked_count(spec), args.t_end, args.grid)
     sol = solve(model, spec, basis, grid, tol)
     header = ["t", *sol.index_set.labels()]
@@ -191,6 +192,15 @@ def _bases(text: str) -> list[str]:
     return tokens
 
 
+def _coefficients(text: str) -> tuple[float, float, float]:
+    """The ``c0,c1,c2`` of a polynomial c0 + c1 x + c2 x^2."""
+    try:  # a count other than three fails to unpack
+        c0, c1, c2 = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need three numbers c0,c1,c2, got {text!r}") from None
+    return c0, c1, c2
+
+
 def _gbm_error(model: SdeModel, spec: TruncationSpec, token: str, grid, tol: ToleranceSpec):
     """A GBM solution's moment columns on a grid of [0, 1], and their variance error."""
     mu, sigma = gbm_parameters(model)
@@ -211,9 +221,8 @@ def run_benchmark_row(row: BenchmarkRow, basis_token: str, model: SdeModel,
         wall_time_s=elapsed, rtol=tol.rtol, atol=tol.atol)
 
 
-def cmd_table1(args, parser) -> int:
+def cmd_table1(args, parser, model: SdeModel) -> int:
     accept = _parse_row_filter(args.rows, parser)
-    model = SdeModel.gbm(args.mu, args.sigma, args.x0)
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
     reports = [run_benchmark_row(row, token, model, tol)
                for row in BENCHMARK_ROWS if accept(row) for token in args.basis]
@@ -249,10 +258,9 @@ def _write_curve(path: str, model: SdeModel, spec: FullTruncation, token: str, g
     _write_csv(path, ["t", "exact_var", "approx_var", "abs_err", *extra], rows())
 
 
-def cmd_fig1(args, parser) -> int:
+def cmd_fig1(args, parser, model: SdeModel) -> int:
     ps = [int(v) for v in args.p.split(",")]
     ks = [int(v) for v in args.k.split(",")]
-    model = SdeModel.gbm(args.mu, args.sigma, args.x0)
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
     for spec in (FullTruncation(p=p, k=k) for p in ps for k in ks):
         checked_count(spec)  # every set is refused before the first curve is written
@@ -265,7 +273,7 @@ def cmd_fig1(args, parser) -> int:
     return 0
 
 
-def cmd_mc(args, parser) -> int:
+def cmd_mc(args, parser, model: SdeModel) -> int:
     """Monte Carlo cross-check of one configuration.
 
     Samples the truncated expansion at the final time and runs the Euler
@@ -274,7 +282,7 @@ def cmd_mc(args, parser) -> int:
     """
     pool_size(args.paths, args.steps)  # bad sizes, CHAOS_THREADS or seeds fail before the solve
     rng_expansion, rng_euler = (RngSpec(seed=args.seed, stream=s) for s in (0, 1))
-    model, spec, basis, tol = _problem(args, parser)
+    spec, basis, tol = _problem(args, parser)
     block_paths(spec.p, spec.k)  # and so does a set that cannot be sampled
     sol = solve(model, spec, basis, (0.0, args.t_end), tol)  # steps ignore the grid
     mean, variance = moments(sol, args.t_end)
@@ -291,9 +299,8 @@ def cmd_mc(args, parser) -> int:
     return 0
 
 
-def cmd_rates(args, parser) -> int:
+def cmd_rates(args, parser, model: SdeModel) -> int:
     ks = [int(v) for v in args.k.split(",")]
-    model = SdeModel.gbm(args.mu, args.sigma, args.x0)
     tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
     tails = [tail_sum(make_basis(args.basis, 1.0), k, 1.0) for k in ks]
     tail_slope, _, tail_r2 = loglog_fit(ks, tails)  # before the solves: it checks the ks
@@ -313,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, formats=True):
-        p.add_argument("--mu", type=float, default=1.0)
-        p.add_argument("--sigma", type=float, default=1.0)
+        p.add_argument("--drift", type=_coefficients, default="0,1,0")
+        p.add_argument("--diffusion", type=_coefficients, default="0,1,0")
         p.add_argument("--x0", type=float, default=1.0)
         p.add_argument("--rtol", type=float, default=1e-6)
         p.add_argument("--atol", type=float, default=1e-9)
@@ -323,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     def add_problem(p):
-        p.add_argument("--sde", choices=("gbm", "bm"), default="gbm")
-        p.add_argument("--b", type=float, default=1.0)
         p.add_argument("--basis", choices=KINDS, required=True)
         p.add_argument("--p", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
@@ -371,7 +376,7 @@ def main(argv=None) -> int:
     handlers = {"solve": cmd_solve, "table1": cmd_table1,
                 "fig1": cmd_fig1, "rates": cmd_rates, "mc": cmd_mc}
     try:
-        return handlers[args.command](args, parser)
+        return handlers[args.command](args, parser, SdeModel(args.drift, args.diffusion, args.x0))
     except IntegratorFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

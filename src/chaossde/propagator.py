@@ -60,11 +60,6 @@ class SdeModel:
         """Geometric Brownian motion dX = mu X dt + sigma X dW."""
         return cls((0.0, mu, 0.0), (0.0, sigma, 0.0), x0)
 
-    @classmethod
-    def bm(cls, b: float, sigma: float, x0: float) -> "SdeModel":
-        """Scaled Brownian motion with drift X_t = x0 + b t + sigma W_t."""
-        return cls((b, 0.0, 0.0), (sigma, 0.0, 0.0), x0)
-
     def drift_at(self, t: float) -> tuple[float, float, float]:
         return tuple(_as_value(c, t) for c in self.drift)
 

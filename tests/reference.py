@@ -1,8 +1,9 @@
 """Reference oracles the tests check the library against.
 
-Scalar Hermite values and triple products, the exact GBM and Brownian-motion
-coefficients, a Monte Carlo check of the Karhunen-Loeve partial sums, and
-readers of the CLI's CSV output for round-trip and reference checks.
+Scalar Hermite values and triple products, the Brownian-motion model, the
+exact GBM and Brownian-motion coefficients, a Monte Carlo check of the
+Karhunen-Loeve partial sums, and readers of the CLI's CSV output for
+round-trip and reference checks.
 """
 import csv
 import math
@@ -74,6 +75,11 @@ def closed_form_gbm_grid(model: SdeModel, index_set: IndexSet, basis: BasisSpec,
                 col = col * E[:, j] ** a
         out[:, n] = col
     return out
+
+
+def bm_model(b: float, sigma: float, x0: float) -> SdeModel:
+    """Scaled Brownian motion with drift X_t = x0 + b t + sigma W_t."""
+    return SdeModel((b, 0.0, 0.0), (sigma, 0.0, 0.0), x0)
 
 
 def closed_form_bm(model: SdeModel, index_set: IndexSet, basis: BasisSpec,

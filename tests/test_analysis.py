@@ -12,6 +12,7 @@ from chaossde.integrator import ToleranceSpec
 from chaossde.multiindex import FullTruncation
 from chaossde.oracle import RngSpec, sample_expansion
 from chaossde.propagator import SdeModel, solve
+from reference import bm_model
 
 GRID = np.linspace(0.0, 1.0, 101)
 TIGHT = ToleranceSpec(rtol=1e-9, atol=1e-12)
@@ -30,7 +31,7 @@ class TestMoments:
 
     def test_bm_variance_is_kl_partial(self):
         basis = make_basis("trig")
-        sol = solve(SdeModel.bm(0.0, 1.0, 0.0), FullTruncation(p=2, k=6),
+        sol = solve(bm_model(0.0, 1.0, 0.0), FullTruncation(p=2, k=6),
                     basis, GRID, TIGHT)
         for t in (0.25, 0.5, 1.0):
             _, var = moments(sol, t)
@@ -60,7 +61,7 @@ class TestThirdMoment:
         assert third_moment(sol, 0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_centered_bm_is_odd_free(self):
-        sol = solve(SdeModel.bm(0.0, 1.0, 0.0), FullTruncation(p=2, k=4),
+        sol = solve(bm_model(0.0, 1.0, 0.0), FullTruncation(p=2, k=4),
                     make_basis("trig"), GRID, TIGHT)
         assert third_moment(sol, 0.7) == pytest.approx(0.0, abs=1e-10)
 

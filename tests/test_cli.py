@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 import os
 import tracemalloc
@@ -6,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chaossde import cli, multiindex, oracle
+from chaossde import __version__, cli, multiindex, oracle
 from chaossde.analysis import gbm_variance_order_limit
 from chaossde.basis import make_basis
 from chaossde.errors import StepSizeUnderflow
@@ -14,6 +16,11 @@ from chaossde.integrator import ToleranceSpec
 from chaossde.presets import BENCHMARK_ROWS
 from chaossde.propagator import SdeModel
 from reference import read_curve_csv, read_report_csv
+
+GALERKIN_REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                  "benchmarks", "reference", "galerkin.json")
+# dX = X(1 - X) dt + 0.5 X dW, X_0 = 0.5: quadratic drift, so the Galerkin path
+LOGISTIC = ["--drift", "0,1,-1", "--diffusion", "0,0.5,0", "--x0", "0.5"]
 
 
 def run(args):
@@ -32,7 +39,7 @@ def strip_wall_time(path):
 class TestSolveCommand:
     def test_full_truncation_column_count(self, tmp_path):
         out = tmp_path / "sol.csv"
-        assert run(["solve", "--sde", "gbm", "--basis", "trig", "--p", "1",
+        assert run(["solve", "--basis", "trig", "--p", "1",
                     "--k", "2", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         header = lines[0].split(",")
@@ -46,7 +53,7 @@ class TestSolveCommand:
         # the sparse text alone selects the 19-index sp2 set, not the
         # 45-index full set of p=2, k=8
         out = tmp_path / "sol.csv"
-        assert run(["solve", "--sde", "gbm", "--basis", "trig", "--p", "2",
+        assert run(["solve", "--basis", "trig", "--p", "2",
                     "--k", "8", "--sparse", "1,1,1,1,1,1,1,1;2,2,2,2,0,0,0,0",
                     "--out", str(out)]) == 0
         header = out.read_text().splitlines()[0].split(",")
@@ -99,7 +106,7 @@ class TestSolveCommand:
 
     def test_bm_mean_column_is_linear(self, tmp_path):
         out = tmp_path / "sol.csv"
-        assert run(["solve", "--sde", "bm", "--b", "1.0", "--sigma", "1.0",
+        assert run(["solve", "--drift", "1,0,0", "--diffusion", "1,0,0",
                     "--x0", "0.25", "--basis", "trig", "--p", "1", "--k", "2",
                     "--grid", "11", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
@@ -112,7 +119,7 @@ class TestSolveCommand:
     def test_json_mirrors_csv_with_metadata(self, tmp_path):
         csv_out = tmp_path / "sol.csv"
         json_out = tmp_path / "sol.json"
-        args = ["solve", "--sde", "gbm", "--basis", "haar", "--p", "1",
+        args = ["solve", "--basis", "haar", "--p", "1",
                 "--k", "4", "--grid", "21"]
         assert run(args + ["--out", str(csv_out)]) == 0
         assert run(args + ["--out", str(json_out), "--format", "json"]) == 0
@@ -129,19 +136,41 @@ class TestSolveCommand:
 class TestExitCodes:
     def test_usage_error_is_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            run(["solve", "--sde", "gbm", "--basis", "nope", "--p", "1",
+            run(["solve", "--basis", "nope", "--p", "1",
                  "--k", "2", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
     def test_bad_sparse_text_is_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            run(["solve", "--sde", "gbm", "--basis", "trig", "--p", "2",
+            run(["solve", "--basis", "trig", "--p", "2",
                  "--k", "3", "--sparse", "1,3,2",
                  "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    def test_sparse_text_disagreeing_with_p_k_is_2(self, tmp_path, capsys):
+        # "2,1,1" is an order-2 set on 3 coordinates
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--basis", "trig", "--p", "3", "--k", "3", "--sparse", "2,1,1",
+                 "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "chaossde: error: --p/--k (3/3) disagree with the sparse index (p=2, k=3)")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["table1", "fig1"])
+    def test_unknown_basis_token_is_2(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--basis", "klcos,fourier", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --basis: unknown basis 'fourier'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("option", [["solve", "--trunc", "full"], ["mc", "--trunc", "full"],
-                                        ["mc", "--grid", "11"], ["mc", "--stream", "1"]])
+                                        ["mc", "--grid", "11"], ["mc", "--stream", "1"],
+                                        ["solve", "--sde", "bm"], ["mc", "--mu", "1"],
+                                        ["solve", "--sigma", "1"]])
     def test_removed_option_is_2(self, tmp_path, capsys, option):
         command, *flag = option
         with pytest.raises(SystemExit) as exc:
@@ -152,7 +181,7 @@ class TestExitCodes:
 
     def test_degenerate_grid_is_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            run(["solve", "--sde", "gbm", "--basis", "trig", "--p", "1",
+            run(["solve", "--basis", "trig", "--p", "1",
                  "--k", "2", "--grid", "1", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
@@ -270,7 +299,7 @@ class TestExitCodes:
         assert "trajectory cells, above the cap" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("flag,value", [("--sigma", "1e150"), ("--t-end", "1e-300"),
+    @pytest.mark.parametrize("flag,value", [("--diffusion", "0,1e150,0"), ("--t-end", "1e-300"),
                                             ("--x0", "inf")])
     def test_first_step_blowup_is_3(self, tmp_path, capsys, flag, value):
         # the first derivative norm overflows (h0 = 0) or is NaN (h0 = NaN)
@@ -307,7 +336,7 @@ class TestExitCodes:
     def test_overflowed_moments_are_3(self, tmp_path, capsys, command):
         # mu = 400 overflows the squared mean and exp(2 mu t) of the exact variance
         out = tmp_path / "x"
-        code = run([*command, "--mu", "400", "--out", str(out)])
+        code = run([*command, "--drift", "0,400,0", "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: variance or its error is not finite (t=0.8")
@@ -320,7 +349,7 @@ class TestExitCodes:
     ])
     def test_overflowed_mc_statistics_are_3(self, tmp_path, capsys, mu, message):
         out = tmp_path / "x.csv"
-        code = run(["mc", "--basis", "trig", "--p", "1", "--k", "2", "--mu", mu,
+        code = run(["mc", "--basis", "trig", "--p", "1", "--k", "2", "--drift", f"0,{mu},0",
                     "--paths", "1000", "--steps", "8", "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
@@ -337,17 +366,18 @@ class TestExitCodes:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", [
-        ["solve", "--basis", "klcos", "--p", "1", "--k", "2", "--grid", "3", "--mu", "720"],
-        ["table1", "--rows", "k=2,p=1", "--mu", "720"],
+        ["solve", "--basis", "klcos", "--p", "1", "--k", "2", "--grid", "3",
+         "--drift", "0,720,0"],
+        ["table1", "--rows", "k=2,p=1", "--drift", "0,720,0"],
         ["mc", "--basis", "trig", "--p", "1", "--k", "2", "--paths", "10", "--steps", "2",
-         "--mu", "709.7"]])
+         "--drift", "0,709.7,0"]])
     def test_integrator_overflow_is_3_without_warnings(self, tmp_path, capsys, command):
         # the stages overflow near t = 1; integrate rejects those steps
         # until the step size underflows, and numpy must not warn on the way
         out = tmp_path / "x.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run([*command, "--sigma", "0.1", "--out", str(out)])
+            code = run([*command, "--diffusion", "0,0.1,0", "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: step size underflow (t=0.9")
@@ -359,7 +389,7 @@ class TestExitCodes:
             raise StepSizeUnderflow("step size underflow", time=0.42)
 
         monkeypatch.setattr(cli, "solve", exploding_solve)
-        code = run(["solve", "--sde", "gbm", "--basis", "trig", "--p", "1",
+        code = run(["solve", "--basis", "trig", "--p", "1",
                     "--k", "2", "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
@@ -393,6 +423,22 @@ class TestTable1Command:
         cli.write_report_csv(str(rewritten), reports)
         assert read_report_csv(str(rewritten)) == reports
         assert rewritten.read_bytes() == out.read_bytes()
+
+    def test_json_reports_mirror_the_csv_rows(self, tmp_path):
+        csv_out, json_out = tmp_path / "table.csv", tmp_path / "table.json"
+        assert run(["table1", "--rows", "k=2", "--out", str(csv_out)]) == 0
+        assert run(["table1", "--rows", "k=2", "--format", "json", "--out", str(json_out)]) == 0
+        payload = json.loads(json_out.read_text(encoding="utf-8"))
+        assert list(payload) == ["metadata", "reports"]
+        assert payload["metadata"] == {"tool": "chaossde", "version": __version__,
+                                       "rtol": 1e-6, "atol": 1e-9}
+        assert all(list(r) == list(cli.ExperimentReport.FIELDS) for r in payload["reports"])
+
+        def timeless(report):
+            return dataclasses.replace(report, wall_time_s=0.0)
+
+        assert [timeless(cli.ExperimentReport(**r)) for r in payload["reports"]] == \
+            [timeless(r) for r in read_report_csv(str(csv_out))]
 
     def test_deterministic_apart_from_wall_time(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -525,8 +571,11 @@ class TestFig1Command:
     def test_held_columns_bound_the_peak(self, tmp_path):
         # the grid check counts 7 float64 columns per point: the traced peak
         # grows by at most that much per point, and by more than 6 columns
+        # With the collector off, argparse's reference cycles stay until the
+        # end, so the moment they are collected cannot move either peak.
         peaks = []
         for points in (25001, 100001):
+            gc.disable()
             tracemalloc.start()
             try:
                 assert run(["fig1", "--basis", "haar", "--p", "1", "--k", "2",
@@ -534,6 +583,7 @@ class TestFig1Command:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+                gc.enable()
         per_point = (peaks[1] - peaks[0]) / 75000
         assert 6 * 8 < per_point <= 7 * 8
 
@@ -597,7 +647,7 @@ class TestFig1Command:
 class TestMcCommand:
     def test_cross_check_report(self, tmp_path):
         out = tmp_path / "mc.json"
-        assert run(["mc", "--sde", "gbm", "--basis", "trig", "--p", "3",
+        assert run(["mc", "--basis", "trig", "--p", "3",
                     "--k", "4", "--paths", "20000", "--steps", "128",
                     "--seed", "7", "--out", str(out), "--format", "json"]) == 0
         payload = json.loads(out.read_text())
@@ -610,7 +660,7 @@ class TestMcCommand:
         assert payload["euler"]["n"] == 20000
 
     def test_csv_output_and_reproducibility(self, tmp_path):
-        args = ["mc", "--sde", "gbm", "--basis", "haar", "--p", "2", "--k", "2",
+        args = ["mc", "--basis", "haar", "--p", "2", "--k", "2",
                 "--paths", "5000", "--steps", "32", "--seed", "3"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(args + ["--out", str(a)]) == 0
@@ -638,7 +688,7 @@ class TestMcCommand:
 
     def test_thread_count_invariant(self, tmp_path, monkeypatch):
         # 70,000 paths are two Philox chunks, so two threads really run
-        args = ["mc", "--sde", "gbm", "--basis", "trig", "--p", "2", "--k", "2",
+        args = ["mc", "--basis", "trig", "--p", "2", "--k", "2",
                 "--paths", "70000", "--steps", "4", "--seed", "11"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("CHAOS_THREADS", "1")
@@ -646,6 +696,76 @@ class TestMcCommand:
         monkeypatch.setenv("CHAOS_THREADS", "2")
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+    @pytest.mark.parametrize("basis,p,k", [("klcos", 3, 8), ("haar", 2, 16)])
+    def test_logistic_matches_the_galerkin_reference(self, tmp_path, basis, p, k):
+        # the benchmark's recorded moments of the logistic model at T = 1,
+        # solved on a 101-point grid: the solver's steps ignore the grid
+        with open(GALERKIN_REFERENCE, encoding="utf-8") as fh:
+            want = json.load(fh)[f"{basis}_p{p}_k{k}"]
+        out = tmp_path / "mc.json"
+        assert run(["mc", *LOGISTIC, "--basis", basis, "--p", str(p), "--k", str(k),
+                    "--paths", "20000", "--steps", "8", "--format", "json",
+                    "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        coeff, sampled = payload["coefficient_moments"], payload["expansion_sampling"]
+        assert coeff["mean"] == pytest.approx(want["mean"], rel=1e-8)
+        assert coeff["variance"] == pytest.approx(want["variance"], rel=1e-8)
+        assert abs(sampled["variance"] - coeff["variance"]) <= 5 * sampled["variance_se"]
+
+
+class TestModelOptions:
+    @pytest.mark.parametrize("command", [
+        ["table1", "--rows", "k=2"], ["fig1", "--p", "1", "--k", "2"], ["rates"]])
+    def test_gbm_commands_refuse_another_shape(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved a model that is not GBM")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--drift", "0,1,-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            "error: closed form needs constant x^1 terms and no others\n"
+        assert not out.exists()  # fig1 makes no directory either
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--basis", "klcos", "--p", "1", "--k", "2"], ["table1"], ["fig1"], ["rates"],
+        ["mc", "--basis", "klcos", "--p", "1", "--k", "2"]])
+    @pytest.mark.parametrize("flag,value", [("--drift", "0,1"), ("--diffusion", "0,1,0,0"),
+                                            ("--drift", "0,x,1")])
+    def test_three_coefficients_or_2(self, tmp_path, capsys, monkeypatch, command, flag,
+                                     value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved without three coefficients")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        with pytest.raises(SystemExit) as exc:
+            run([*command, flag, value, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument {flag}: need three numbers c0,c1,c2, got {value!r}")
+        assert not (tmp_path / "x").exists()
+
+    def test_default_model_is_gbm(self, tmp_path):
+        explicit, default = tmp_path / "explicit.csv", tmp_path / "default.csv"
+        args = ["solve", "--basis", "klcos", "--p", "2", "--k", "2", "--grid", "5"]
+        assert run(args + ["--out", str(default)]) == 0
+        assert run(args + ["--drift", "0,1,0", "--diffusion", "0,1,0", "--x0", "1",
+                           "--out", str(explicit)]) == 0
+        assert explicit.read_bytes() == default.read_bytes()
+
+    def test_oversized_quadratic_set_is_2(self, tmp_path):
+        # p=6, k=16 has 74,613 indices, within MAX_INDICES, but its Galerkin
+        # tensor is refused (after the lower-set relation is built)
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", *LOGISTIC, "--basis", "klcos", "--p", "6", "--k", "16",
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestRatesCommand:

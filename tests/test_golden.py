@@ -13,6 +13,7 @@ from chaossde import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 SPARSE_SP2 = "1,1,1,1,1,1,1,1;2,2,2,2,0,0,0,0"
+LOGISTIC = ["--drift", "0,1,-1", "--diffusion", "0,0.5,0", "--x0", "0.5"]
 
 FILE_OUTPUTS = {
     "solve_klcos_p2_k4.csv": ["solve", "--basis", "klcos", "--p", "2", "--k", "4",
@@ -29,8 +30,15 @@ FILE_OUTPUTS = {
     "solve_haar_p2_k8_t2.csv": ["solve", "--basis", "haar", "--p", "2", "--k", "8",
                                 "--grid", "33", "--t-end", "2"],
     # constant c0 coefficients and the trig evaluator
-    "solve_bm_trig_p1_k5.csv": ["solve", "--sde", "bm", "--basis", "trig", "--p", "1",
-                                "--k", "5", "--grid", "11"],
+    "solve_bm_trig_p1_k5.csv": ["solve", "--drift", "1,0,0", "--diffusion", "1,0,0",
+                                "--basis", "trig", "--p", "1", "--k", "5", "--grid", "11"],
+    # the logistic model dX = X(1 - X) dt + 0.5 X dW: the Galerkin tensor
+    # and the quadratic Euler update
+    "solve_logistic_klcos_p3_k4.csv": ["solve", *LOGISTIC, "--basis", "klcos", "--p", "3",
+                                       "--k", "4", "--grid", "11"],
+    "mc_logistic_klcos_p2_k4.json": ["mc", *LOGISTIC, "--basis", "klcos", "--p", "2",
+                                     "--k", "4", "--paths", "70000", "--steps", "8",
+                                     "--seed", "7", "--format", "json"],
 }
 
 

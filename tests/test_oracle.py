@@ -14,7 +14,7 @@ from chaossde.oracle import (CHUNK, MAX_THREADS, RngSpec, SampleStats,
                              _chunk_generator, _thread_count, euler_maruyama,
                              normal_draws, pool_size, sample_expansion)
 from chaossde.propagator import ChaosSolution, SdeModel, solve
-from reference import kl_path_check
+from reference import bm_model, kl_path_check
 
 GRID = np.linspace(0.0, 1.0, 101)
 TIGHT = ToleranceSpec(rtol=1e-9, atol=1e-12)
@@ -114,7 +114,7 @@ class TestSampleExpansion:
 
     def test_bm_variance_matches_kl_partial(self):
         basis = make_basis("trig")
-        sol = solve(SdeModel.bm(0.0, 1.0, 0.0), FullTruncation(p=1, k=16),
+        sol = solve(bm_model(0.0, 1.0, 0.0), FullTruncation(p=1, k=16),
                     basis, GRID, TIGHT)
         stats = sample_expansion(sol, 0.5, 200_000, RngSpec(seed=11))
         target = kl_partial(basis, 16, 0.5)
@@ -162,6 +162,24 @@ class TestEulerMaruyama:
         # (the constant is ~63 for these parameters)
         exact = math.e ** 2 * (math.e - 1)
         assert abs(chain_var - exact) < 100 * dt
+
+    def test_drift_only_logistic_is_the_scalar_recursion(self):
+        model = SdeModel((0.0, 1.0, -1.0), (0.0, 0.0, 0.0), 0.5)
+        stats = euler_maruyama(model, n_steps=64, n_paths=100, rng=RngSpec(seed=3))
+        x = 0.5
+        for _ in range(64):
+            x += x * (1 - x) / 64
+        assert stats.mean == pytest.approx(x, rel=1e-12)
+        assert stats.variance == pytest.approx(0.0, abs=1e-12)
+
+    def test_single_step_quadratic_diffusion_variance(self):
+        # X_1 = x0 + c2 x0^2 sqrt(dt) Z for one step of size dt
+        c2, x0, t_end = 0.8, 1.5, 0.25
+        model = SdeModel((0.0, 0.0, 0.0), (0.0, 0.0, c2), x0)
+        stats = euler_maruyama(model, n_steps=1, n_paths=400_000, rng=RngSpec(seed=8),
+                               t_end=t_end)
+        assert stats.mean == pytest.approx(x0, abs=4 * stats.mean_se)
+        assert abs(stats.variance - c2 ** 2 * x0 ** 4 * t_end) <= 4 * stats.variance_se
 
     def test_time_dependent_drift(self):
         # b(t, x) = 2t with zero noise integrates to x0 + t^2 exactly on the grid

@@ -9,7 +9,7 @@ from chaossde.errors import NotGbm, TimeNotOnGrid
 from chaossde.integrator import ToleranceSpec
 from chaossde.multiindex import FullTruncation, IndexSet, enumerate_indices
 from chaossde.propagator import ChaosSolution, SdeModel, build_rhs, initial_state, solve
-from reference import NotBm, closed_form_bm, closed_form_gbm_grid
+from reference import NotBm, bm_model, closed_form_bm, closed_form_gbm_grid
 
 TIGHT = ToleranceSpec(rtol=1e-10, atol=1e-12)
 GRID = np.linspace(0.0, 1.0, 101)
@@ -86,7 +86,7 @@ class TestSolveAgainstClosedForms:
     @pytest.mark.parametrize("token", ["trig", "haar"])
     def test_bm_terminates_at_order_one(self, token):
         basis = make_basis(token)
-        model = SdeModel.bm(1.0, 1.0, 0.0)
+        model = bm_model(1.0, 1.0, 0.0)
         sol = solve(model, FullTruncation(p=3, k=4), basis, GRID, TIGHT)
         expected = closed_form_bm(model, sol.index_set, basis, GRID)
         assert np.abs(sol.coeffs - expected).max() < 1e-9
@@ -119,7 +119,7 @@ class TestClosedForms:
             assert gbm_coefficient(model, row, make_basis("haar"), 0.0) == 0.0
 
     def test_bm_unit_coefficients(self):
-        model = SdeModel.bm(0.4, 2.0, 0.3)
+        model = bm_model(0.4, 2.0, 0.3)
         basis = make_basis("trig")
         index_set = IndexSet(np.array([[0, 0, 0], [0, 0, 1], [1, 0, 0]]))
         (got,) = closed_form_bm(model, index_set, basis, [0.9])
@@ -127,10 +127,10 @@ class TestClosedForms:
         assert got == pytest.approx([0.3 + 0.4 * 0.9, 2.0 * e3, 2.0 * 0.9])
 
     def test_bm_higher_orders_vanish(self):
-        model = SdeModel.bm(1.0, 1.0, 0.0)
+        model = bm_model(1.0, 1.0, 0.0)
         index_set = IndexSet(np.array([[0, 2, 0], [1, 1, 0], [2, 0, 0], [0, 0, 3]]))
         assert not closed_form_bm(model, index_set, make_basis("haar"), [0.5]).any()
-        zeroed = SdeModel.bm(0.0, 0.0, 0.0)
+        zeroed = bm_model(0.0, 0.0, 0.0)
         assert closed_form_bm(zeroed, IndexSet(np.zeros((1, 1))), make_basis("trig"),
                               [1.0]) == 0.0
 
@@ -144,7 +144,7 @@ class TestClosedForms:
         assert exact[0, 0] == pytest.approx(math.exp(2.0), rel=1e-12)
         assert sol.coeffs[-1, 0] == pytest.approx(math.exp(2.0), rel=1e-8)
         one = lambda t: 1.0  # noqa: E731
-        not_gbm = [SdeModel.bm(1, 1, 1), SdeModel((0.0, one, 0.0), (0.0, 1.0, 0.0), 1.0),
+        not_gbm = [bm_model(1, 1, 1), SdeModel((0.0, one, 0.0), (0.0, 1.0, 0.0), 1.0),
                    SdeModel((0.0, 1.0, 0.0), (0.0, one, 0.0), 1.0),
                    SdeModel((0.5, 1.0, 0.0), (0.0, 1.0, 0.0), 1.0),
                    SdeModel((0.0, 1.0, 0.0), (0.5, 1.0, 0.0), 1.0),

@@ -24,6 +24,7 @@ from chaossde.errors import IntegratorFailure, MaxStepsExceeded, StepSizeUnderfl
 from chaossde.integrator import _A, _C, _D, _E, ToleranceSpec, integrate
 from chaossde.multiindex import FullTruncation, enumerate_indices
 from chaossde.propagator import SdeModel, build_rhs, initial_state
+from reference import bm_model
 
 
 def old_element_values(spec, k, t):
@@ -196,7 +197,7 @@ def outcome(run, rhs, *args, **kwargs):
 
 MODELS = {
     "gbm": SdeModel.gbm(0.7, 1.3, 1.0),
-    "bm": SdeModel.bm(-0.4, 0.9, 0.5),
+    "bm": bm_model(-0.4, 0.9, 0.5),
     "logistic": SdeModel((0.0, 1.0, -1.0), (0.0, 0.5, 0.0), 0.5),
     "callable": SdeModel((lambda t: 0.3 * t, lambda t: math.cos(t), 0.0),
                          (lambda t: 0.1 - t, 0.8, lambda t: 0.05 * t), 1.0),
