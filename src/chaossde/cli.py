@@ -17,6 +17,7 @@ output is UTF-8 with LF line endings and 17-significant-digit reals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import os
@@ -139,14 +140,12 @@ def _grid(columns: int, t_end: float, points: int) -> np.ndarray:
 
 
 def _problem(args, parser):
-    """The truncation, basis and tolerances of ``solve``/``mc``."""
-    spec = _resolve_truncation(args, parser)
-    basis = make_basis(args.basis, args.t_end)
-    return spec, basis, ToleranceSpec(rtol=args.rtol, atol=args.atol)
+    """The truncation and basis of ``solve``/``mc``."""
+    return _resolve_truncation(args, parser), make_basis(args.basis, args.t_end)
 
 
-def cmd_solve(args, parser, model: SdeModel) -> int:
-    spec, basis, tol = _problem(args, parser)
+def cmd_solve(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
+    spec, basis = _problem(args, parser)
     grid = _grid(checked_count(spec), args.t_end, args.grid)
     sol = solve(model, spec, basis, grid, tol)
     header = ["t", *sol.index_set.labels()]
@@ -221,9 +220,9 @@ def run_benchmark_row(row: BenchmarkRow, basis_token: str, model: SdeModel,
         wall_time_s=elapsed, rtol=tol.rtol, atol=tol.atol)
 
 
-def cmd_table1(args, parser, model: SdeModel) -> int:
+def cmd_table1(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
+    gbm_parameters(model)  # another shape is refused whatever rows match
     accept = _parse_row_filter(args.rows, parser)
-    tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
     reports = [run_benchmark_row(row, token, model, tol)
                for row in BENCHMARK_ROWS if accept(row) for token in args.basis]
     if args.format == "csv":  # by module name: the benchmark self-test patches it
@@ -258,10 +257,9 @@ def _write_curve(path: str, model: SdeModel, spec: FullTruncation, token: str, g
     _write_csv(path, ["t", "exact_var", "approx_var", "abs_err", *extra], rows())
 
 
-def cmd_fig1(args, parser, model: SdeModel) -> int:
+def cmd_fig1(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
     ps = [int(v) for v in args.p.split(",")]
     ks = [int(v) for v in args.k.split(",")]
-    tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
     for spec in (FullTruncation(p=p, k=k) for p in ps for k in ks):
         checked_count(spec)  # every set is refused before the first curve is written
     grid = _grid(_CURVE_COLUMNS, 1.0, args.grid)
@@ -273,7 +271,7 @@ def cmd_fig1(args, parser, model: SdeModel) -> int:
     return 0
 
 
-def cmd_mc(args, parser, model: SdeModel) -> int:
+def cmd_mc(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
     """Monte Carlo cross-check of one configuration.
 
     Samples the truncated expansion at the final time and runs the Euler
@@ -282,7 +280,7 @@ def cmd_mc(args, parser, model: SdeModel) -> int:
     """
     pool_size(args.paths, args.steps)  # bad sizes, CHAOS_THREADS or seeds fail before the solve
     rng_expansion, rng_euler = (RngSpec(seed=args.seed, stream=s) for s in (0, 1))
-    spec, basis, tol = _problem(args, parser)
+    spec, basis = _problem(args, parser)
     block_paths(spec.p, spec.k)  # and so does a set that cannot be sampled
     sol = solve(model, spec, basis, (0.0, args.t_end), tol)  # steps ignore the grid
     mean, variance = moments(sol, args.t_end)
@@ -299,9 +297,8 @@ def cmd_mc(args, parser, model: SdeModel) -> int:
     return 0
 
 
-def cmd_rates(args, parser, model: SdeModel) -> int:
+def cmd_rates(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
     ks = [int(v) for v in args.k.split(",")]
-    tol = ToleranceSpec(rtol=args.rtol, atol=args.atol)
     tails = [tail_sum(make_basis(args.basis, 1.0), k, 1.0) for k in ks]
     tail_slope, _, tail_r2 = loglog_fit(ks, tails)  # before the solves: it checks the ks
     grid = np.linspace(0.0, 1.0, 201)
@@ -315,8 +312,9 @@ def cmd_rates(args, parser, model: SdeModel) -> int:
     return 0
 
 
+@functools.cache  # built on the first call, once per process; no flag takes a prefix
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="chaossde")
+    parser = argparse.ArgumentParser(prog="chaossde", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, formats=True):
@@ -338,30 +336,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     bases = {"type": _bases, "default": "klcos,haar"}  # table1 and fig1
 
-    ps = sub.add_parser("solve", help="integrate one configuration")
+    ps = sub.add_parser("solve", help="integrate one configuration", allow_abbrev=False)
     add_problem(ps)
     ps.add_argument("--grid", type=int, default=101)
     add_common(ps)
 
-    pt = sub.add_parser("table1", help="run the benchmark grid")
+    pt = sub.add_parser("table1", help="run the benchmark grid", allow_abbrev=False)
     pt.add_argument("--rows", default="all")
     pt.add_argument("--basis", **bases)
     add_common(pt)
 
-    pf = sub.add_parser("fig1", help="per-time error curves")
+    pf = sub.add_parser("fig1", help="per-time error curves", allow_abbrev=False)
     pf.add_argument("--basis", **bases)
     pf.add_argument("--p", default="1,2,3,4")
     pf.add_argument("--k", default="2,4,8")
     pf.add_argument("--grid", type=int, default=1001)
     add_common(pf, formats=False)
 
-    pr = sub.add_parser("rates", help="decay slopes over a k sweep")
+    pr = sub.add_parser("rates", help="decay slopes over a k sweep", allow_abbrev=False)
     pr.add_argument("--basis", choices=KINDS, default="trig")
     pr.add_argument("--k", default="8,16,32,64,128")
     pr.add_argument("--p", type=int, default=1)
     add_common(pr)
 
-    pm = sub.add_parser("mc", help="Monte Carlo cross-check")
+    pm = sub.add_parser("mc", help="Monte Carlo cross-check", allow_abbrev=False)
     add_problem(pm)
     pm.add_argument("--paths", type=int, default=100_000)
     pm.add_argument("--steps", type=int, default=1024)
@@ -376,7 +374,8 @@ def main(argv=None) -> int:
     handlers = {"solve": cmd_solve, "table1": cmd_table1,
                 "fig1": cmd_fig1, "rates": cmd_rates, "mc": cmd_mc}
     try:
-        return handlers[args.command](args, parser, SdeModel(args.drift, args.diffusion, args.x0))
+        return handlers[args.command](args, parser, SdeModel(args.drift, args.diffusion, args.x0),
+                                      ToleranceSpec(rtol=args.rtol, atol=args.atol))
     except IntegratorFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

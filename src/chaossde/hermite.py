@@ -117,7 +117,8 @@ def galerkin_tensor(index_set: IndexSet) -> GalerkinTensor:
     order, with weights multiplied coordinate by coordinate from the left,
     exactly as summing ``product_expansion(b, c)`` over the pairs b <= c
     would give them.  Tensors above ``MAX_TENSOR_ENTRIES`` candidate
-    entries raise ``IndexSetTooLarge`` before any entry is built.
+    entries raise ``IndexSetTooLarge`` before any entry is built, and a
+    full set's before its lower-set relation is.
     """
     return index_set.cached("galerkin", _build_galerkin_tensor)
 
@@ -143,6 +144,8 @@ def _build_galerkin_tensor(index_set: IndexSet) -> GalerkinTensor:
     dense = index_set.dense
     n, k, p = len(index_set), index_set.k, index_set.max_order
     _check_order(p)
+    if n == math.comb(k + p, p):  # the full set: its candidates have a closed form
+        _check_tensor_size(index_set, full_candidates(p, k), "candidate entries")
     table = np.array([[[triple_scalar(a, b, c) for c in range(p + 1)]
                        for b in range(p + 1)] for a in range(p + 1)])
     orders = dense.sum(axis=1, dtype=np.intp)
@@ -242,6 +245,21 @@ def _build_galerkin_tensor(index_set: IndexSet) -> GalerkinTensor:
         filled = end
     # on full sets every candidate is an entry
     return out if filled == total else GalerkinTensor(*(a[:filled].copy() for a in out))
+
+
+def full_candidates(p: int, k: int) -> int:
+    """Candidate entries of the full set of order ``p`` on ``k`` coordinates.
+
+    A candidate is an unordered pair b = m + x, c = m + y with target
+    a = x + y, each of order at most p.  With N(i) indices of order i, T
+    counts the ordered triples (m, x, y) by their orders (i, j, l) and D
+    those with x = y, which are their own mirror image; so (T + D) / 2.
+    """
+    count = [math.comb(i + k - 1, i) for i in range(p + 1)]
+    t = sum(count[i] * count[j] * count[l] for i in range(p + 1) for j in range(p + 1 - i)
+            for l in range(min(p - i, p - j) + 1))
+    d = sum(count[i] * count[j] for j in range(p // 2 + 1) for i in range(p + 1 - j))
+    return (t + d) // 2
 
 
 def _check_tensor_size(index_set: IndexSet, count, what: str) -> None:

@@ -117,6 +117,11 @@ class PropagatorSystem:
         self.basis = basis
         self.n = len(index_set)
         self.k = index_set.k
+        # the tensor first: an oversized one is refused before the ladder is built
+        self.needs_quadratic = not model.is_affine
+        if self.needs_quadratic:
+            (self.quad_targets, self.quad_left, self.quad_right,
+             self.quad_weights) = galerkin_tensor(index_set)
 
         dense = index_set.dense
         rows, js = np.nonzero(dense)
@@ -129,11 +134,6 @@ class PropagatorSystem:
             raise InvalidSparseIndex("index set is not downward closed: an index "
                                      "lowered by one unit is missing")
         self.ladder_weights = np.sqrt(dense[rows, js].astype(float))
-
-        self.needs_quadratic = not model.is_affine
-        if self.needs_quadratic:
-            (self.quad_targets, self.quad_left, self.quad_right,
-             self.quad_weights) = galerkin_tensor(index_set)
         self._e0 = np.zeros(self.n)
         self._e0[0] = 1.0  # the set is closed under lowering: row 0 is the zero index
         self._element_values = basis_mod.element_evaluator(basis, self.k)

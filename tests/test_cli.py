@@ -1,5 +1,5 @@
+import argparse
 import dataclasses
-import gc
 import json
 import os
 import tracemalloc
@@ -25,6 +25,22 @@ LOGISTIC = ["--drift", "0,1,-1", "--diffusion", "0,0.5,0", "--x0", "0.5"]
 
 def run(args):
     return cli.main(args)
+
+
+def prefix_cases():
+    """(command, shortest unique proper prefix, takes a value) of each long flag."""
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for command, parser in commands.items():
+        flags = [f for action in parser._actions for f in action.option_strings
+                 if f.startswith("--")]
+        for action in parser._actions:
+            for flag in action.option_strings:
+                unique = [flag[:n] for n in range(3, len(flag))
+                          if sum(f.startswith(flag[:n]) for f in flags) == 1]
+                if flag.startswith("--") and unique:
+                    yield pytest.param(command, unique[0], action.nargs != 0,
+                                       id=f"{command}-{flag}")
 
 
 def strip_wall_time(path):
@@ -178,6 +194,37 @@ class TestExitCodes:
                  "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,prefix,takes_value", prefix_cases())
+    def test_flag_prefix_is_2(self, tmp_path, capsys, monkeypatch, command, prefix,
+                              takes_value):
+        # each flag has one spelling: a unique prefix of it is not a second one
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran with an abbreviated flag")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        problem = ["--basis", "trig", "--p", "1", "--k", "2"] if command in ("solve", "mc") else []
+        with pytest.raises(SystemExit) as exc:
+            run([command, *problem, prefix, *(["1"] if takes_value else []),
+                 "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_abbreviated_rates_flags_are_2(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["rates", "--b", "haar", "--diff", "0,1,0", "--k", "4,8,16", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --b haar --diff 0,1,0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_parser_is_built_once(self, tmp_path):
+        cli.build_parser.cache_clear()
+        for name in ("a.csv", "b.csv"):
+            assert run(["solve", "--basis", "trig", "--p", "1", "--k", "2", "--grid", "3",
+                        "--out", str(tmp_path / name)]) == 0
+        assert cli.build_parser.cache_info().misses == 1
 
     def test_degenerate_grid_is_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -571,11 +618,8 @@ class TestFig1Command:
     def test_held_columns_bound_the_peak(self, tmp_path):
         # the grid check counts 7 float64 columns per point: the traced peak
         # grows by at most that much per point, and by more than 6 columns
-        # With the collector off, argparse's reference cycles stay until the
-        # end, so the moment they are collected cannot move either peak.
         peaks = []
         for points in (25001, 100001):
-            gc.disable()
             tracemalloc.start()
             try:
                 assert run(["fig1", "--basis", "haar", "--p", "1", "--k", "2",
@@ -583,7 +627,6 @@ class TestFig1Command:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-                gc.enable()
         per_point = (peaks[1] - peaks[0]) / 75000
         assert 6 * 8 < per_point <= 7 * 8
 
@@ -717,7 +760,8 @@ class TestMcCommand:
 
 class TestModelOptions:
     @pytest.mark.parametrize("command", [
-        ["table1", "--rows", "k=2"], ["fig1", "--p", "1", "--k", "2"], ["rates"]])
+        ["table1", "--rows", "k=2"], ["table1", "--rows", "k=999"],
+        ["fig1", "--p", "1", "--k", "2"], ["rates"]])
     def test_gbm_commands_refuse_another_shape(self, tmp_path, capsys, monkeypatch, command):
         def refuse(*args, **kwargs):
             raise AssertionError("solved a model that is not GBM")
@@ -729,7 +773,7 @@ class TestModelOptions:
         assert exc.value.code == 2
         assert capsys.readouterr().err == \
             "error: closed form needs constant x^1 terms and no others\n"
-        assert not out.exists()  # fig1 makes no directory either
+        assert not out.exists()  # fig1 makes no directory, table1 matching no row no file
 
     @pytest.mark.parametrize("command", [
         ["solve", "--basis", "klcos", "--p", "1", "--k", "2"], ["table1"], ["fig1"], ["rates"],
@@ -757,14 +801,17 @@ class TestModelOptions:
                            "--out", str(explicit)]) == 0
         assert explicit.read_bytes() == default.read_bytes()
 
-    def test_oversized_quadratic_set_is_2(self, tmp_path):
+    def test_oversized_quadratic_set_is_2(self, tmp_path, capsys):
         # p=6, k=16 has 74,613 indices, within MAX_INDICES, but its Galerkin
-        # tensor is refused (after the lower-set relation is built)
+        # tensor is refused by its closed-form count
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:
             run(["solve", *LOGISTIC, "--basis", "klcos", "--p", "6", "--k", "16",
                  "--out", str(out)])
         assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: the Galerkin tensor of 74613 indices needs 598753821 candidate entries, "
+            "above the cap of 33554432\n")
         assert not out.exists()
 
 

@@ -410,6 +410,27 @@ class TestGalerkinTensor:
             build_rhs(LOGISTIC, index_set, make_basis("klcos"))
         assert time.perf_counter() - started < 10.0
 
+    @pytest.mark.parametrize("p,k", [*itertools.product(range(5), range(1, 7)), (6, 3)])
+    def test_full_set_count_in_closed_form(self, p, k):
+        index_set = enumerate_indices(FullTruncation(p=p, k=k))
+        assert hermite.full_candidates(p, k) == len(galerkin_tensor(index_set).targets)
+
+    def test_oversized_full_set_is_refused_before_the_relation(self):
+        index_set = enumerate_indices(FullTruncation(p=6, k=16))  # outside the measure
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(IndexSetTooLarge) as exc:
+                galerkin_tensor(index_set)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == ("the Galerkin tensor of 74613 indices needs 598753821 "
+                                  "candidate entries, above the cap of 33554432")
+        assert elapsed <= 0.05
+        assert peak <= 20_000_000
+
     def test_small_cap_refuses_a_small_set(self, monkeypatch):
         index_set = enumerate_indices(FullTruncation(p=2, k=3))
         monkeypatch.setattr(hermite, "MAX_TENSOR_ENTRIES", 20)
