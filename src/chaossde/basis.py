@@ -26,6 +26,7 @@ Antiderivative formulas used (T = 1):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +35,7 @@ import numpy as np
 from .errors import OutOfDomain
 
 KINDS = ("trig", "haar", "klcos")
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,16 @@ def _check_domain(spec: BasisSpec, t: float) -> float:
     return t / spec.horizon
 
 
+def haar_cells(k: int) -> int:
+    """Cells of the finest dyadic level of e_1..e_k: 2^L with L = ceil(log2 k)."""
+    return 2 ** (k - 1).bit_length()
+
+
+def haar_cell(spec: BasisSpec, cells: int, t: float) -> int:
+    """Cell ``min(int(x 2^L), 2^L - 1)`` of x = t / T: exact, and x = 1 closes the last."""
+    return min(int(_check_domain(spec, t) * cells), cells - 1)
+
+
 def element_values(spec: BasisSpec, k: int, t: float) -> np.ndarray:
     """Values (e_1(t), ..., e_k(t)) as a vector.
 
@@ -87,15 +99,17 @@ def element_evaluator(spec: BasisSpec, k: int):
     """The function ``t -> element_values(spec, k, t)``, its constants computed once.
 
     Haar elements are constant on each of the 2^n cells of the finest level
-    n: their values are a per-cell sign table, indexed by the exact
-    ``int(x * 2^n)``, times the heights.
+    n: their values are a per-cell sign table, indexed by ``haar_cell``,
+    times the heights.  The smooth families skip the scale on the unit
+    horizon, where x * 1.0 == x bit for bit.
     """
     scale = spec.horizon ** -0.5
     if spec.kind == "klcos":
         w = (np.arange(1, k + 1) - 0.5) * np.pi
 
         def values(t: float) -> np.ndarray:
-            return np.sqrt(2.0) * np.cos(w * _check_domain(spec, t)) * scale
+            out = SQRT2 * np.cos(w * _check_domain(spec, t))
+            return out if scale == 1.0 else out * scale
     elif spec.kind == "trig":
         ls = np.arange(2, k + 1)
         freq = 2.0 * np.pi * (ls // 2)
@@ -103,10 +117,10 @@ def element_evaluator(spec: BasisSpec, k: int):
 
         def values(t: float) -> np.ndarray:
             arg = freq * _check_domain(spec, t)
-            rest = np.sqrt(2.0) * np.where(even, np.sin(arg), np.cos(arg))
-            return np.concatenate(([1.0], rest)) * scale
+            out = np.concatenate(([1.0], SQRT2 * np.where(even, np.sin(arg), np.cos(arg))))
+            return out if scale == 1.0 else out * scale
     else:
-        cells = 2 ** (k - 1).bit_length()
+        cells = haar_cells(k)
         left, mid, right, height = _haar_geometry(k)
         xc = (np.arange(cells) / cells)[:, None]
         signs = np.ones((cells, k), dtype=np.int8)
@@ -115,8 +129,7 @@ def element_evaluator(spec: BasisSpec, k: int):
         heights = np.concatenate(([1.0], height)) * scale
 
         def values(t: float) -> np.ndarray:
-            # x = 1 closes the last cell
-            return signs[min(int(_check_domain(spec, t) * cells), cells - 1)] * heights
+            return signs[haar_cell(spec, cells, t)] * heights
     return values
 
 
@@ -205,6 +218,5 @@ def breakpoints(spec: BasisSpec, k: int) -> np.ndarray:
     """
     if spec.kind != "haar" or k < 2:
         return np.empty(0)
-    n_max = (k - 1).bit_length()
-    cells = 2 ** n_max
+    cells = haar_cells(k)
     return spec.horizon * np.arange(1, cells) / cells

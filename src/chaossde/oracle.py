@@ -53,11 +53,15 @@ def _chunk_generator(rng: RngSpec, chunk_index: int) -> np.random.Generator:
 
 
 def normal_draws(gen: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals via inverse CDF of 53-bit open-interval uniforms."""
+    """Standard normals via inverse CDF of 53-bit open-interval uniforms.
+
+    ``random()`` is i 2^-53 for the top 53 bits i of an output, the i that
+    ``integers(0, 2**53)`` draws; adding 2^-54 rounds as i + 1/2 would.
+    """
     from scipy.special import ndtri  # here: most of the package's import time
 
-    u = np.add(gen.integers(0, 1 << 53, size=shape, dtype=np.uint64), 0.5)
-    u *= 2.0 ** -53
+    u = gen.random(shape)
+    u += 2.0 ** -54
     return ndtri(u, out=u)
 
 
@@ -249,8 +253,13 @@ def euler_maruyama(model: SdeModel, n_steps: int, n_paths: int, rng: RngSpec,
             b0, b1, b2 = drift_vals[i]
             g0, g1, g2 = diff_vals[i]
             z = normal_draws(gen, size)
-            np.add(b0, np.multiply(b1, x, out=drift), out=drift)
-            np.add(g0, np.multiply(g1, x, out=diff), out=diff)
+            # a zero constant is not added: that changes only the sign of a zero
+            np.multiply(b1, x, out=drift)
+            if b0 != 0.0:
+                np.add(b0, drift, out=drift)
+            np.multiply(g1, x, out=diff)
+            if g0 != 0.0:
+                np.add(g0, diff, out=diff)
             if b2 != 0.0 or g2 != 0.0:
                 np.multiply(x, x, out=x_sq)
                 drift += np.multiply(b2, x_sq, out=tmp)

@@ -110,6 +110,12 @@ class PropagatorSystem:
     so evaluating the system inside an adaptive integrator touches only
     flat arrays.  Instances are callable as
     ``system(t, y)`` and expose the assembly for inspection.
+
+    On a Haar basis the ladder sum runs over one cell's entries: those whose
+    element is non-zero in the finest cell of ``t``, kept for one cell at a
+    time (steps never cross a breakpoint).  A skipped entry would add an
+    exact +-0 to a bin sum that starts at +0.0, which changes no bit; with
+    non-finite diffusion coefficients the full ladder keeps the NaN bits.
     """
 
     def __init__(self, model: SdeModel, index_set: IndexSet, basis: BasisSpec):
@@ -137,6 +143,9 @@ class PropagatorSystem:
         self._e0 = np.zeros(self.n)
         self._e0[0] = 1.0  # the set is closed under lowering: row 0 is the zero index
         self._element_values = basis_mod.element_evaluator(basis, self.k)
+        self._cells = basis_mod.haar_cells(self.k) if basis.kind == "haar" else 0
+        # (cell, rows, srcs, weight * e_j) of the last Haar cell, replaced whole
+        self._cell_ladder = (-1, None, None, None)
         # constant coefficients are read once, callables on every call
         self._drift, self._diffusion = (None if any(map(callable, c)) else tuple(c)
                                         for c in (model.drift, model.diffusion))
@@ -161,10 +170,24 @@ class PropagatorSystem:
                 minlength=self.n)
         out = self._project(b0, b1, b2, y, quad)
         sigma_coeffs = self._project(g0, g1, g2, y, quad)
+        if self._cells and np.isfinite(sigma_coeffs).all():
+            cell = basis_mod.haar_cell(self.basis, self._cells, t)
+            if cell != self._cell_ladder[0]:
+                self._cell_ladder = self._ladder_in(cell, t)
+            _, rows, srcs, products = self._cell_ladder
+            out += np.bincount(rows, weights=products * sigma_coeffs[srcs], minlength=self.n)
+            return out
         e_vals = self._element_values(t)
         contrib = self.ladder_weights * e_vals[self.ladder_js] * sigma_coeffs[self.ladder_srcs]
         out += np.bincount(self.ladder_rows, weights=contrib, minlength=self.n)
         return out
+
+    def _ladder_in(self, cell: int, t: float) -> tuple:
+        """``cell`` (holding ``t``) and its ladder entries whose element is non-zero."""
+        e_at = self._element_values(t)[self.ladder_js]
+        keep = np.flatnonzero(e_at)
+        return (cell, self.ladder_rows[keep], self.ladder_srcs[keep],
+                self.ladder_weights[keep] * e_at[keep])
 
 
 def build_rhs(model: SdeModel, index_set: IndexSet, basis: BasisSpec) -> PropagatorSystem:

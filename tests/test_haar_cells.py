@@ -1,0 +1,95 @@
+"""The Haar right-hand side's per-cell ladder against the full ladder.
+
+On a Haar basis the right-hand side sums the ladder over only the entries
+whose element is non-zero in the finest dyadic cell of ``t``, built when the
+cell changes.  For finite states the skipped contributions are exact zeros,
+so every derivative must equal the full ladder's (``old_rhs``) bit for bit:
+in every cell, at each breakpoint and one ulp to the left of it, whatever
+order the cells are visited in.
+"""
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_index_arrays import specs
+from test_solver_bytes import MODELS, old_rhs
+
+from chaossde.basis import BasisSpec, breakpoints, element_values, haar_cell, haar_cells
+from chaossde.integrator import ToleranceSpec, integrate
+from chaossde.multiindex import FullTruncation, enumerate_indices
+from chaossde.propagator import build_rhs, initial_state
+
+HAAR = [BasisSpec("haar", horizon) for horizon in (1.0, 2.0)]
+# sizes that keep the quadratic models' Galerkin tensors small
+SETS = (specs(max_p=3, max_k=9, closed=True) | specs(max_p=2, max_k=24, closed=True)
+        | specs(max_p=1, max_k=64, closed=True))
+
+
+def cell_times(basis, k):
+    """0, T, one ulp left of T, and each breakpoint and one ulp left of it."""
+    T = basis.horizon
+    bps = breakpoints(basis, k).tolist()
+    return [0.0, T, math.nextafter(T, 0.0), *bps, *(math.nextafter(b, 0.0) for b in bps)]
+
+
+def active_entries(system, t):
+    """Positions of the ladder entries whose element is non-zero at ``t``."""
+    return np.flatnonzero(element_values(system.basis, system.k, t)[system.ladder_js])
+
+
+def held_bytes(system):
+    values = [*vars(system).values(), *system._cell_ladder]
+    return sum(value.nbytes for value in values if isinstance(value, np.ndarray))
+
+
+class TestCellPath:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(MODELS)), st.sampled_from(HAAR), SETS, st.data())
+    def test_matches_the_full_ladder(self, model, basis, spec, data):
+        index_set = enumerate_indices(spec)
+        system = build_rhs(MODELS[model], index_set, basis)
+        free = data.draw(st.lists(st.floats(0.0, basis.horizon), max_size=10))
+        ts = data.draw(st.permutations(cell_times(basis, index_set.k) + free))
+        values = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0])
+        y = np.array(data.draw(st.lists(values, min_size=len(index_set),
+                                        max_size=len(index_set))))
+        for t in ts:
+            assert system(t, y).tobytes() == old_rhs(system)(t, y).tobytes()
+        assert system._cell_ladder[0] == haar_cell(basis, haar_cells(index_set.k), ts[-1])
+
+    def test_touches_the_entries_with_a_nonzero_element(self):
+        index_set = enumerate_indices(FullTruncation(p=2, k=16))
+        for basis in HAAR:
+            system = build_rhs(MODELS["gbm"], index_set, basis)
+            y = np.ones(len(index_set))
+            cells = haar_cells(index_set.k)
+            for cell in range(cells):
+                t = basis.horizon * cell / cells
+                system(t, y)
+                keep = active_entries(system, t)
+                held, rows, srcs, products = system._cell_ladder
+                assert held == cell
+                assert rows.tolist() == system.ladder_rows[keep].tolist()
+                assert srcs.tolist() == system.ladder_srcs[keep].tolist()
+                assert products.tobytes() == (
+                    system.ladder_weights[keep]
+                    * element_values(basis, 16, t)[system.ladder_js[keep]]).tobytes()
+                # e_1 and one element on each of the 4 levels
+                assert len(np.unique(system.ladder_js[keep])) == 1 + 4
+
+    def test_a_solve_leaves_one_cell(self):
+        index_set = enumerate_indices(FullTruncation(p=2, k=8))
+        basis = HAAR[1]
+        fresh = build_rhs(MODELS["gbm"], index_set, basis)
+        system = build_rhs(MODELS["gbm"], index_set, basis)
+        integrate(system, initial_state(MODELS["gbm"], index_set),
+                  np.linspace(0.0, basis.horizon, 33), ToleranceSpec(),
+                  breakpoints(basis, index_set.k))
+        cell, *arrays = system._cell_ladder
+        assert cell == haar_cells(index_set.k) - 1
+        last = len(active_entries(system, basis.horizon))
+        assert [len(array) for array in arrays] == [last] * 3
+        # beyond the assembly, the solve left only the last cell's arrays
+        assert vars(system).keys() == vars(fresh).keys()
+        assert held_bytes(system) - held_bytes(fresh) == sum(a.nbytes for a in arrays)

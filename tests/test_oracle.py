@@ -52,6 +52,24 @@ class TestNormalDraws:
         assert np.array_equal(a, a2)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("rng", [RngSpec(seed=0), RngSpec(seed=20250807, stream=5),
+                                     RngSpec(seed=2 ** 64 - 1, stream=2 ** 64 - 1)])
+    def test_matches_the_integer_formula(self, rng):
+        # the uniforms (i + 1/2) 2^-53 of the top 53 bits i, as integers() drew them;
+        # successive calls continue one generator, as the sampler's blocks do
+        from scipy.special import ndtri
+
+        def old_normal_draws(gen, shape):
+            u = np.add(gen.integers(0, 1 << 53, size=shape, dtype=np.uint64), 0.5)
+            u *= 2.0 ** -53
+            return ndtri(u, out=u)
+
+        for chunk in (0, 1, 37):
+            new, old = _chunk_generator(rng, chunk), _chunk_generator(rng, chunk)
+            for shape in (1, 3, 7, (5, 3), (4097, 8), CHUNK):
+                assert normal_draws(new, shape).tobytes() == \
+                    old_normal_draws(old, shape).tobytes()
+
     def test_rng_spec_validation(self):
         with pytest.raises(ValueError):
             RngSpec(seed=-1)
