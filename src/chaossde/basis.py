@@ -81,8 +81,18 @@ def haar_cells(k: int) -> int:
 
 
 def haar_cell(spec: BasisSpec, cells: int, t: float) -> int:
-    """Cell ``min(int(x 2^L), 2^L - 1)`` of x = t / T: exact, and x = 1 closes the last."""
-    return min(int(_check_domain(spec, t) * cells), cells - 1)
+    """Cell of ``t``: the number of ``breakpoints`` at or before it, t = T in the last.
+
+    ``min(int(x 2^L), 2^L - 1)`` of x = t / T is off by at most one where
+    t / T rounds across i / 2^L; the breakpoint ``T i / 2^L``, rounded as
+    ``breakpoints`` rounds it, settles the cell.
+    """
+    cell = min(int(_check_domain(spec, t) * cells), cells - 1)
+    if cell + 1 < cells and t >= spec.horizon * (cell + 1) / cells:
+        return cell + 1
+    if cell and t < spec.horizon * cell / cells:
+        return cell - 1
+    return cell
 
 
 def element_values(spec: BasisSpec, k: int, t: float) -> np.ndarray:

@@ -32,23 +32,31 @@ def _check_order(n: int) -> None:
         raise OrderTooLarge(f"order {n} exceeds the cap {MAX_ORDER}")
 
 
-def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
+def hermite_table(n_max: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Values H_0(x)..H_{n_max}(x), stacked along the first axis.
 
-    The result is C-contiguous whatever the layout of ``x``; the recurrence
-    reads x back from ``out[1]``, so a transposed view costs one copy.
+    The table is filled into ``out`` (shape ``(n_max+1,) + x.shape``) when
+    given, else into a new C-contiguous array.  The recurrence reads x back
+    from ``out[1]``, so ``x`` is copied there unless it is that row already.
+    Row 0 holds the subtrahend sqrt(m) H_{m-1} while the rows above it are
+    formed, and is reset to 1.0 at the end; no other memory is taken.
     """
     _check_order(n_max)
     x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + x.shape)
+    if out is None:
+        out = np.empty((n_max + 1,) + x.shape)
     out[0] = 1.0
-    if n_max >= 1:
+    if n_max >= 1 and not (x.ctypes.data == out[1].ctypes.data
+                           and x.strides == out[1].strides):
         out[1] = x
-    tmp = np.empty(x.shape)
     for m in range(1, n_max):  # (x H_m - sqrt(m) H_{m-1}) / sqrt(m+1), in place
         np.multiply(out[1], out[m], out=out[m + 1])
-        out[m + 1] -= np.multiply(math.sqrt(m), out[m - 1], out=tmp)
+        if m > 1:  # at m = 1 the subtrahend is H_0 = 1.0 itself
+            np.multiply(math.sqrt(m), out[m - 1], out=out[0])
+        out[m + 1] -= out[0]
         out[m + 1] /= math.sqrt(m + 1)
+    if n_max > 2:
+        out[0] = 1.0
     return out
 
 

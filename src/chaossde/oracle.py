@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,8 +28,8 @@ CHUNK = 1 << 16  # paths per substream; fixed so results never depend on threadi
 # gain nothing; the cap keeps a mistyped CHAOS_THREADS from starting
 # thousands of threads.
 MAX_THREADS = 64
-# Working set of a sampling worker: it draws and tabulates a chunk in the fewest
-# equal path blocks that fit in this many bytes (p=5, k=8 makes two blocks).
+# Working set of a sampling worker: it tabulates a chunk in the fewest equal
+# path blocks whose Hermite table fits in this many bytes (p=5, k=8 makes two).
 SAMPLE_BLOCK_BYTES = 1 << 24
 
 
@@ -100,7 +101,8 @@ def _chunk_sums(worker, rng: RngSpec, n_paths: int, threads: int):
 
     Chunk i draws from its own Philox substream; results are added in chunk
     order regardless of completion order, so the sum is bit-identical under
-    any thread count.
+    any thread count.  The pool of each thread count is made once and kept
+    (see ``_pool``).
     """
     def quiet(gen: np.random.Generator, size: int):  # the statistics report overflows
         with np.errstate(over="ignore", invalid="ignore"):
@@ -108,8 +110,22 @@ def _chunk_sums(worker, rng: RngSpec, n_paths: int, threads: int):
 
     sizes = [min(CHUNK, n_paths - i * CHUNK) for i in range(-(-n_paths // CHUNK))]
     generators = [_chunk_generator(rng, i) for i in range(len(sizes))]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(quiet, generators, sizes), 0.0)
+    return sum(_pool(threads).map(quiet, generators, sizes), 0.0)
+
+
+@lru_cache(maxsize=None)
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The chunk pool of ``threads`` workers, kept for the life of the process.
+
+    Its threads keep their malloc arenas, so the memory a worker frees at the
+    end of one call serves its next.  A pool made per call could start a
+    thread before the last call's threads had given their arenas back, and a
+    sampling table then landed in fresh memory: peak RSS jumped by about 12 MB
+    in 6 of 30 processes of ``mc`` at p=5, k=8 on 2 threads.  Callers on
+    several threads may share it, since chunks share no state; its idle
+    threads are joined at interpreter exit by ``concurrent.futures``.
+    """
+    return ThreadPoolExecutor(max_workers=threads)
 
 
 @dataclass(frozen=True)
@@ -149,26 +165,27 @@ def _stats_from_power_sums(n: int, s: np.ndarray, t: float) -> SampleStats:
 
 def _power_sums(values: np.ndarray) -> np.ndarray:
     out = np.empty(6)
-    acc = values
-    for m in range(6):
+    out[0] = values.sum()
+    acc = values * values
+    for m in range(1, 6):
         out[m] = acc.sum()
         if m < 5:
-            acc = acc * values
+            acc *= values
     return out
 
 
 def block_paths(p: int, k: int) -> int:
-    """Paths per block: each takes ``8 k (p+2)`` bytes of draws and Hermite table.
+    """Paths per block: each takes ``8 k (p+1)`` bytes of Hermite table.
 
     An order above ``hermite.MAX_ORDER`` raises ``OrderTooLarge``, and a set
     whose one path exceeds ``SAMPLE_BLOCK_BYTES`` raises ``IndexSetTooLarge``.
     """
     _check_order(p)
-    path_bytes = 8 * k * (p + 2)
+    path_bytes = 8 * k * (p + 1)
     if path_bytes > SAMPLE_BLOCK_BYTES:
         raise IndexSetTooLarge(
-            f"sampling p={p}, k={k} needs {path_bytes} bytes of draws and Hermite "
-            f"table per path, above the block of {SAMPLE_BLOCK_BYTES}")
+            f"sampling p={p}, k={k} needs {path_bytes} bytes of Hermite table per "
+            f"path, above the block of {SAMPLE_BLOCK_BYTES}")
     return SAMPLE_BLOCK_BYTES // path_bytes
 
 
@@ -196,9 +213,12 @@ def sample_expansion(sol: ChaosSolution, t: float, n_paths: int,
     so each factor H_a(xi_j) over a block is one contiguous row; a term is
     formed in a reused buffer as ``coeff * factor_1 * factor_2 * ...`` in
     ascending coordinate order and added to the path values in index order.
-    A chunk is drawn and tabulated in the fewest equal path blocks whose
-    ``8 k block (p+2)`` bytes fit in ``SAMPLE_BLOCK_BYTES``; the power sums
-    span the whole chunk, so no statistic depends on the block size.  A set
+    A chunk is tabulated in the fewest equal path blocks whose table,
+    ``8 k block (p+1)`` bytes, fits in ``SAMPLE_BLOCK_BYTES``; one table
+    buffer serves all blocks of a chunk.  A block's draws come in slabs of
+    paths, each as many values as one factor row, written transposed into
+    row 1, which the recurrence then reads as x; the power sums span the
+    whole chunk, so no statistic depends on the block or slab size.  A set
     whose one path does not fit (see ``block_paths``) raises
     ``IndexSetTooLarge`` before anything is drawn.
     """
@@ -212,22 +232,31 @@ def sample_expansion(sol: ChaosSolution, t: float, n_paths: int,
     def worker(gen: np.random.Generator, size: int) -> np.ndarray:
         n_blocks = -(-size // max_block)
         block = -(-size // n_blocks)
+        slab = -(-block // k)  # paths whose draws fill one factor row
+        # each block's table in turn; allocated first and held to the chunk's
+        # end, so the worker's next chunk finds its freed space whole
+        tables = np.empty((p_max + 1) * k * block)
         values = np.zeros(size)
+        buf = np.empty(block)  # one term at a time
         for start in range(0, size, block):
             part = values[start:start + block]
-            buf = np.empty(len(part))  # one term at a time
-            # (p+1, k, len(part)); the draws are freed once tabulated
-            table = hermite_table(p_max, normal_draws(gen, (len(part), k)).T)
+            n = len(part)
+            table = tables[:(p_max + 1) * k * n].reshape(p_max + 1, k, n)
+            if p_max:  # at order 0 no term has a factor, so nothing is drawn
+                for s in range(0, n, slab):
+                    m = min(slab, n - s)
+                    table[1, :, s:s + m] = normal_draws(gen, (m, k)).T
+                hermite_table(p_max, table[1], out=table)
+            term = buf[:n]
             for coeff, factors in terms:
                 if not factors:  # the zero index
                     part += coeff
                     continue
                 (a, j), *rest = factors
-                np.multiply(coeff, table[a, j], out=buf)
+                np.multiply(coeff, table[a, j], out=term)
                 for a, j in rest:
-                    buf *= table[a, j]
-                part += buf
-            del table  # before the next block is drawn
+                    term *= table[a, j]
+                part += term
         return _power_sums(values)
 
     return _stats_from_power_sums(n_paths, _chunk_sums(worker, rng, n_paths, threads), t)

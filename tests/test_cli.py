@@ -278,9 +278,9 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_unsampleable_set_is_2_before_the_solve(self, tmp_path, capsys, monkeypatch):
-        # orders 0..64 on the first of k coordinates: one path's draws and
-        # Hermite table, 8 k (p+2) bytes, exceed a sampling block
-        k = oracle.SAMPLE_BLOCK_BYTES // (8 * 66) + 1
+        # orders 0..64 on the first of k coordinates: one path's Hermite
+        # table, 8 k (p+1) bytes, exceeds a sampling block
+        k = oracle.SAMPLE_BLOCK_BYTES // (8 * 65) + 1
 
         def refuse(*args, **kwargs):
             raise AssertionError("solved before the size check")
@@ -291,7 +291,7 @@ class TestExitCodes:
                  "--sparse", ",".join(["64"] + ["0"] * (k - 1)), "--paths", "10",
                  "--steps", "2", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
-        assert f"p=64, k={k} needs {8 * k * 66} bytes" in capsys.readouterr().err
+        assert f"p=64, k={k} needs {8 * k * 65} bytes" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_order_above_the_hermite_cap_is_2_before_the_solve(self, tmp_path, capsys,

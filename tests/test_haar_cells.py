@@ -5,7 +5,8 @@ whose element is non-zero in the finest dyadic cell of ``t``, built when the
 cell changes.  For finite states the skipped contributions are exact zeros,
 so every derivative must equal the full ladder's (``old_rhs``) bit for bit:
 in every cell, at each breakpoint and one ulp to the left of it, whatever
-order the cells are visited in.
+order the cells are visited in.  The cell index itself must agree with the
+breakpoints at any horizon.
 """
 import math
 
@@ -93,3 +94,19 @@ class TestCellPath:
         # beyond the assembly, the solve left only the last cell's arrays
         assert vars(system).keys() == vars(fresh).keys()
         assert held_bytes(system) - held_bytes(fresh) == sum(a.nbytes for a in arrays)
+
+
+class TestCellIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+           st.integers(2, 1024))
+    def test_each_breakpoint_opens_the_cell_on_its_right(self, horizon, k):
+        # breakpoints() rounds T i / cells, and t / T can round across i / cells
+        # when T is not a power of two
+        basis = BasisSpec("haar", horizon)
+        cells = haar_cells(k)
+        for i, b in enumerate(breakpoints(basis, k).tolist(), start=1):
+            assert haar_cell(basis, cells, b) == i
+            assert haar_cell(basis, cells, math.nextafter(b, 0.0)) == i - 1
+        assert haar_cell(basis, cells, 0.0) == 0
+        assert haar_cell(basis, cells, horizon) == cells - 1

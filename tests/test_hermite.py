@@ -47,6 +47,22 @@ class TestHermiteValues:
             for i, x in enumerate(xs):
                 assert table[n, i] == pytest.approx(hermite_n(n, x), rel=1e-14)
 
+    def test_table_is_the_scalar_recurrence_bit_for_bit(self):
+        # row 0 holds the table's subtrahend, which the scalar recurrence forms
+        # in a temporary; operands and order are the same, so are the bits,
+        # whether the table is new, filled into a buffer whose row 1 already
+        # holds x, or copied from a strided view
+        x = np.random.default_rng(3).normal(scale=3.0, size=(4, 25))
+        want = np.array([[[hermite_n(n, v) for v in row] for row in x] for n in range(65)])
+        for n_max in (0, 1, 2, 3, 64):
+            assert hermite_table(n_max, x).tobytes() == want[:n_max + 1].tobytes()
+            out = np.full((n_max + 1,) + x.shape, np.nan)
+            if n_max:
+                out[1] = x
+            assert hermite_table(n_max, out[min(n_max, 1)], out=out) is out
+            assert out.tobytes() == want[:n_max + 1].tobytes()
+        assert hermite_table(64, x.T).tobytes() == want.transpose(0, 2, 1).tobytes()
+
 
 class TestOrthonormality:
     def test_quadrature_orthonormality_up_to_20(self):

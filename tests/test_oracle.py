@@ -1,10 +1,13 @@
 import math
 import os
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from chaossde import oracle
 from chaossde.analysis import moments
 from chaossde.basis import kl_partial, make_basis
 from chaossde.errors import NonFiniteValue
@@ -106,6 +109,48 @@ class TestThreadCount:
         assert pool_size(3 * CHUNK) == 3
         assert pool_size(3 * CHUNK + 1) == 4
         assert pool_size(1000 * CHUNK) == MAX_THREADS
+
+    def test_successive_calls_run_on_the_same_threads(self, monkeypatch):
+        # a kept pool keeps its threads, and with them their malloc arenas
+        monkeypatch.setenv("CHAOS_THREADS", "2")
+        seen = []
+
+        def recording(gen, shape):
+            seen.append(threading.current_thread())
+            return normal_draws(gen, shape)
+
+        monkeypatch.setattr(oracle, "normal_draws", recording)
+        model = SdeModel.gbm(1.0, 1.0, 1.0)
+        euler_maruyama(model, 2, 4 * CHUNK, RngSpec(seed=0))
+        first = set(seen)
+        seen.clear()
+        euler_maruyama(model, 2, 4 * CHUNK, RngSpec(seed=1))
+        assert set(seen) <= first and threading.current_thread() not in first
+
+    def test_callers_on_several_threads_share_the_pool(self, monkeypatch):
+        # four callers submit their chunks to one kept two-worker pool at once;
+        # each must still get exactly its own serial result
+        monkeypatch.setenv("CHAOS_THREADS", "2")
+        model = SdeModel.gbm(1.0, 1.0, 1.0)
+        runs = [(model, 4, 3 * CHUNK + 5, RngSpec(seed=s)) for s in range(4)]
+        want = [euler_maruyama(*run) for run in runs]
+        got = [None] * len(runs)
+
+        def call(i):
+            got[i] = euler_maruyama(*runs[i])
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(runs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == want
 
 
 class TestRunSizes:

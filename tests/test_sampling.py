@@ -79,9 +79,9 @@ def record_block_sizes(monkeypatch) -> list:
     """Path counts of the Hermite tables ``sample_expansion`` builds."""
     sizes = []
 
-    def recording(n_max, x):
+    def recording(n_max, x, out=None):
         sizes.append(x.shape[-1])
-        return hermite_table(n_max, x)
+        return hermite_table(n_max, x, out)
 
     monkeypatch.setattr(oracle, "hermite_table", recording)
     return sizes
@@ -96,7 +96,7 @@ class TestBitIdentity:
         # and a budget of block_paths paths splits each chunk into equal
         # blocks, the last one ragged
         rng = RngSpec(seed=seed, stream=3)
-        per_path = 8 * sol.index_set.k * (sol.index_set.max_order + 2)
+        per_path = 8 * sol.index_set.k * (sol.index_set.max_order + 1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "CHUNK", 64)
             mp.setattr(oracle, "SAMPLE_BLOCK_BYTES", per_path * block_paths)
@@ -108,7 +108,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("p, k, blocks", [
         (3, 4, [oracle.CHUNK]),  # the chunk fits in one block
-        (5, 8, [oracle.CHUNK // 2] * 2),  # 8 k CHUNK (p+2) = 29 MB splits in two
+        (5, 8, [oracle.CHUNK // 2] * 2),  # 8 k CHUNK (p+1) = 25 MB splits in two
     ], ids=["p3k4", "p5k8"])
     def test_matches_old_loop_at_full_chunk(self, monkeypatch, threads, p, k, blocks):
         # two chunks, the second ragged, on a solved GBM expansion
@@ -125,8 +125,8 @@ class TestBitIdentity:
 
     def test_matches_old_loop_above_the_old_chunk_cap(self, monkeypatch):
         # orders 0..64 on the first of 32 coordinates, on two workers: whole-chunk
-        # tables would take 8 k CHUNK (p+2) 2 = 2.2e9 bytes, but one path takes
-        # 16,896, so each chunk runs in 66 blocks of 979 paths and one of 922
+        # tables would take 8 k CHUNK (p+1) 2 = 2.2e9 bytes, but one path takes
+        # 16,640, so each chunk runs in 65 blocks of 993 paths and one of 991
         index_set = enumerate_indices(SparseFirstOrder((64,) + (0,) * 31))
         row = np.cos(np.arange(len(index_set)))
         sol = ChaosSolution(index_set, GRID, np.stack([np.zeros_like(row), row]))
@@ -137,13 +137,15 @@ class TestBitIdentity:
         sizes = record_block_sizes(monkeypatch)
         got = sample_expansion(sol, 1.0, n_paths, rng)
         assert stats_hex(got) == stats_hex(want)
-        assert sorted(set(sizes)) == [922, 979] and sum(sizes) == n_paths
+        assert sorted(set(sizes)) == [991, 993] and sum(sizes) == n_paths
 
 
 class TestWorkingSet:
-    def test_sampling_peak_stays_below_20_mib(self, monkeypatch):
+    def test_sampling_peak_stays_below_14_mib(self, monkeypatch):
         # one 65,536-path chunk of p=5, k=8 on one worker: the whole-chunk
-        # draws and Hermite table peaked at 36.3 MiB, two blocks at 17.1 MiB
+        # draws and Hermite table peaked at 36.3 MiB, two blocks each with its
+        # own draws, H_0 row and recurrence temporary at 17.1 MiB, and one
+        # 12 MiB table buffer for both blocks, filled by slabs of draws, at 13.6
         sol = solve(SdeModel.gbm(1.0, 1.0, 1.0), FullTruncation(p=5, k=8),
                     make_basis("trig"), GRID, ToleranceSpec(rtol=1e-6, atol=1e-9))
         monkeypatch.setenv("CHAOS_THREADS", "1")
@@ -154,14 +156,14 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert peak <= 14 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestMemoryBound:
     def test_oversized_table_raises_before_drawing(self, monkeypatch):
         # the zero and first unit index on k coordinates, one more than a
-        # block holds with one path: 8 k (p+2) bytes of draws and table
-        k = oracle.SAMPLE_BLOCK_BYTES // (8 * 3) + 1
+        # block holds with one path: 8 k (p+1) bytes of Hermite table
+        k = oracle.SAMPLE_BLOCK_BYTES // (8 * 2) + 1
         assert oracle.block_paths(1, k - 1) == 1
         dense = np.zeros((2, k), dtype=INDEX_DTYPE)
         dense[1, 0] = 1
@@ -173,6 +175,6 @@ class TestMemoryBound:
         for name in ("_chunk_generator", "normal_draws", "hermite_table"):
             monkeypatch.setattr(oracle, name, refuse)
         monkeypatch.setenv("CHAOS_THREADS", "1")
-        needed = 8 * k * 3
+        needed = 8 * k * 2
         with pytest.raises(IndexSetTooLarge, match=f"p=1, k={k} needs {needed} bytes"):
             sample_expansion(sol, 1.0, oracle.CHUNK, RngSpec(seed=0))
