@@ -87,7 +87,10 @@ def third_moment(sol: ChaosSolution, t: float) -> float:
 def gbm_variance_exact(mu: float, sigma: float, x0: float, t) -> np.ndarray | float:
     """Var(X_t) = x0^2 exp(2 mu t) (exp(sigma^2 t) - 1) for geometric BM."""
     t = np.asarray(t, dtype=float)
-    out = x0 * x0 * np.exp(2.0 * mu * t) * (np.exp(sigma * sigma * t) - 1.0)
+    out, tail = np.empty_like(t), np.empty_like(t)  # those operations, in order, in place
+    np.multiply(x0 * x0, np.exp(np.multiply(2.0 * mu, t, out=out), out=out), out=out)
+    np.exp(np.multiply(sigma * sigma, t, out=tail), out=tail)
+    np.multiply(out, np.subtract(tail, 1.0, out=tail), out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -110,7 +113,7 @@ def error_curve(sol: ChaosSolution, exact_var) -> ErrorCurve:
     exact variance or error raises ``NonFiniteValue`` at its first grid time.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the raise below reports it
-        # the exact variance's temporaries before the moments, the error in
+        # the exact variance's two buffers before the moments, the error in
         # place: at most six grid-length float64 columns are held at once
         exact = np.asarray(exact_var(sol.grid), dtype=float)
         means, approx = moment_curves(sol)

@@ -2,30 +2,37 @@
 
 An index is a dense row of non-negative integers, one per basis element:
 entry i selects the Hermite order applied to the Gaussian coordinate
-W(e_{i+1}).  Truncations restrict the admissible rows either by total
-order and basis count alone (full truncation) or with additional
-per-coordinate caps (first/second order sparse truncations).
+W(e_{i+1}).  Every truncation caps the rows of each total order m <= p
+coordinate by coordinate, ``caps(m)``: a full one at m, a first order
+sparse one at min(r_i, m) and a second order sparse one by its row m.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import IndexSetTooLarge, InvalidSparseIndex
 
 
-def _int_caps(values) -> tuple[tuple[int, ...], np.ndarray]:
-    """``tuple(int(v) for v in values)``, and the same caps as an array."""
+def _checked_caps(values, name: str, head: int | None = None) -> tuple[int, ...]:
+    """``values`` as ints, refused unless non-negative, non-increasing and led by ``head``."""
     caps = np.array(values)
     if caps.ndim != 1 or caps.dtype.kind not in "iu":
         # floats, bools, text and ints beyond 64 bits, one by one
         caps = np.array([int(v) for v in values])
-    return tuple(caps.tolist()), caps
+    values = tuple(caps.tolist())
+    if np.any(caps < 0):
+        raise InvalidSparseIndex(f"negative cap in {name}: {values}")
+    if np.any(caps[:-1] < caps[1:]):
+        raise InvalidSparseIndex(f"{name} caps must be non-increasing, got {values}")
+    if head is not None and values[:1] != (head,):
+        raise InvalidSparseIndex(f"{name} must start with {head}, got {values}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,12 @@ class FullTruncation:
         if self.p < 0 or self.k < 1:
             raise InvalidSparseIndex(f"need p >= 0 and k >= 1, got p={self.p} k={self.k}")
 
+    def caps(self, m: int) -> tuple[int, ...]:
+        """The k caps of the rows of total order m <= p: m on every coordinate."""
+        return (m,) * self.k
+
+    text = ""  # the text form of a sparse index; a full set has none
+
 
 @dataclass(frozen=True)
 class SparseFirstOrder:
@@ -47,22 +60,17 @@ class SparseFirstOrder:
     r: tuple[int, ...]
 
     def __post_init__(self):
-        r, caps = _int_caps(self.r)
-        object.__setattr__(self, "r", r)
-        if not r:
+        object.__setattr__(self, "r", _checked_caps(self.r, "sparse index"))
+        if not self.r:
             raise InvalidSparseIndex("sparse index must have at least one entry")
-        if np.any(caps < 0):
-            raise InvalidSparseIndex(f"negative cap in {r}")
-        if np.any(caps[:-1] < caps[1:]):
-            raise InvalidSparseIndex(f"caps must be non-increasing, got {r}")
 
-    @property
-    def p(self) -> int:
-        return self.r[0]
+    p = property(lambda self: self.r[0])
+    k = property(lambda self: len(self.r))
+    text = property(lambda self: ",".join(map(str, self.r)))
 
-    @property
-    def k(self) -> int:
-        return len(self.r)
+    def caps(self, m: int) -> tuple[int, ...]:
+        """The k caps of the rows of total order m <= p: min(r_i, m)."""
+        return self.r if m >= self.p else tuple(min(c, m) for c in self.r)  # no cap exceeds p
 
 
 @dataclass(frozen=True)
@@ -76,32 +84,23 @@ class SparseSecondOrder:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        parsed = [_int_caps(row) for row in self.rows]
-        rows = tuple(row for row, _ in parsed)
+        rows = tuple(_checked_caps(row, f"row {j}", j) for j, row in enumerate(self.rows, start=1))
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise InvalidSparseIndex("second order sparse index needs at least one row")
-        k = len(rows[0])
-        for j, (row, caps) in enumerate(parsed, start=1):
-            if len(row) != k:
-                raise InvalidSparseIndex("all rows must have the same length")
-            if row[0] != j:
-                raise InvalidSparseIndex(f"row {j} must start with {j}, got {row}")
-            if np.any(caps[:-1] < caps[1:]):
-                raise InvalidSparseIndex(f"row {j} caps must be non-increasing, got {row}")
-            if np.any(caps < 0):
-                raise InvalidSparseIndex(f"negative cap in row {j}: {row}")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise InvalidSparseIndex("all rows must have the same length")
 
-    @property
-    def p(self) -> int:
-        return len(self.rows)
+    p = property(lambda self: len(self.rows))
+    k = property(lambda self: len(self.rows[0]))
+    text = property(lambda self: ";".join(",".join(map(str, row)) for row in self.rows))
 
-    @property
-    def k(self) -> int:
-        return len(self.rows[0])
+    def caps(self, m: int) -> tuple[int, ...]:
+        """The k caps of the rows of total order m <= p: row m (zeros at m = 0)."""
+        return self.rows[m - 1] if m else (0,) * self.k
 
 
-TruncationSpec = Union[FullTruncation, SparseFirstOrder, SparseSecondOrder]
+TruncationSpec = FullTruncation | SparseFirstOrder | SparseSecondOrder
 
 
 INDEX_DTYPE = np.int16
@@ -187,7 +186,7 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return keyed.view(f"V{keyed.itemsize * keyed.shape[1]}").ravel()
 
 
-def _capped_levels(caps: Sequence[int], p: int) -> list[np.ndarray]:
+def _capped_levels(caps: tuple[int, ...], p: int) -> list[np.ndarray]:
     """Dense rows of order 0..p with entries a_i <= caps[i], one array per order.
 
     Each row is reached once, from the row one unit lower at its last
@@ -214,49 +213,51 @@ def _capped_levels(caps: Sequence[int], p: int) -> list[np.ndarray]:
     return levels
 
 
-def enumerate_indices(spec: TruncationSpec) -> IndexSet:
-    """Enumerate the index set described by ``spec`` in canonical order.
+def _nested_caps(spec: TruncationSpec) -> tuple[int, ...] | None:
+    """``spec.caps(p)`` if every order m caps at ``min(caps(p), m)``, else None."""
+    top = spec.caps(spec.p)
+    nested = all(spec.caps(m) == tuple(min(c, m) for c in top) for m in range(1, spec.p))
+    return top if nested else None
 
-    The rows are grown level by level and sorted once by ``row_keys``.
-    Full: all indices with |a| <= p supported on the first k coordinates.
-    First order sparse: additionally a_i <= r_i for every coordinate.
-    Second order sparse: an index of total order j obeys a_i <= r^j_i.
+
+def enumerate_indices(spec: TruncationSpec) -> IndexSet:
+    """Rows of order m <= p with a_i <= ``spec.caps(m)[i]``, in canonical order.
+
+    Nested caps grow every order at once, other caps each order alone.
     Sets ``checked_count`` refuses raise before anything is allocated.
     """
     checked_count(spec)
-    if isinstance(spec, FullTruncation):
-        levels = _capped_levels([spec.p] * spec.k, spec.p)
-    elif isinstance(spec, SparseFirstOrder):
-        levels = _capped_levels(spec.r, spec.p)
-    else:
-        levels = [np.zeros((1, spec.k), dtype=INDEX_DTYPE)]
-        levels += [_capped_levels(row, j)[-1] for j, row in enumerate(spec.rows, start=1)]
+    top = _nested_caps(spec)
+    levels = (_capped_levels(top, spec.p) if top is not None else
+              [_capped_levels(spec.caps(m), m)[-1] for m in range(spec.p + 1)])
     dense = np.concatenate(levels)
     return IndexSet(dense[np.argsort(row_keys(dense))])
 
 
-def _capped_counts(caps: Sequence[int], p: int) -> list[int]:
-    """Number of dense tuples with a_i <= caps[i] of each total order 0..p."""
-    counts = [1] + [0] * p
-    for cap in filter(None, caps):  # a zero cap leaves the counts unchanged
-        prefix = list(itertools.accumulate(counts, initial=0))
-        counts = [prefix[j + 1] - prefix[max(j - cap, 0)] for j in range(p + 1)]
-    return counts
+def _order_count(caps: tuple[int, ...], m: int) -> int:
+    """Number of dense rows of total order m with a_i <= caps[i].
+
+    That is the x^m term of prod_i (1 - x^(c_i+1)) / (1 - x).  The L caps
+    equal to each c > 0 expand (1 - x^(c+1))^L up to x^m, one term if c >= m;
+    the K non-zero caps leave 1 / (1 - x)^K, with x^j term binomial(K-1+j, j).
+    """
+    free = len(caps) - caps.count(0)  # K
+    poly = {0: 1}  # the expanded factors, up to x^m
+    for cap in set(caps) - {0}:
+        run, step, product = caps.count(cap), cap + 1, collections.Counter()
+        for (d, a), i in itertools.product(poly.items(), range(min(run, m // step) + 1)):
+            if d + i * step <= m:
+                product[d + i * step] += a * (-1) ** i * math.comb(run, i)
+        poly = product
+    return sum(a * math.comb(free - 1 + m - d, m - d) for d, a in poly.items())
 
 
 def count_indices(spec: TruncationSpec) -> int:
-    """Number of indices in ``enumerate_indices(spec)``, without enumerating.
-
-    Full truncations use the closed form binomial(k+p, p); sparse sets sum
-    per-order counts of capped compositions.
-    """
-    if isinstance(spec, FullTruncation):
-        return math.comb(spec.k + spec.p, spec.p)
-    if isinstance(spec, SparseFirstOrder):
-        return sum(_capped_counts(spec.r, spec.p))
-    if isinstance(spec, SparseSecondOrder):
-        return 1 + sum(_capped_counts(row, j)[j] for j, row in enumerate(spec.rows, start=1))
-    raise TypeError(f"not a truncation spec: {spec!r}")
+    """Number of indices in ``enumerate_indices(spec)``, without enumerating."""
+    top = _nested_caps(spec)
+    if top is not None:  # one count: a slack coordinate no cap binds turns order <= p into p
+        return _order_count((spec.p + 1,) + top, spec.p)
+    return 1 + sum(_order_count(spec.caps(m), m) for m in range(1, spec.p + 1))
 
 
 def checked_count(spec: TruncationSpec) -> int:
@@ -296,8 +297,4 @@ def parse_sparse_text(text: str) -> TruncationSpec:
 
 def format_sparse_text(spec: TruncationSpec) -> str:
     """Inverse of :func:`parse_sparse_text`; empty string for full truncations."""
-    if isinstance(spec, SparseFirstOrder):
-        return ",".join(str(v) for v in spec.r)
-    if isinstance(spec, SparseSecondOrder):
-        return ";".join(",".join(str(v) for v in row) for row in spec.rows)
-    return ""
+    return spec.text

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,24 @@ class TestGbmExact:
         assert gbm_variance_exact(1, 1, 1, 1.0) == pytest.approx(
             math.e ** 2 * (math.e - 1), rel=1e-14)
         assert gbm_variance_exact(1, 0, 1, 0.7) == 0.0
+
+    @pytest.mark.parametrize("mu,sigma,x0", [(1.0, 1.0, 1.0), (0.3, 2.5, 0.7),
+                                             (-1.2, 0.4, 3.0), (400.0, 1.0, 1.0)])
+    def test_in_place_keeps_the_expression_bits(self, mu, sigma, x0):
+        # two buffers of the grid's size, where the expression held three
+        t = np.linspace(0.0, 1.0, 100_001)
+        with np.errstate(over="ignore", invalid="ignore"):  # mu=400 overflows to inf
+            want = x0 * x0 * np.exp(2.0 * mu * t) * (np.exp(sigma * sigma * t) - 1.0)
+            tracemalloc.start()
+            try:
+                got = gbm_variance_exact(mu, sigma, x0, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            scalar = gbm_variance_exact(mu, sigma, x0, np.float64(0.5))
+        assert got.tobytes() == want.tobytes()
+        assert peak < 2.5 * t.nbytes
+        assert type(scalar) is float
 
     def test_order_limit_monotone_to_exact(self):
         t = np.array([0.5, 1.0])

@@ -22,9 +22,9 @@ from chaossde.analysis import third_moment
 from chaossde.basis import make_basis
 from chaossde.errors import IndexSetTooLarge, InvalidSparseIndex
 from chaossde.hermite import galerkin_tensor, product_expansion, triple_scalar
-from chaossde.multiindex import (INDEX_DTYPE, MAX_DENSE_CELLS, MAX_INDICES, FullTruncation,
-                                 IndexSet, SparseFirstOrder, SparseSecondOrder,
-                                 count_indices, enumerate_indices, row_keys)
+from chaossde.multiindex import (INDEX_DTYPE, MAX_DENSE_CELLS, MAX_INDICES, MAX_STORED_ORDER,
+                                 FullTruncation, IndexSet, SparseFirstOrder, SparseSecondOrder,
+                                 checked_count, count_indices, enumerate_indices, row_keys)
 from chaossde.presets import BENCHMARK_ROWS, SPARSE_PRESETS
 from chaossde.propagator import ChaosSolution, SdeModel, build_rhs
 
@@ -294,6 +294,52 @@ class TestEnumeration:
 
         assert best_of_three(lambda: SparseFirstOrder(caps)) < 0.1
         assert best_of_three(lambda: SparseSecondOrder((caps, (2,) + caps[1:]))) < 0.2
+
+
+def assert_spelled_by_order_alike(spec):
+    """The second order sparse set of ``spec``'s caps at orders 1..p is the
+    same dense array and count as ``spec``."""
+    spelled = SparseSecondOrder(tuple(spec.caps(m) for m in range(1, spec.p + 1)))
+    assert_same_bytes((enumerate_indices(spelled).dense,), (enumerate_indices(spec).dense,))
+    assert count_indices(spelled) == count_indices(spec)
+
+
+def refuse_count(spec):
+    with pytest.raises(IndexSetTooLarge):
+        checked_count(spec)
+
+
+class TestPerOrderCaps:
+    """Every truncation is its caps at each order: spelled row by row as a
+    second order sparse set it is the same set, counted the same."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(specs().filter(lambda spec: spec.p >= 1))
+    def test_second_order_spelling(self, spec):
+        assert_spelled_by_order_alike(spec)
+
+    @pytest.mark.parametrize("spec", sorted(
+        {spec for spec in [row.spec for row in BENCHMARK_ROWS] + list(SPARSE_PRESETS.values())
+         if spec.p >= 1}, key=count_indices), ids=str)
+    def test_second_order_spelling_of_presets_and_benchmark_rows(self, spec):
+        assert_spelled_by_order_alike(spec)
+
+    @pytest.mark.parametrize("spec,count,want", [
+        (FullTruncation(p=1, k=1_000_000), refuse_count, None),
+        (FullTruncation(p=MAX_STORED_ORDER, k=2), count_indices,
+         math.comb(MAX_STORED_ORDER + 2, 2)),
+        (SparseFirstOrder((MAX_STORED_ORDER, 5, 3)), count_indices, 393_120)],
+        ids=["full_p1_k1e6_refused", "full_pmax_k2", "first_order_pmax_5_3"])
+    def test_counts_quickly(self, spec, count, want):
+        # a run of equal caps is one factor, and caps that never bind are
+        # one stars-and-bars binomial, whatever the order or the run length
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            got = count(spec)
+            times.append(time.perf_counter() - started)
+        assert got == want
+        assert min(times) < 0.1
 
 
 class TestLabels:

@@ -8,7 +8,7 @@ from chaossde.multiindex import (FullTruncation, IndexSet, SparseFirstOrder,
                                  SparseSecondOrder, count_indices,
                                  enumerate_indices, format_sparse_text,
                                  parse_sparse_text)
-from chaossde.presets import SPARSE_PRESETS
+from chaossde.presets import BENCHMARK_ROWS, SPARSE_PRESETS
 
 
 def rows(index_set):
@@ -80,6 +80,13 @@ PRESET_COUNTS = {
 @pytest.mark.parametrize("name,expected", sorted(PRESET_COUNTS.items()))
 def test_preset_counts(name, expected):
     assert count_indices(SPARSE_PRESETS[name]) == expected
+
+
+def test_benchmark_rows_carry_their_spec_p_and_k():
+    # table1 writes the row's k and p, not the spec's, so a preset on the
+    # wrong row would show only here
+    for row in BENCHMARK_ROWS:
+        assert (row.spec.p, row.spec.k) == (row.p, row.k), row
 
 
 class TestSparseSubsetProperties:
