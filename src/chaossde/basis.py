@@ -27,6 +27,7 @@ Antiderivative formulas used (T = 1):
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,24 +76,10 @@ def _check_domain(spec: BasisSpec, t: float) -> float:
     return t / spec.horizon
 
 
-def haar_cells(k: int) -> int:
-    """Cells of the finest dyadic level of e_1..e_k: 2^L with L = ceil(log2 k)."""
-    return 2 ** (k - 1).bit_length()
-
-
-def haar_cell(spec: BasisSpec, cells: int, t: float) -> int:
-    """Cell of ``t``: the number of ``breakpoints`` at or before it, t = T in the last.
-
-    ``min(int(x 2^L), 2^L - 1)`` of x = t / T is off by at most one where
-    t / T rounds across i / 2^L; the breakpoint ``T i / 2^L``, rounded as
-    ``breakpoints`` rounds it, settles the cell.
-    """
-    cell = min(int(_check_domain(spec, t) * cells), cells - 1)
-    if cell + 1 < cells and t >= spec.horizon * (cell + 1) / cells:
-        return cell + 1
-    if cell and t < spec.horizon * cell / cells:
-        return cell - 1
-    return cell
+def haar_cell(spec: BasisSpec, breaks: list[float], t: float) -> int:
+    """Cell of ``t``: the number of ``breaks`` (``breakpoints`` as a list) at or before it."""
+    _check_domain(spec, t)
+    return bisect_right(breaks, t)
 
 
 def element_values(spec: BasisSpec, k: int, t: float) -> np.ndarray:
@@ -108,10 +95,10 @@ def element_values(spec: BasisSpec, k: int, t: float) -> np.ndarray:
 def element_evaluator(spec: BasisSpec, k: int):
     """The function ``t -> element_values(spec, k, t)``, its constants computed once.
 
-    Haar elements are constant on each of the 2^n cells of the finest level
-    n: their values are a per-cell sign table, indexed by ``haar_cell``,
-    times the heights.  The smooth families skip the scale on the unit
-    horizon, where x * 1.0 == x bit for bit.
+    Haar elements are constant between their ``breakpoints``: their values
+    are a per-cell sign table, indexed by ``haar_cell``, times the heights.
+    The smooth families skip the scale on the unit horizon, where
+    x * 1.0 == x bit for bit.
     """
     scale = spec.horizon ** -0.5
     if spec.kind == "klcos":
@@ -130,7 +117,8 @@ def element_evaluator(spec: BasisSpec, k: int):
             out = np.concatenate(([1.0], SQRT2 * np.where(even, np.sin(arg), np.cos(arg))))
             return out if scale == 1.0 else out * scale
     else:
-        cells = haar_cells(k)
+        breaks = breakpoints(spec, k).tolist()
+        cells = len(breaks) + 1
         left, mid, right, height = _haar_geometry(k)
         xc = (np.arange(cells) / cells)[:, None]
         signs = np.ones((cells, k), dtype=np.int8)
@@ -139,7 +127,7 @@ def element_evaluator(spec: BasisSpec, k: int):
         heights = np.concatenate(([1.0], height)) * scale
 
         def values(t: float) -> np.ndarray:
-            return signs[haar_cell(spec, cells, t)] * heights
+            return signs[haar_cell(spec, breaks, t)] * heights
     return values
 
 
@@ -228,5 +216,5 @@ def breakpoints(spec: BasisSpec, k: int) -> np.ndarray:
     """
     if spec.kind != "haar" or k < 2:
         return np.empty(0)
-    cells = haar_cells(k)
+    cells = 2 ** (k - 1).bit_length()  # the finest level L = ceil(log2 k)
     return spec.horizon * np.arange(1, cells) / cells

@@ -33,8 +33,7 @@ from .analysis import (error_curve, gbm_variance_exact, gbm_variance_order_limit
 from .basis import KINDS, breakpoints, make_basis, tail_sum
 from .errors import ChaosError, IndexSetTooLarge, IntegratorFailure
 from .integrator import ToleranceSpec
-from .multiindex import (FullTruncation, TruncationSpec, checked_count, format_sparse_text,
-                         parse_sparse_text)
+from .multiindex import FullTruncation, TruncationSpec, checked_count, parse_sparse_text
 from .oracle import RngSpec, block_paths, euler_maruyama, pool_size, sample_expansion
 from .presets import BENCHMARK_ROWS, BenchmarkRow
 from .propagator import SdeModel, gbm_parameters, solve
@@ -215,7 +214,7 @@ def run_benchmark_row(row: BenchmarkRow, basis_token: str, model: SdeModel,
     elapsed = time.perf_counter() - started
     return ExperimentReport(
         basis=basis_token, k=row.k, p=row.p, truncation=row.trunc_label,
-        sparse=format_sparse_text(row.spec), n_coeff=len(sol.index_set),
+        sparse=row.spec.text, n_coeff=len(sol.index_set),
         error_at_T=curve.error_at_T, error_max=curve.error_max,
         wall_time_s=elapsed, rtol=tol.rtol, atol=tol.atol)
 

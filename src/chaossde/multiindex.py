@@ -293,8 +293,3 @@ def parse_sparse_text(text: str) -> TruncationSpec:
     if len(parsed) == 1:
         return SparseFirstOrder(parsed[0])
     return SparseSecondOrder(tuple(parsed))
-
-
-def format_sparse_text(spec: TruncationSpec) -> str:
-    """Inverse of :func:`parse_sparse_text`; empty string for full truncations."""
-    return spec.text

@@ -111,11 +111,12 @@ class PropagatorSystem:
     flat arrays.  Instances are callable as
     ``system(t, y)`` and expose the assembly for inspection.
 
-    On a Haar basis the ladder sum runs over one cell's entries: those whose
-    element is non-zero in the finest cell of ``t``, kept for one cell at a
-    time (steps never cross a breakpoint).  A skipped entry would add an
-    exact +-0 to a bin sum that starts at +0.0, which changes no bit; with
-    non-finite diffusion coefficients the full ladder keeps the NaN bits.
+    On a basis with breakpoints (Haar, k >= 2) the ladder sum runs over one
+    cell's entries: those whose element is non-zero in the cell of ``t``,
+    kept for one cell at a time (steps never cross a breakpoint).  A
+    skipped entry would add an exact +-0 to a bin sum that starts at +0.0,
+    which changes no bit; with non-finite diffusion coefficients the full
+    ladder keeps the NaN bits.
     """
 
     def __init__(self, model: SdeModel, index_set: IndexSet, basis: BasisSpec):
@@ -143,8 +144,8 @@ class PropagatorSystem:
         self._e0 = np.zeros(self.n)
         self._e0[0] = 1.0  # the set is closed under lowering: row 0 is the zero index
         self._element_values = basis_mod.element_evaluator(basis, self.k)
-        self._cells = basis_mod.haar_cells(self.k) if basis.kind == "haar" else 0
-        # (cell, rows, srcs, weight * e_j) of the last Haar cell, replaced whole
+        self._breaks = basis_mod.breakpoints(basis, self.k).tolist()
+        # (cell, rows, srcs, weight * e_j) of the last cell, replaced whole
         self._cell_ladder = (-1, None, None, None)
         # constant coefficients are read once, callables on every call
         self._drift, self._diffusion = (None if any(map(callable, c)) else tuple(c)
@@ -170,8 +171,8 @@ class PropagatorSystem:
                 minlength=self.n)
         out = self._project(b0, b1, b2, y, quad)
         sigma_coeffs = self._project(g0, g1, g2, y, quad)
-        if self._cells and np.isfinite(sigma_coeffs).all():
-            cell = basis_mod.haar_cell(self.basis, self._cells, t)
+        if self._breaks and np.isfinite(sigma_coeffs).all():
+            cell = basis_mod.haar_cell(self.basis, self._breaks, t)
             if cell != self._cell_ladder[0]:
                 self._cell_ladder = self._ladder_in(cell, t)
             _, rows, srcs, products = self._cell_ladder

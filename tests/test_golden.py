@@ -29,6 +29,10 @@ FILE_OUTPUTS = {
     # grid points on the Haar breakpoints of a non-unit horizon
     "solve_haar_p2_k8_t2.csv": ["solve", "--basis", "haar", "--p", "2", "--k", "8",
                                 "--grid", "33", "--t-end", "2"],
+    # a horizon that is not a power of two: T i / 8 and t / T round apart, so
+    # the Haar cell must be read off the breakpoints themselves
+    "solve_haar_p2_k8_t07.csv": ["solve", "--basis", "haar", "--p", "2", "--k", "8",
+                                 "--grid", "33", "--t-end", "0.7"],
     # constant c0 coefficients and the trig evaluator
     "solve_bm_trig_p1_k5.csv": ["solve", "--drift", "1,0,0", "--diffusion", "1,0,0",
                                 "--basis", "trig", "--p", "1", "--k", "5", "--grid", "11"],

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from test_index_arrays import specs
 from test_solver_bytes import MODELS, old_rhs
 
-from chaossde.basis import BasisSpec, breakpoints, element_values, haar_cell, haar_cells
+from chaossde.basis import BasisSpec, breakpoints, element_values, haar_cell
 from chaossde.integrator import ToleranceSpec, integrate
 from chaossde.multiindex import FullTruncation, enumerate_indices
 from chaossde.propagator import build_rhs, initial_state
@@ -57,14 +57,16 @@ class TestCellPath:
                                         max_size=len(index_set))))
         for t in ts:
             assert system(t, y).tobytes() == old_rhs(system)(t, y).tobytes()
-        assert system._cell_ladder[0] == haar_cell(basis, haar_cells(index_set.k), ts[-1])
+        # k = 1 has no breakpoints: e_1 is constant and the full ladder is used
+        bps = breakpoints(basis, index_set.k).tolist()
+        assert system._cell_ladder[0] == (haar_cell(basis, bps, ts[-1]) if bps else -1)
 
     def test_touches_the_entries_with_a_nonzero_element(self):
         index_set = enumerate_indices(FullTruncation(p=2, k=16))
         for basis in HAAR:
             system = build_rhs(MODELS["gbm"], index_set, basis)
             y = np.ones(len(index_set))
-            cells = haar_cells(index_set.k)
+            cells = len(breakpoints(basis, index_set.k)) + 1
             for cell in range(cells):
                 t = basis.horizon * cell / cells
                 system(t, y)
@@ -88,7 +90,7 @@ class TestCellPath:
                   np.linspace(0.0, basis.horizon, 33), ToleranceSpec(),
                   breakpoints(basis, index_set.k))
         cell, *arrays = system._cell_ladder
-        assert cell == haar_cells(index_set.k) - 1
+        assert cell == len(breakpoints(basis, index_set.k))
         last = len(active_entries(system, basis.horizon))
         assert [len(array) for array in arrays] == [last] * 3
         # beyond the assembly, the solve left only the last cell's arrays
@@ -104,9 +106,11 @@ class TestCellIndex:
         # breakpoints() rounds T i / cells, and t / T can round across i / cells
         # when T is not a power of two
         basis = BasisSpec("haar", horizon)
-        cells = haar_cells(k)
-        for i, b in enumerate(breakpoints(basis, k).tolist(), start=1):
-            assert haar_cell(basis, cells, b) == i
-            assert haar_cell(basis, cells, math.nextafter(b, 0.0)) == i - 1
-        assert haar_cell(basis, cells, 0.0) == 0
-        assert haar_cell(basis, cells, horizon) == cells - 1
+        bps = breakpoints(basis, k).tolist()
+        cells = len(bps) + 1
+        assert cells == 2 ** math.ceil(math.log2(k))
+        for i, b in enumerate(bps, start=1):
+            assert haar_cell(basis, bps, b) == i
+            assert haar_cell(basis, bps, math.nextafter(b, 0.0)) == i - 1
+        assert haar_cell(basis, bps, 0.0) == 0
+        assert haar_cell(basis, bps, horizon) == cells - 1

@@ -6,8 +6,7 @@ import pytest
 from chaossde.errors import InvalidSparseIndex
 from chaossde.multiindex import (FullTruncation, IndexSet, SparseFirstOrder,
                                  SparseSecondOrder, count_indices,
-                                 enumerate_indices, format_sparse_text,
-                                 parse_sparse_text)
+                                 enumerate_indices, parse_sparse_text)
 from chaossde.presets import BENCHMARK_ROWS, SPARSE_PRESETS
 
 
@@ -137,13 +136,13 @@ class TestTextForm:
     def test_first_order_round_trip(self):
         spec = parse_sparse_text("3,2,2,1,1")
         assert spec == SparseFirstOrder((3, 2, 2, 1, 1))
-        assert format_sparse_text(spec) == "3,2,2,1,1"
+        assert spec.text == "3,2,2,1,1"
 
     def test_second_order_round_trip(self):
         text = "1,1,1,1,1;2,2,2,1,0;3,2,0,0,0"
         spec = parse_sparse_text(text)
         assert isinstance(spec, SparseSecondOrder)
-        assert format_sparse_text(spec) == text
+        assert spec.text == text
 
     def test_garbage_rejected(self):
         with pytest.raises(InvalidSparseIndex):
