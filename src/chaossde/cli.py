@@ -11,8 +11,8 @@ mc       Monte Carlo cross-check (expansion sampling + Euler scheme)
 Every command takes dX = b(X) dt + sigma(X) dW as ``--drift``, ``--diffusion`` (each
 ``c0,c1,c2`` of c0 + c1 x + c2 x^2) and ``--x0``; table1, fig1 and rates need GBM.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.  All file
-output is UTF-8 with LF line endings and 17-significant-digit reals.
+Exit codes: 0 success, 2 usage error or unwritable output, 3 numerical
+failure.  All file output is UTF-8 with LF line endings and 17-significant-digit reals.
 """
 from __future__ import annotations
 
@@ -257,16 +257,15 @@ def _write_curve(path: str, model: SdeModel, spec: FullTruncation, token: str, g
 
 
 def cmd_fig1(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
-    ps = [int(v) for v in args.p.split(",")]
-    ks = [int(v) for v in args.k.split(",")]
-    for spec in (FullTruncation(p=p, k=k) for p in ps for k in ks):
+    ps, ks = ([int(v) for v in text.split(",")] for text in (args.p, args.k))
+    specs = [FullTruncation(p=p, k=k) for p in ps for k in ks]
+    for spec in specs:
         checked_count(spec)  # every set is refused before the first curve is written
     grid = _grid(_CURVE_COLUMNS, 1.0, args.grid)
     for token in args.basis:
-        for p in ps:
-            for k in ks:
-                _write_curve(os.path.join(args.out, f"fig1_{token}_p{p}_k{k}.csv"), model,
-                             FullTruncation(p=p, k=k), token, grid, tol)
+        for spec in specs:
+            _write_curve(os.path.join(args.out, f"fig1_{token}_p{spec.p}_k{spec.k}.csv"),
+                         model, spec, token, grid, tol)
     return 0
 
 
@@ -378,7 +377,7 @@ def main(argv=None) -> int:
     except IntegratorFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ChaosError, ValueError) as exc:
+    except (ChaosError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         parser.exit(2, f"error: {exc}\n")
 
 

@@ -1,11 +1,13 @@
 """Named sparse truncations and the benchmark experiment grid.
 
-The 18 sparse presets sp1..sp18 pair with specific (k, p) choices in the
-benchmark suite; they ship by name so the sparse experiment rows are
-reproducible without retyping index vectors.  Presets sp12 and sp16 use
-the third-order cap row (3,3,2,0,...,0); with that choice they enumerate
-to exactly 32 and 36 coefficients, which is what pins the row down (the
-(3,3,2,2,...) alternative would give 41 and 45).
+The 18 sparse presets sp1..sp18 ship by name so the sparse experiment rows
+are reproducible without retyping index vectors.  Each preset's k and p are
+its own caps' length and order, written nowhere else: BENCHMARK_ROWS is the
+full sets of the benchmark grid plus every preset, sorted by (p, k).
+
+Presets sp12 and sp16 use the third-order cap row (3,3,2,0,...,0); with that
+choice they enumerate to exactly 32 and 36 coefficients, which is what pins
+the row down (the (3,3,2,2,...) alternative would give 41 and 45).
 """
 from __future__ import annotations
 
@@ -58,64 +60,24 @@ SPARSE_PRESETS: dict[str, TruncationSpec] = {
 
 @dataclass(frozen=True)
 class BenchmarkRow:
-    """One (k, p, truncation) configuration of the benchmark suite."""
+    """One truncation of the benchmark suite; its k and p are the spec's."""
 
-    k: int
-    p: int
     trunc_label: str  # "full" or a preset name
+    spec: TruncationSpec
 
-    @property
-    def spec(self) -> TruncationSpec:
-        if self.trunc_label == "full":
-            return FullTruncation(p=self.p, k=self.k)
-        return SPARSE_PRESETS[self.trunc_label]
+    k = property(lambda self: self.spec.k)
+    p = property(lambda self: self.spec.p)
 
     @property
     def n_coeff(self) -> int:
         return count_indices(self.spec)
 
 
-BENCHMARK_ROWS: tuple[BenchmarkRow, ...] = (
-    BenchmarkRow(2, 1, "full"),
-    BenchmarkRow(4, 1, "full"),
-    BenchmarkRow(8, 1, "full"),
-    BenchmarkRow(16, 1, "full"),
-    BenchmarkRow(32, 1, "full"),
-    BenchmarkRow(64, 1, "full"),
-    BenchmarkRow(2, 2, "full"),
-    BenchmarkRow(4, 2, "full"),
-    BenchmarkRow(8, 2, "full"),
-    BenchmarkRow(8, 2, "sp1"),
-    BenchmarkRow(8, 2, "sp2"),
-    BenchmarkRow(16, 2, "full"),
-    BenchmarkRow(16, 2, "sp3"),
-    BenchmarkRow(16, 2, "sp4"),
-    BenchmarkRow(32, 2, "full"),
-    BenchmarkRow(32, 2, "sp5"),
-    BenchmarkRow(32, 2, "sp6"),
-    BenchmarkRow(64, 2, "full"),
-    BenchmarkRow(2, 3, "full"),
-    BenchmarkRow(4, 3, "full"),
-    BenchmarkRow(8, 3, "full"),
-    BenchmarkRow(8, 3, "sp7"),
-    BenchmarkRow(8, 3, "sp8"),
-    BenchmarkRow(16, 3, "full"),
-    BenchmarkRow(16, 3, "sp9"),
-    BenchmarkRow(16, 3, "sp10"),
-    BenchmarkRow(2, 4, "full"),
-    BenchmarkRow(4, 4, "full"),
-    BenchmarkRow(8, 4, "full"),
-    BenchmarkRow(8, 4, "sp11"),
-    BenchmarkRow(8, 4, "sp12"),
-    BenchmarkRow(16, 4, "full"),
-    BenchmarkRow(16, 4, "sp13"),
-    BenchmarkRow(32, 4, "sp14"),
-    BenchmarkRow(2, 5, "full"),
-    BenchmarkRow(4, 5, "full"),
-    BenchmarkRow(8, 5, "full"),
-    BenchmarkRow(8, 5, "sp15"),
-    BenchmarkRow(8, 5, "sp16"),
-    BenchmarkRow(16, 5, "full"),
-    BenchmarkRow(16, 5, "sp17"),
-    BenchmarkRow(32, 5, "sp18"),
-)
+# The full sets at k = 2..64 for p = 1, 2 and k = 2..16 for p = 3..5, and every
+# preset, sorted by (p, k); the stable sort puts each full set before the
+# presets of its (k, p), and those in SPARSE_PRESETS order.
+BENCHMARK_ROWS: tuple[BenchmarkRow, ...] = tuple(sorted(
+    [BenchmarkRow("full", FullTruncation(p=p, k=2 ** e))
+     for p in range(1, 6) for e in range(1, 7 if p <= 2 else 5)]
+    + [BenchmarkRow(name, spec) for name, spec in SPARSE_PRESETS.items()],
+    key=lambda row: (row.p, row.k)))

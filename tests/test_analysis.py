@@ -211,6 +211,11 @@ class TestBoundShape:
         for a, b in zip(shapes, shapes[1:]):
             assert 0.425 <= b / a <= 0.575
 
+    @pytest.mark.parametrize("p, k", [(-1, 2), (1, 0)])
+    def test_negative_order_or_no_elements_rejected(self, p, k):
+        with pytest.raises(ValueError, match="need p >= 0 and k >= 1"):
+            bound_shape(make_basis("trig"), p, k, 1.0, 1.0)
+
 
 class TestRateFit:
     def test_exact_inverse_law(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chaossde.analysis import loglog_fit
-from chaossde.basis import (breakpoints, antiderivative_grid, element_values,
+from chaossde.basis import (BasisSpec, breakpoints, antiderivative_grid, element_values,
                             kl_partial, make_basis, tail_sum)
 from chaossde.errors import OutOfDomain
 
@@ -71,6 +71,10 @@ class TestEvalAntiderivative:
     def test_trig_first_sine_square(self):
         # E_2(t)^2 = (1 - cos(2 pi t))^2 / (2 pi^2) -> 2/pi^2 at t = 1/2
         assert eval_E(TRIG, 2, 0.5) ** 2 == pytest.approx(2 / math.pi ** 2)
+
+    def test_grid_past_the_horizon_rejected(self):
+        with pytest.raises(OutOfDomain):
+            antiderivative_grid(make_basis("klcos", 1.0), 2, np.array([0.5, 1.5]))
 
     def test_trig_constant_antiderivative(self):
         assert eval_E(TRIG, 1, 0.73) == pytest.approx(0.73)
@@ -189,6 +193,11 @@ class TestHaarIndexing:
         assert breakpoints(TRIG, 8).size == 0
         assert breakpoints(KLCOS, 64).size == 0
         assert breakpoints(HAAR, 1).size == 0
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="unknown basis kind 'foo'"):
+        BasisSpec("foo")
 
 
 class TestHorizonRescaling:

@@ -431,6 +431,22 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--basis", "klcos", "--p", "1", "--k", "2", "--grid", "3"],
+        ["table1", "--rows", "k=2,p=1", "--basis", "klcos"],
+        ["fig1", "--basis", "klcos", "--p", "1", "--k", "2", "--grid", "11"],
+        ["mc", "--basis", "klcos", "--p", "1", "--k", "2", "--paths", "100", "--steps", "2"],
+        ["rates", "--k", "2,4,8"]], ids=lambda command: command[0])
+    def test_unwritable_out_is_2(self, tmp_path, capsys, command):
+        # fig1 makes a missing directory, so every --out sits under a file
+        (tmp_path / "file").write_text("")
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--out", str(tmp_path / "file" / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch):
         def exploding_solve(*args, **kwargs):
             raise StepSizeUnderflow("step size underflow", time=0.42)
@@ -506,6 +522,10 @@ class TestTable1Command:
             tracemalloc.stop()
         assert report.n_coeff == 20349
         assert peak < 32 * 2**20
+
+    def test_all_accepts_every_row(self):
+        accept = cli._parse_row_filter("all", cli.build_parser())
+        assert sum(map(accept, BENCHMARK_ROWS)) == len(BENCHMARK_ROWS) == 42
 
     def test_bad_filter_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

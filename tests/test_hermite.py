@@ -104,6 +104,10 @@ class TestTripleScalar:
                 * np.vectorize(hermite_n)(b, x) * np.vectorize(hermite_n)(c, x))
             assert triple_scalar(a, b, c) == pytest.approx(target, abs=1e-9)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            triple_scalar(-1, 0, 0)
+
     def test_symmetry(self):
         for a, b, c in [(1, 1, 2), (3, 5, 4), (2, 6, 4)]:
             vals = {triple_scalar(*perm) for perm in itertools.permutations((a, b, c))}

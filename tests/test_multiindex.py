@@ -7,7 +7,7 @@ from chaossde.errors import InvalidSparseIndex
 from chaossde.multiindex import (FullTruncation, IndexSet, SparseFirstOrder,
                                  SparseSecondOrder, count_indices,
                                  enumerate_indices, parse_sparse_text)
-from chaossde.presets import BENCHMARK_ROWS, SPARSE_PRESETS
+from chaossde.presets import SPARSE_PRESETS
 
 
 def rows(index_set):
@@ -81,13 +81,6 @@ def test_preset_counts(name, expected):
     assert count_indices(SPARSE_PRESETS[name]) == expected
 
 
-def test_benchmark_rows_carry_their_spec_p_and_k():
-    # table1 writes the row's k and p, not the spec's, so a preset on the
-    # wrong row would show only here
-    for row in BENCHMARK_ROWS:
-        assert (row.spec.p, row.spec.k) == (row.p, row.k), row
-
-
 class TestSparseSubsetProperties:
     def test_sparse_first_subset_of_full(self):
         r = (3, 2, 2, 1, 1)
@@ -124,6 +117,14 @@ class TestValidation:
             SparseFirstOrder((2 ** 70, 2 ** 71))
         with pytest.raises(InvalidSparseIndex, match="negative cap in row 1"):
             SparseSecondOrder(((1, -1), (2, 0)))
+
+    @pytest.mark.parametrize("make", [lambda: SparseFirstOrder(()),
+                                      lambda: SparseSecondOrder(()),
+                                      lambda: parse_sparse_text("  ")],
+                             ids=["first-order", "second-order", "text"])
+    def test_empty_sparse_index_rejected(self, make):
+        with pytest.raises(InvalidSparseIndex):
+            make()
 
     def test_full_validation(self):
         with pytest.raises(InvalidSparseIndex):

@@ -85,6 +85,11 @@ class TestThreadCount:
         monkeypatch.delenv("CHAOS_THREADS", raising=False)
         assert _thread_count() == len(os.sched_getaffinity(0))
 
+    def test_default_without_affinity_is_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("CHAOS_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _thread_count() == min(os.cpu_count(), MAX_THREADS)
+
     @pytest.mark.parametrize("value", ["0", "-3", "abc"])
     def test_invalid_value_rejected(self, monkeypatch, value):
         monkeypatch.setenv("CHAOS_THREADS", value)
@@ -225,6 +230,15 @@ class TestEulerMaruyama:
         # (the constant is ~63 for these parameters)
         exact = math.e ** 2 * (math.e - 1)
         assert abs(chain_var - exact) < 100 * dt
+
+    def test_additive_noise_is_exact_in_law(self):
+        # constant coefficients: every Euler step adds b dt + sigma sqrt(dt) Z,
+        # so X_T is N(x0 + b T, sigma^2 T) at any step count
+        b, sigma, x0, t_end = 0.7, 1.3, 0.5, 2.0
+        stats = euler_maruyama(bm_model(b, sigma, x0), n_steps=16, n_paths=200_000,
+                               rng=RngSpec(seed=0), t_end=t_end)
+        assert abs(stats.mean - (x0 + b * t_end)) <= 4 * stats.mean_se
+        assert abs(stats.variance - sigma ** 2 * t_end) <= 4 * stats.variance_se
 
     def test_drift_only_logistic_is_the_scalar_recursion(self):
         model = SdeModel((0.0, 1.0, -1.0), (0.0, 0.0, 0.0), 0.5)

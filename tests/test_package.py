@@ -76,3 +76,16 @@ def test_cli_import_leaves_scipy_special_unloaded():
     code = "import sys, chaossde.cli; sys.exit('scipy.special' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert proc.returncode == 0
+
+
+def test_module_entry_point_writes_the_golden_bytes(tmp_path):
+    # python -m chaossde runs __main__.py, which exits with cli.main's code
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    out = tmp_path / "solve.csv"
+    proc = subprocess.run([sys.executable, "-m", "chaossde", "solve", "--basis", "klcos",
+                           "--p", "2", "--k", "4", "--grid", "11", "--out", str(out)],
+                          env=env, timeout=120)
+    assert proc.returncode == 0
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / "solve_klcos_p2_k4.csv").read_bytes()
