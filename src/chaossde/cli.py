@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .analysis import (error_curve, gbm_variance_exact, gbm_variance_order_limit,
                        loglog_fit, moment_columns, moments)
-from .basis import KINDS, breakpoints, make_basis, tail_sum
+from .basis import KINDS, BasisSpec, breakpoints, make_basis, tail_sum
 from .errors import ChaosError, IndexSetTooLarge, IntegratorFailure
 from .integrator import ToleranceSpec
 from .multiindex import FullTruncation, TruncationSpec, checked_count, parse_sparse_text
@@ -110,10 +110,10 @@ def write_report_csv(path: str, reports: list[ExperimentReport]) -> None:
     _write_csv(path, ExperimentReport.FIELDS, map(astuple, reports))
 
 
-def _resolve_truncation(args, parser) -> TruncationSpec:
-    """The full set of ``--p``/``--k``, or the sp1/sp2 set ``--sparse`` spells out."""
+def _problem(args, parser) -> tuple[TruncationSpec, BasisSpec]:
+    """The truncation of ``solve``/``mc``, full or as ``--sparse`` spells it, and its basis."""
     if not args.sparse:
-        return FullTruncation(p=args.p, k=args.k)
+        return FullTruncation(p=args.p, k=args.k), make_basis(args.basis, args.t_end)
     try:
         spec = parse_sparse_text(args.sparse)
     except ChaosError as exc:
@@ -121,26 +121,23 @@ def _resolve_truncation(args, parser) -> TruncationSpec:
     if spec.p != args.p or spec.k != args.k:
         parser.error(f"--p/--k ({args.p}/{args.k}) disagree with the sparse "
                      f"index (p={spec.p}, k={spec.k})")
-    return spec
+    return spec, make_basis(args.basis, args.t_end)
 
 
 def _grid(columns: int, t_end: float, points: int) -> np.ndarray:
     """``points`` equidistant times on [0, t_end] for ``columns`` values each.
 
     Trajectories above ``MAX_TRAJECTORY_CELLS`` raise ``IndexSetTooLarge``
-    before the grid is allocated.
+    before the grid is allocated, grids of fewer than 2 points ``ValueError``.
     """
+    if points < 2:  # as ``solve`` would, but before fig1 makes its directory
+        raise ValueError(f"grid needs at least 2 points, got {points}")
     cells = columns * points
     if cells > MAX_TRAJECTORY_CELLS:
         raise IndexSetTooLarge(
             f"a {points}-point grid of {columns} columns needs {cells} "
             f"trajectory cells, above the cap of {MAX_TRAJECTORY_CELLS}")
     return np.linspace(0.0, t_end, points)
-
-
-def _problem(args, parser):
-    """The truncation and basis of ``solve``/``mc``."""
-    return _resolve_truncation(args, parser), make_basis(args.basis, args.t_end)
 
 
 def cmd_solve(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
@@ -235,7 +232,6 @@ def _write_curve(path: str, model: SdeModel, spec: FullTruncation, token: str, g
                  tol: ToleranceSpec) -> None:
     """Solve one fig1 curve and write it, ``_CURVE_BLOCK_ROWS`` rows at a time."""
     curve = _gbm_error(model, spec, token, grid, tol)[1]  # the solution is freed here
-    os.makedirs(os.path.dirname(path), exist_ok=True)  # after the solve: a refused grid makes none
     cells = len(breakpoints(make_basis(token, 1.0), spec.k)) + 1  # Haar's dyadic cells
     intervals = len(grid) - 1
 
@@ -261,7 +257,9 @@ def cmd_fig1(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
     specs = [FullTruncation(p=p, k=k) for p in ps for k in ks]
     for spec in specs:
         checked_count(spec)  # every set is refused before the first curve is written
+    gbm_parameters(model)  # so is another shape, and a bad grid: none makes the directory
     grid = _grid(_CURVE_COLUMNS, 1.0, args.grid)
+    os.makedirs(args.out, exist_ok=True)  # before the first solve
     for token in args.basis:
         for spec in specs:
             _write_curve(os.path.join(args.out, f"fig1_{token}_p{spec.p}_k{spec.k}.csv"),
@@ -372,6 +370,8 @@ def main(argv=None) -> int:
     handlers = {"solve": cmd_solve, "table1": cmd_table1,
                 "fig1": cmd_fig1, "rates": cmd_rates, "mc": cmd_mc}
     try:
+        if args.command != "fig1" and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise FileNotFoundError(f"cannot write {args.out}: no such directory")
         return handlers[args.command](args, parser, SdeModel(args.drift, args.diffusion, args.x0),
                                       ToleranceSpec(rtol=args.rtol, atol=args.atol))
     except IntegratorFailure as exc:

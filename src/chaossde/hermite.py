@@ -149,26 +149,25 @@ def _build_galerkin_tensor(index_set: IndexSet) -> GalerkinTensor:
     m_i <= min(b_i, c_i) every factor has an even sum and
     s = b_i + c_i - m_i >= max(b_i, c_i, a_i).
     """
-    dense = index_set.dense
     n, k, p = len(index_set), index_set.k, index_set.max_order
     _check_order(p)
     if n == math.comb(k + p, p):  # the full set: its candidates have a closed form
         _check_tensor_size(index_set, full_candidates(p, k), "candidate entries")
     table = np.array([[[triple_scalar(a, b, c) for c in range(p + 1)]
                        for b in range(p + 1)] for a in range(p + 1)])
-    orders = dense.sum(axis=1, dtype=np.intp)
+    orders = index_set.dense.sum(axis=1, dtype=np.intp)
     # supp(x) as ascending slots padded to width P: coordinate k (a zero
     # column appended to the rows) with value 0
-    rows, cols = np.nonzero(dense)
-    nnz = np.bincount(rows, minlength=n)
+    rows, cols, values, starts = index_set.support
+    nnz = np.diff(starts)
     width = max(int(nnz.max(initial=0)), 1)
-    slot = np.arange(len(rows)) - np.repeat(np.cumsum(nnz) - nnz, nnz)
+    slot = np.arange(len(rows)) - np.repeat(starts[:-1], nnz)
     sup_cols = np.full((width, n), k, dtype=np.intp)
     sup_cols[slot, rows] = cols
     sup_vals = np.zeros((width, n), dtype=INDEX_DTYPE)
-    sup_vals[slot, rows] = dense[rows, cols]
+    sup_vals[slot, rows] = values
     padded = np.zeros((n, k + 1), dtype=INDEX_DTYPE)
-    padded[:, :k] = dense
+    padded[:, :k] = index_set.dense
 
     # lower-set relation: pair r of row x is the r-th m <= x in the order
     # of itertools.product(range(x_i, -1, -1) for i in supp(x))

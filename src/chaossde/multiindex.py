@@ -131,9 +131,7 @@ class IndexSet:
         self.dense = np.asarray(dense, dtype=INDEX_DTYPE)
         self.dense.flags.writeable = False
         self.keys = row_keys(self.dense)
-        # void keys have no ``<``: sorted means argsort is the identity
-        if (np.any(self.keys[1:] == self.keys[:-1])
-                or np.any(np.argsort(self.keys) != np.arange(len(self)))):
+        if np.any(self.keys[1:] <= self.keys[:-1]):
             raise ValueError("rows must be distinct and in canonical order")
         self._cache: dict = {}
 
@@ -154,6 +152,13 @@ class IndexSet:
     def max_order(self) -> int:
         return int(self.dense[-1].sum()) if len(self) else 0
 
+    @cached_property
+    def support(self) -> tuple[np.ndarray, ...]:
+        """``(rows, cols, orders)`` of the non-zero entries by row, then column,
+        and the ``bounds``: row n holds entries ``bounds[n]:bounds[n + 1]``."""
+        rows, cols = np.nonzero(self.dense)
+        return rows, cols, self.dense[rows, cols], np.searchsorted(rows, np.arange(len(self) + 1))
+
     def positions(self, rows: np.ndarray) -> np.ndarray:
         """Ordinal of each dense row in this set, -1 where it is absent."""
         wanted = row_keys(rows)
@@ -163,27 +168,25 @@ class IndexSet:
     def labels(self) -> list[str]:
         """``"0"`` for the zero index, else ``"a1:2|a3:1"`` (1-based coordinates).
 
-        Only the non-zero entries are formatted, row by row in coordinate
-        order, so the cost follows the non-zeros, not the dense cells.
+        Only ``support`` is formatted, so the cost follows the non-zeros.
         """
-        rows, cols = np.nonzero(self.dense)
-        terms = [f"a{i}:{v}" for i, v in zip((cols + 1).tolist(),
-                                             self.dense[rows, cols].tolist())]
-        bounds = np.searchsorted(rows, np.arange(len(self) + 1)).tolist()
-        return ["|".join(terms[lo:hi]) or "0" for lo, hi in zip(bounds, bounds[1:])]
+        _, cols, orders, bounds = self.support
+        terms = [f"a{i}:{v}" for i, v in zip((cols + 1).tolist(), orders.tolist())]
+        return ["|".join(terms[lo:hi]) or "0" for lo, hi in itertools.pairwise(bounds.tolist())]
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
     """Sort key of each dense row: its total order, then its entries.
 
     The key is the row's big-endian int16 bytes with the order prepended,
-    viewed as one ``np.void``.  Big-endian bytes of non-negative int16
+    viewed as one ``S`` string, which has ``<`` (the trailing NULs numpy
+    ignores sort below any byte).  Big-endian bytes of non-negative int16
     values compare like the values, so byte order is the canonical order.
     """
     keyed = np.empty((len(rows), rows.shape[1] + 1), dtype=">i2")
     keyed[:, 0] = rows.sum(axis=1)
     keyed[:, 1:] = rows
-    return keyed.view(f"V{keyed.itemsize * keyed.shape[1]}").ravel()
+    return keyed.view(f"S{keyed.itemsize * keyed.shape[1]}").ravel()
 
 
 def _capped_levels(caps: tuple[int, ...], p: int) -> list[np.ndarray]:
@@ -225,13 +228,16 @@ def enumerate_indices(spec: TruncationSpec) -> IndexSet:
 
     Nested caps grow every order at once, other caps each order alone.
     Sets ``checked_count`` refuses raise before anything is allocated.
+    Each reversed level is in canonical order with no sort: one parent's
+    children descend as the raised coordinate ascends, and a later parent
+    of the same order raises none before its first difference from an
+    earlier one, so all its children come below the earlier one's.
     """
     checked_count(spec)
     top = _nested_caps(spec)
     levels = (_capped_levels(top, spec.p) if top is not None else
               [_capped_levels(spec.caps(m), m)[-1] for m in range(spec.p + 1)])
-    dense = np.concatenate(levels)
-    return IndexSet(dense[np.argsort(row_keys(dense))])
+    return IndexSet(np.concatenate([level[::-1] for level in levels]))
 
 
 def _order_count(caps: tuple[int, ...], m: int) -> int:

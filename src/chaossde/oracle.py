@@ -195,10 +195,8 @@ def _expansion_terms(indices, row: np.ndarray) -> list:
     The factors H_a(xi_j) come in ascending coordinate order, with 0-based
     coordinates j.
     """
-    nz_rows, nz_cols = np.nonzero(indices.dense)
-    orders = indices.dense[nz_rows, nz_cols]
-    starts = np.searchsorted(nz_rows, np.arange(len(indices) + 1))
-    factors = list(zip(orders.tolist(), nz_cols.tolist()))
+    _, cols, orders, starts = indices.support
+    factors = list(zip(orders.tolist(), cols.tolist()))
     return [(coeff, factors[starts[n]:starts[n + 1]])
             for n, coeff in enumerate(row.tolist()) if coeff != 0.0]
 

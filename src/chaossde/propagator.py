@@ -130,17 +130,14 @@ class PropagatorSystem:
             (self.quad_targets, self.quad_left, self.quad_right,
              self.quad_weights) = galerkin_tensor(index_set)
 
-        dense = index_set.dense
-        rows, js = np.nonzero(dense)
-        lowered = dense[rows]
-        lowered[np.arange(len(rows)), js] -= 1
-        self.ladder_rows = rows
-        self.ladder_js = js
+        self.ladder_rows, self.ladder_js, orders, _ = index_set.support
+        lowered = index_set.dense[self.ladder_rows]
+        lowered[np.arange(len(lowered)), self.ladder_js] -= 1
         self.ladder_srcs = index_set.positions(lowered)
         if np.any(self.ladder_srcs < 0):
             raise InvalidSparseIndex("index set is not downward closed: an index "
                                      "lowered by one unit is missing")
-        self.ladder_weights = np.sqrt(dense[rows, js].astype(float))
+        self.ladder_weights = np.sqrt(orders.astype(float))
         self._e0 = np.zeros(self.n)
         self._e0[0] = 1.0  # the set is closed under lowering: row 0 is the zero index
         self._element_values = basis_mod.element_evaluator(basis, self.k)

@@ -27,6 +27,30 @@ def run(args):
     return cli.main(args)
 
 
+# every command, each at a size that runs in well under a second
+UNWRITABLE_COMMANDS = [
+    ["solve", "--basis", "klcos", "--p", "1", "--k", "2", "--grid", "3"],
+    ["table1", "--rows", "k=2,p=1", "--basis", "klcos"],
+    ["fig1", "--basis", "klcos", "--p", "1", "--k", "2", "--grid", "11"],
+    ["mc", "--basis", "klcos", "--p", "1", "--k", "2", "--paths", "100", "--steps", "2"],
+    ["rates", "--k", "2,4,8"]]
+
+
+def assert_unwritable_is_2(monkeypatch, capsys, argv):
+    """``argv`` exits with code 2 and one ``error:`` line, with no solve or draw."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the output location was checked")
+
+    monkeypatch.setattr(cli, "solve", refuse)
+    monkeypatch.setattr(cli, "sample_expansion", refuse)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def prefix_cases():
     """(command, shortest unique proper prefix, takes a value) of each long flag."""
     commands = next(action.choices for action in cli.build_parser()._actions
@@ -431,21 +455,20 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [
-        ["solve", "--basis", "klcos", "--p", "1", "--k", "2", "--grid", "3"],
-        ["table1", "--rows", "k=2,p=1", "--basis", "klcos"],
-        ["fig1", "--basis", "klcos", "--p", "1", "--k", "2", "--grid", "11"],
-        ["mc", "--basis", "klcos", "--p", "1", "--k", "2", "--paths", "100", "--steps", "2"],
-        ["rates", "--k", "2,4,8"]], ids=lambda command: command[0])
-    def test_unwritable_out_is_2(self, tmp_path, capsys, command):
-        # fig1 makes a missing directory, so every --out sits under a file
+    @pytest.mark.parametrize("command", UNWRITABLE_COMMANDS, ids=lambda command: command[0])
+    def test_unwritable_out_is_2(self, tmp_path, capsys, monkeypatch, command):
+        # fig1 makes a missing directory, so every --out sits under a file;
+        # it is refused before the first solve or draw
         (tmp_path / "file").write_text("")
-        with pytest.raises(SystemExit) as exc:
-            run([*command, "--out", str(tmp_path / "file" / "out")])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert_unwritable_is_2(monkeypatch, capsys, [*command, "--out",
+                                                     str(tmp_path / "file" / "out")])
+
+    @pytest.mark.parametrize("command", [c for c in UNWRITABLE_COMMANDS if c[0] != "fig1"],
+                             ids=lambda command: command[0])
+    def test_missing_out_directory_is_2(self, tmp_path, capsys, monkeypatch, command):
+        assert_unwritable_is_2(monkeypatch, capsys, [*command, "--out",
+                                                     str(tmp_path / "missing" / "x.csv")])
+        assert not (tmp_path / "missing").exists()
 
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch):
         def exploding_solve(*args, **kwargs):

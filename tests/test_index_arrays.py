@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaossde import hermite
+from chaossde import hermite, multiindex
 from chaossde.analysis import third_moment
 from chaossde.basis import make_basis
 from chaossde.errors import IndexSetTooLarge, InvalidSparseIndex
@@ -233,15 +233,73 @@ class TestEnumeration:
         want = np.lexsort(np.vstack([dense[:, ::-1].T, dense.sum(axis=1)]))
         assert np.array_equal(np.argsort(row_keys(dense)), want)
 
+    @settings(max_examples=100, deadline=None)
+    @given(specs())
+    def test_levels_descend(self, spec):
+        # every level of every order's caps, nested or not, is strictly
+        # descending, so enumeration only reverses them
+        for m in range(spec.p + 1):
+            for level in multiindex._capped_levels(spec.caps(m), m):
+                keys = row_keys(level)
+                assert np.all(keys[1:] < keys[:-1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(specs())
+    def test_order_by_construction_matches_sorting(self, spec):
+        # the levels as grown, unreversed, then sorted by their keys
+        top = multiindex._nested_caps(spec)
+        levels = (multiindex._capped_levels(top, spec.p) if top is not None else
+                  [multiindex._capped_levels(spec.caps(m), m)[-1] for m in range(spec.p + 1)])
+        dense = np.concatenate(levels)
+        assert_same_bytes((enumerate_indices(spec).dense,),
+                          (dense[np.argsort(row_keys(dense), kind="stable")],))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda k: st.lists(
+        st.tuples(*[st.sampled_from((0, 0, 1, 2, 256))] * k), min_size=2, max_size=12,
+        unique=True)), st.data())
+    def test_refuses_duplicate_and_unordered_rows(self, rows, data):
+        # zeros are drawn often, so many keys end in NUL bytes, which numpy
+        # ignores when it compares byte strings; 256 has a NUL low byte
+        rows = sorted(rows, key=lambda a: (sum(a), a))
+        dense = np.array(rows, dtype=INDEX_DTYPE)
+        assert np.array_equal(IndexSet(dense).dense, dense)
+        i = data.draw(st.integers(0, len(rows) - 2))
+        swapped = dense.copy()
+        swapped[[i, i + 1]] = dense[[i + 1, i]]
+        with pytest.raises(ValueError, match="distinct and in canonical order"):
+            IndexSet(swapped)
+        with pytest.raises(ValueError, match="distinct and in canonical order"):
+            IndexSet(np.insert(dense, i, dense[i], axis=0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(specs(), st.data())
+    def test_positions_of_rows_sharing_a_prefix(self, spec, data):
+        # each present row with its coordinates from j on raised or cleared:
+        # the key shares the row's prefix before j, and -1 marks an absent one
+        index_set = enumerate_indices(spec)
+        where = {row: n for n, row in enumerate(row_tuples(index_set))}
+        row = data.draw(st.sampled_from(sorted(where)))
+        wanted = []
+        for j in range(index_set.k):
+            wanted.append(row[:j] + (row[j] + 1,) + row[j + 1:])
+            wanted.append(row[:j] + (0,) * (index_set.k - j))
+            wanted.append(row[:j] + (row[j] + 1,) + (0,) * (index_set.k - j - 1))
+        # above the largest entry of the last column: absent whatever the caps
+        wanted.append(row[:-1] + (int(index_set.dense[:, -1].max()) + 1,))
+        got = index_set.positions(np.array(wanted, dtype=INDEX_DTYPE))
+        assert got.tolist() == [where.get(a, -1) for a in wanted]
+
     def test_multiindex_constructor_keeps_given_order(self):
         dense = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.int16)
         index_set = IndexSet(dense)
         assert np.array_equal(index_set.dense, dense) and index_set.k == 2
         assert np.array_equal(index_set.positions(np.array([[1, 0], [1, 1]])), [2, -1])
-        with pytest.raises(ValueError):
-            IndexSet(dense[::-1])
-        with pytest.raises(ValueError):
-            IndexSet(dense[[0, 1, 1]])
+        # the zero row's key is all NUL bytes, and the others' keys end in them
+        for rows in (dense[::-1], dense[[0, 1, 1]], dense[[0, 0]], [[1, 0, 0], [0, 0, 1]],
+                     [[0, 0, 1], [0, 0, 0]], [[0, 1, 0], [0, 0, 2], [1, 0, 0]]):
+            with pytest.raises(ValueError, match="distinct and in canonical order"):
+                IndexSet(np.array(rows))
 
     def test_high_order_on_many_coordinates(self):
         # 91 indices; the full set of order 12 on 300 coordinates has
