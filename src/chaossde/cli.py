@@ -36,7 +36,7 @@ from .integrator import ToleranceSpec
 from .multiindex import FullTruncation, TruncationSpec, checked_count, parse_sparse_text
 from .oracle import RngSpec, block_paths, euler_maruyama, pool_size, sample_expansion
 from .presets import BENCHMARK_ROWS, BenchmarkRow
-from .propagator import SdeModel, gbm_parameters, solve
+from .propagator import SdeModel, checked_grid, gbm_parameters, solve
 
 # Largest coefficient trajectory, grid points times held columns, in float64
 # cells (2 GiB): every set within MAX_INDICES runs on a 1001-point grid.
@@ -125,19 +125,13 @@ def _problem(args, parser) -> tuple[TruncationSpec, BasisSpec]:
 
 
 def _grid(columns: int, t_end: float, points: int) -> np.ndarray:
-    """``points`` equidistant times on [0, t_end] for ``columns`` values each.
-
-    Trajectories above ``MAX_TRAJECTORY_CELLS`` raise ``IndexSetTooLarge``
-    before the grid is allocated, grids of fewer than 2 points ``ValueError``.
-    """
-    if points < 2:  # as ``solve`` would, but before fig1 makes its directory
-        raise ValueError(f"grid needs at least 2 points, got {points}")
-    cells = columns * points
-    if cells > MAX_TRAJECTORY_CELLS:
+    """``points`` equidistant times on [0, t_end], checked as ``solve`` checks them; with
+    ``columns`` values each above ``MAX_TRAJECTORY_CELLS``, ``IndexSetTooLarge`` first."""
+    if columns * points > MAX_TRAJECTORY_CELLS:
         raise IndexSetTooLarge(
-            f"a {points}-point grid of {columns} columns needs {cells} "
+            f"a {points}-point grid of {columns} columns needs {columns * points} "
             f"trajectory cells, above the cap of {MAX_TRAJECTORY_CELLS}")
-    return np.linspace(0.0, t_end, points)
+    return checked_grid(np.linspace(0.0, t_end, points), t_end)
 
 
 def cmd_solve(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
@@ -367,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {"solve": cmd_solve, "table1": cmd_table1,
-                "fig1": cmd_fig1, "rates": cmd_rates, "mc": cmd_mc}
+    handlers = dict(solve=cmd_solve, table1=cmd_table1, fig1=cmd_fig1, rates=cmd_rates, mc=cmd_mc)
     try:
-        if args.command != "fig1" and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise FileNotFoundError(f"cannot write {args.out}: no such directory")
+        out_dir = os.path.dirname(args.out) or "."
+        if args.command != "fig1" and (os.path.isdir(args.out) or not os.path.isdir(out_dir)):
+            raise OSError(f"cannot write {args.out}: not a file in an existing directory")
         return handlers[args.command](args, parser, SdeModel(args.drift, args.diffusion, args.x0),
                                       ToleranceSpec(rtol=args.rtol, atol=args.atol))
     except IntegratorFailure as exc:

@@ -199,6 +199,16 @@ def initial_state(model: SdeModel, index_set: IndexSet) -> np.ndarray:
     return y0
 
 
+def checked_grid(grid, horizon: float) -> np.ndarray:
+    """``grid`` as floats; ``ValueError`` unless it has 2 points or more, from 0 to ``horizon``."""
+    grid = np.asarray(grid, dtype=float)
+    if len(grid) < 2:
+        raise ValueError(f"grid needs at least 2 points, got {len(grid)}")
+    if grid[0] != 0.0 or grid[-1] != horizon:
+        raise ValueError("grid must run from 0 to the basis horizon")
+    return grid
+
+
 def solve(model: SdeModel, spec: TruncationSpec, basis: BasisSpec,
           grid, tol: ToleranceSpec | None = None, observe=keep_states) -> ChaosSolution:
     """Integrate the coefficient system and sample it on ``grid``.
@@ -208,11 +218,7 @@ def solve(model: SdeModel, spec: TruncationSpec, basis: BasisSpec,
     points so each dyadic cell is integrated as a smooth piece.
     ``observe`` reduces the trajectory as it is made (see ``integrate``).
     """
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < 2:
-        raise ValueError(f"grid needs at least 2 points, got {len(grid)}")
-    if grid[0] != 0.0 or grid[-1] != basis.horizon:
-        raise ValueError("grid must run from 0 to the basis horizon")
+    grid = checked_grid(grid, basis.horizon)
     index_set = enumerate_indices(spec)
     system = build_rhs(model, index_set, basis)
     rows = integrate(system, initial_state(model, index_set), grid, tol,

@@ -470,6 +470,12 @@ class TestExitCodes:
                                                      str(tmp_path / "missing" / "x.csv")])
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("command", [c for c in UNWRITABLE_COMMANDS if c[0] != "fig1"],
+                             ids=lambda command: command[0])
+    def test_directory_out_is_2(self, tmp_path, capsys, monkeypatch, command):
+        # an existing directory cannot be opened as the output file
+        assert_unwritable_is_2(monkeypatch, capsys, [*command, "--out", str(tmp_path)])
+
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch):
         def exploding_solve(*args, **kwargs):
             raise StepSizeUnderflow("step size underflow", time=0.42)

@@ -243,17 +243,6 @@ class TestEnumeration:
                 keys = row_keys(level)
                 assert np.all(keys[1:] < keys[:-1])
 
-    @settings(max_examples=100, deadline=None)
-    @given(specs())
-    def test_order_by_construction_matches_sorting(self, spec):
-        # the levels as grown, unreversed, then sorted by their keys
-        top = multiindex._nested_caps(spec)
-        levels = (multiindex._capped_levels(top, spec.p) if top is not None else
-                  [multiindex._capped_levels(spec.caps(m), m)[-1] for m in range(spec.p + 1)])
-        dense = np.concatenate(levels)
-        assert_same_bytes((enumerate_indices(spec).dense,),
-                          (dense[np.argsort(row_keys(dense), kind="stable")],))
-
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda k: st.lists(
         st.tuples(*[st.sampled_from((0, 0, 1, 2, 256))] * k), min_size=2, max_size=12,
