@@ -44,8 +44,8 @@ class ErrorCurve:
 def moments(sol: ChaosSolution, t: float) -> tuple[float, float]:
     """Mean and variance of the truncated expansion at a grid time.
 
-    mean = x_0(t); variance = sum of x_a(t)^2 over non-zero indices.  An
-    overflowed mean or variance raises ``NonFiniteValue``.
+    mean = x_0(t); variance = ``row @ row - mean^2`` clipped at 0, which cancels
+    when the mean dominates (ROADMAP item 2).  An overflow raises ``NonFiniteValue``.
     """
     row = sol.coeffs_at(t)
     mean = float(row[0])  # the zero index is ordinal 0

@@ -129,6 +129,8 @@ class IndexSet:
 
     def __init__(self, dense: np.ndarray):
         self.dense = np.asarray(dense, dtype=INDEX_DTYPE)
+        if self.dense is dense and dense.flags.writeable:  # freeze a copy, not the caller's
+            self.dense = dense.copy()
         self.dense.flags.writeable = False
         self.keys = row_keys(self.dense)
         if np.any(self.keys[1:] <= self.keys[:-1]):
@@ -237,7 +239,9 @@ def enumerate_indices(spec: TruncationSpec) -> IndexSet:
     top = _nested_caps(spec)
     levels = (_capped_levels(top, spec.p) if top is not None else
               [_capped_levels(spec.caps(m), m)[-1] for m in range(spec.p + 1)])
-    return IndexSet(np.concatenate([level[::-1] for level in levels]))
+    dense = np.concatenate([level[::-1] for level in levels])
+    dense.flags.writeable = False  # no other holder: IndexSet keeps it uncopied
+    return IndexSet(dense)
 
 
 def _order_count(caps: tuple[int, ...], m: int) -> int:

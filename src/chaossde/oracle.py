@@ -264,21 +264,17 @@ def euler_maruyama(model: SdeModel, n_steps: int, n_paths: int, rng: RngSpec,
                    t_end: float = 1.0) -> SampleStats:
     """Euler scheme on the uniform n-step grid, statistics at ``t_end``.
 
-    Per step the coefficients are frozen at the left grid point:
-    X <- X + b(t_i, X) dt + sigma(t_i, X) sqrt(dt) Z.
+    Each step is X <- X + b(X) dt + sigma(X) sqrt(dt) Z.
     """
     threads = pool_size(n_paths, n_steps)
     dt = t_end / n_steps
     sqrt_dt = math.sqrt(dt)
-    drift_vals = [model.drift_at(i * dt) for i in range(n_steps)]
-    diff_vals = [model.diffusion_at(i * dt) for i in range(n_steps)]
+    (b0, b1, b2), (g0, g1, g2) = model.drift, model.diffusion
 
     def worker(gen: np.random.Generator, size: int) -> np.ndarray:
         x = np.full(size, float(model.x0))
         drift, diff, x_sq, tmp = (np.empty(size) for _ in range(4))
-        for i in range(n_steps):
-            b0, b1, b2 = drift_vals[i]
-            g0, g1, g2 = diff_vals[i]
+        for _ in range(n_steps):
             z = normal_draws(gen, size)
             # a zero constant is not added: that changes only the sign of a zero
             np.multiply(b1, x, out=drift)

@@ -1,14 +1,14 @@
 """Coefficient ODE system of the truncated chaos expansion.
 
-For dX = b(t, X) dt + sigma(t, X) dW with polynomial b and sigma of degree
-at most two, the deterministic coefficient functions x_a(t) of the
-expansion X_t = sum_a x_a(t) Psi^a satisfy
+For dX = b(X) dt + sigma(X) dW with polynomial b and sigma of degree at
+most two and constant coefficients, the deterministic coefficient functions
+x_a(t) of the expansion X_t = sum_a x_a(t) Psi^a satisfy
 
     x_a'(t) = b_a(t) + sum_j sqrt(a_j) e_j(t) sigma_{a^-(j)}(t),
     x_a(0)  = x0 * 1_{a = 0},
 
-where b_a / sigma_a are the expansion coefficients of b(t, X_t) and
-sigma(t, X_t).  Constant terms feed only the zero index, linear terms act
+where b_a(t) / sigma_a(t) are the expansion coefficients of b(X_t) and
+sigma(X_t).  Constant terms feed only the zero index, linear terms act
 diagonally, and quadratic terms are Galerkin-projected back onto the
 truncated index set through expected triple products.  The diffusion
 enters through the ladder sum over diminished indices a^-(j), which
@@ -18,7 +18,7 @@ lower-triangular in chaos order for affine models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -31,44 +31,30 @@ from .hermite import product_expansion  # noqa: F401
 from .integrator import ToleranceSpec, integrate, keep_states
 from .multiindex import IndexSet, TruncationSpec, enumerate_indices
 
-Coefficient = Union[float, Callable[[float], float]]
-
-
-def _as_value(c: Coefficient, t: float) -> float:
-    return c(t) if callable(c) else c
-
-
-def _is_zero(c: Coefficient) -> bool:
-    return not callable(c) and c == 0
-
-
 @dataclass(frozen=True)
 class SdeModel:
     """Scalar SDE with polynomial coefficients of degree <= 2.
 
     ``drift`` and ``diffusion`` are triples ``(c0, c1, c2)`` representing
-    c0(t) + c1(t) x + c2(t) x^2; each entry is a number or a callable of
-    time, bounded on the horizon (the caller's obligation).
+    c0 + c1 x + c2 x^2, stored as floats: a callable one raises ``TypeError``.
     """
 
-    drift: tuple[Coefficient, Coefficient, Coefficient]
-    diffusion: tuple[Coefficient, Coefficient, Coefficient]
+    drift: tuple[float, float, float]
+    diffusion: tuple[float, float, float]
     x0: float
+
+    def __post_init__(self):
+        for name in ("drift", "diffusion"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
 
     @classmethod
     def gbm(cls, mu: float, sigma: float, x0: float) -> "SdeModel":
         """Geometric Brownian motion dX = mu X dt + sigma X dW."""
         return cls((0.0, mu, 0.0), (0.0, sigma, 0.0), x0)
 
-    def drift_at(self, t: float) -> tuple[float, float, float]:
-        return tuple(_as_value(c, t) for c in self.drift)
-
-    def diffusion_at(self, t: float) -> tuple[float, float, float]:
-        return tuple(_as_value(c, t) for c in self.diffusion)
-
     @property
     def is_affine(self) -> bool:
-        return _is_zero(self.drift[2]) and _is_zero(self.diffusion[2])
+        return self.drift[2] == 0 and self.diffusion[2] == 0
 
 
 @dataclass(frozen=True)
@@ -144,9 +130,6 @@ class PropagatorSystem:
         self._breaks = basis_mod.breakpoints(basis, self.k).tolist()
         # (cell, rows, srcs, weight * e_j) of the last cell, replaced whole
         self._cell_ladder = (-1, None, None, None)
-        # constant coefficients are read once, callables on every call
-        self._drift, self._diffusion = (None if any(map(callable, c)) else tuple(c)
-                                        for c in (model.drift, model.diffusion))
 
     def _project(self, c0: float, c1: float, c2: float, y: np.ndarray,
                  quad: np.ndarray | None) -> np.ndarray:
@@ -158,8 +141,7 @@ class PropagatorSystem:
         return out
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        b0, b1, b2 = self._drift or self.model.drift_at(t)
-        g0, g1, g2 = self._diffusion or self.model.diffusion_at(t)
+        (b0, b1, b2), (g0, g1, g2) = self.model.drift, self.model.diffusion
         quad = None
         if self.needs_quadratic and (b2 != 0.0 or g2 != 0.0):
             quad = np.bincount(
@@ -229,6 +211,6 @@ def solve(model: SdeModel, spec: TruncationSpec, basis: BasisSpec,
 def gbm_parameters(model: SdeModel) -> tuple[float, float]:
     """(mu, sigma) of dX = mu X dt + sigma X dW; ``NotGbm`` for other shapes."""
     (b0, mu, b2), (g0, sigma, g2) = model.drift, model.diffusion
-    if callable(mu) or callable(sigma) or not all(map(_is_zero, (b0, b2, g0, g2))):
+    if any((b0, b2, g0, g2)):  # -0.0 counts as zero, NaN does not
         raise NotGbm("closed form needs constant x^1 terms and no others")
     return mu, sigma

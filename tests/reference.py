@@ -91,8 +91,7 @@ def closed_form_bm(model: SdeModel, index_set: IndexSet, basis: BasisSpec,
     vanishes.  Other model shapes raise ``NotBm``.
     """
     (b, *drift_rest), (sigma, *diffusion_rest) = model.drift, model.diffusion
-    if (callable(b) or callable(sigma)
-            or any(callable(c) or c != 0 for c in (*drift_rest, *diffusion_rest))):
+    if any((*drift_rest, *diffusion_rest)):
         raise NotBm("closed form needs constant x^0 terms and no others")
     ts = np.asarray(ts, dtype=float)
     dense = index_set.dense

@@ -290,6 +290,15 @@ class TestEnumeration:
             with pytest.raises(ValueError, match="distinct and in canonical order"):
                 IndexSet(np.array(rows))
 
+    def test_constructor_leaves_a_callers_array_writeable(self):
+        dense = np.array([[0, 0], [0, 1], [1, 0]], dtype=INDEX_DTYPE)
+        index_set = IndexSet(dense)
+        assert dense.flags.writeable and not index_set.dense.flags.writeable
+        dense[1, 1] = 5
+        assert index_set.dense.tolist() == [[0, 0], [0, 1], [1, 0]]
+        # a frozen array, as enumeration hands over, is kept uncopied
+        assert IndexSet(index_set.dense).dense is index_set.dense
+
     def test_high_order_on_many_coordinates(self):
         # 91 indices; the full set of order 12 on 300 coordinates has
         # binomial(312, 12) > 2^63 members, and lookups must not depend on it

@@ -258,12 +258,13 @@ class TestEulerMaruyama:
         assert stats.mean == pytest.approx(x0, abs=4 * stats.mean_se)
         assert abs(stats.variance - c2 ** 2 * x0 ** 4 * t_end) <= 4 * stats.variance_se
 
-    def test_time_dependent_drift(self):
-        # b(t, x) = 2t with zero noise integrates to x0 + t^2 exactly on the grid
-        model = SdeModel((lambda t: 2.0 * t, 0.0, 0.0), (0.0, 0.0, 0.0), 0.5)
+    def test_constant_drift_is_the_left_riemann_sum(self):
+        # b(x) = 2 with zero noise: every path takes the scalar sum x0 + 2 dt + ...
+        model = SdeModel((2.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.5)
         stats = euler_maruyama(model, n_steps=256, n_paths=10, rng=RngSpec(seed=4))
-        left_riemann = 0.5 + sum(2.0 * (i / 256) / 256 for i in range(256))
+        left_riemann = 0.5 + sum(2.0 / 256 for _ in range(256))
         assert stats.mean == pytest.approx(left_riemann, rel=1e-12)
+        assert stats.variance == pytest.approx(0.0, abs=1e-12)
 
     def test_reproducible(self):
         model = SdeModel.gbm(1.0, 1.0, 1.0)

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chaossde.basis import antiderivative_grid, element_values, make_basis
 from chaossde.errors import NotGbm, TimeNotOnGrid
 from chaossde.integrator import ToleranceSpec
 from chaossde.multiindex import FullTruncation, IndexSet, enumerate_indices
-from chaossde.propagator import ChaosSolution, SdeModel, build_rhs, initial_state, solve
+from chaossde.oracle import RngSpec, euler_maruyama
+from chaossde.propagator import (ChaosSolution, SdeModel, build_rhs, gbm_parameters,
+                                 initial_state, solve)
 from reference import NotBm, bm_model, closed_form_bm, closed_form_gbm_grid
 
 TIGHT = ToleranceSpec(rtol=1e-10, atol=1e-12)
@@ -22,6 +26,37 @@ def gbm():
 def gbm_coefficient(model, row, basis, t):
     """One GBM coefficient at one time, from a one-index set."""
     return closed_form_gbm_grid(model, IndexSet(np.array([row])), basis, [t])[0, 0]
+
+
+class TestModelCoefficients:
+    def test_callable_coefficient_is_refused(self):
+        with pytest.raises(TypeError):
+            SdeModel((lambda t: t, 0.0, 0.0), (0.0, 1.0, 0.0), 1.0)
+
+    def test_int_coefficients_are_stored_as_floats(self):
+        ints = SdeModel((0, 1, -1), (0, 1, 0), 0.5)
+        floats = SdeModel((0.0, 1.0, -1.0), (0.0, 1.0, 0.0), 0.5)
+        assert [type(c) for c in ints.drift + ints.diffusion] == [float] * 6
+        spec, basis = FullTruncation(p=2, k=3), make_basis("klcos")
+        got, want = (solve(m, spec, basis, GRID, TIGHT).coeffs for m in (ints, floats))
+        assert got.tobytes() == want.tobytes()
+        got, want = (euler_maruyama(m, 16, 100, RngSpec(seed=5)) for m in (ints, floats))
+        assert got == want
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, math.nan, 1.5]), min_size=6, max_size=6))
+    def test_signed_zero_is_zero_and_nan_is_not(self, values):
+        def zero(c):
+            return str(c) in ("0.0", "-0.0")
+
+        drift, diffusion = values[:3], values[3:]
+        model = SdeModel(drift, diffusion, 1.0)
+        assert model.is_affine == (zero(drift[2]) and zero(diffusion[2]))
+        if all(map(zero, (drift[0], drift[2], diffusion[0], diffusion[2]))):
+            assert np.array_equal(gbm_parameters(model), (drift[1], diffusion[1]),
+                                  equal_nan=True)
+        else:
+            with pytest.raises(NotGbm):
+                gbm_parameters(model)
 
 
 class TestAssembledSystem:
@@ -45,11 +80,11 @@ class TestAssembledSystem:
             assert dy[n] == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_drift_only(self):
-        # b(t, x) = 2t, sigma = 0: only the mean coefficient evolves
-        model = SdeModel((lambda t: 2.0 * t, 0.0, 0.0), (0.0, 0.0, 0.0), 0.5)
+        # b(x) = 2, sigma = 0: only the mean coefficient evolves
+        model = SdeModel((2.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.5)
         sol = solve(model, FullTruncation(p=2, k=3), make_basis("trig"), GRID, TIGHT)
         zero = 0  # the zero index is ordinal 0
-        assert np.abs(sol.coeffs[:, zero] - (0.5 + GRID ** 2)).max() < 1e-9
+        assert np.abs(sol.coeffs[:, zero] - (0.5 + 2.0 * GRID)).max() < 1e-9
         others = np.delete(sol.coeffs, zero, axis=1)
         assert np.abs(others).max() == 0.0
 
@@ -143,17 +178,13 @@ class TestClosedForms:
         exact = closed_form_gbm_grid(faster, sol.index_set, basis, [1.0])
         assert exact[0, 0] == pytest.approx(math.exp(2.0), rel=1e-12)
         assert sol.coeffs[-1, 0] == pytest.approx(math.exp(2.0), rel=1e-8)
-        one = lambda t: 1.0  # noqa: E731
-        not_gbm = [bm_model(1, 1, 1), SdeModel((0.0, one, 0.0), (0.0, 1.0, 0.0), 1.0),
-                   SdeModel((0.0, 1.0, 0.0), (0.0, one, 0.0), 1.0),
-                   SdeModel((0.5, 1.0, 0.0), (0.0, 1.0, 0.0), 1.0),
+        not_gbm = [bm_model(1, 1, 1), SdeModel((0.5, 1.0, 0.0), (0.0, 1.0, 0.0), 1.0),
                    SdeModel((0.0, 1.0, 0.0), (0.5, 1.0, 0.0), 1.0),
                    SdeModel((0.0, 1.0, -1.0), (0.0, 1.0, 0.0), 1.0)]
         for model in not_gbm:
             with pytest.raises(NotGbm):
                 gbm_coefficient(model, (0,), make_basis("trig"), 0.5)
-        not_bm = [gbm(), SdeModel((one, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0),
-                  SdeModel((1.0, 0.0, 0.0), (one, 0.0, 0.0), 1.0),
+        not_bm = [gbm(), SdeModel((1.0, 0.0, 0.0), (1.0, 0.2, 0.0), 1.0),
                   SdeModel((1.0, 0.0, 0.0), (1.0, 0.0, 0.2), 1.0)]
         for model in not_bm:
             with pytest.raises(NotBm):

@@ -64,8 +64,8 @@ def old_rhs(system):
         return out
 
     def rhs(t, y):
-        b0, b1, b2 = system.model.drift_at(t)
-        g0, g1, g2 = system.model.diffusion_at(t)
+        b0, b1, b2 = system.model.drift
+        g0, g1, g2 = system.model.diffusion
         quad = None
         if system.needs_quadratic and (b2 != 0.0 or g2 != 0.0):
             quad = np.bincount(
@@ -199,8 +199,8 @@ MODELS = {
     "gbm": SdeModel.gbm(0.7, 1.3, 1.0),
     "bm": bm_model(-0.4, 0.9, 0.5),
     "logistic": SdeModel((0.0, 1.0, -1.0), (0.0, 0.5, 0.0), 0.5),
-    "callable": SdeModel((lambda t: 0.3 * t, lambda t: math.cos(t), 0.0),
-                         (lambda t: 0.1 - t, 0.8, lambda t: 0.05 * t), 1.0),
+    # constant, linear and quadratic terms, so each branch of _project runs
+    "mixed": SdeModel((0.3, -0.5, 0.0), (0.1, 0.8, 0.05), 1.0),
 }
 BASES = [BasisSpec(kind, horizon) for kind in ("klcos", "trig", "haar")
          for horizon in (1.0, 2.5)]
