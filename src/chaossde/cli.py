@@ -23,7 +23,7 @@ import operator
 import os
 import sys
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -213,8 +213,10 @@ def run_benchmark_row(row: BenchmarkRow, basis_token: str, model: SdeModel,
 def cmd_table1(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
     gbm_parameters(model)  # another shape is refused whatever rows match
     accept = _parse_row_filter(args.rows, parser)
-    reports = [run_benchmark_row(row, token, model, tol)
-               for row in BENCHMARK_ROWS if accept(row) for token in args.basis]
+    # a copy of each row's spec, made as the row is reached: its bases share one
+    # set, freed after them, where the module-level spec would keep it for good
+    rows = (replace(row, spec=replace(row.spec)) for row in BENCHMARK_ROWS if accept(row))
+    reports = [run_benchmark_row(row, token, model, tol) for row in rows for token in args.basis]
     if args.format == "csv":  # by module name: the benchmark self-test patches it
         write_report_csv(args.out, reports)
     else:

@@ -119,7 +119,10 @@ class GalerkinTensor(NamedTuple):
 
 
 def galerkin_tensor(index_set: IndexSet) -> GalerkinTensor:
-    """The Galerkin tensor of ``index_set``, built once per set.
+    """The Galerkin tensor of ``index_set``, built once per set and kept with it.
+
+    Its arrays are read-only and shared by every system and third moment of
+    the set, and so by every solve of the spec it was enumerated from.
 
     Entries come ordered by b, then c, then a in ascending lexicographic
     order, with weights multiplied coordinate by coordinate from the left,

@@ -133,6 +133,7 @@ class IndexSet:
             self.dense = dense.copy()
         self.dense.flags.writeable = False
         self.keys = row_keys(self.dense)
+        self.keys.flags.writeable = False
         if np.any(self.keys[1:] <= self.keys[:-1]):
             raise ValueError("rows must be distinct and in canonical order")
         self._cache: dict = {}
@@ -145,9 +146,13 @@ class IndexSet:
         return len(self.dense)
 
     def cached(self, name: str, build):
-        """``build(self)``, computed once per set and kept with it."""
+        """``build(self)``, computed once per set and kept with it.
+
+        Every system and solve of the set shares what is kept, so the
+        arrays of the result, a tuple of arrays, are made read-only.
+        """
         if name not in self._cache:
-            self._cache[name] = build(self)
+            self._cache[name] = _frozen(build(self))
         return self._cache[name]
 
     @cached_property
@@ -159,7 +164,8 @@ class IndexSet:
         """``(rows, cols, orders)`` of the non-zero entries by row, then column,
         and the ``bounds``: row n holds entries ``bounds[n]:bounds[n + 1]``."""
         rows, cols = np.nonzero(self.dense)
-        return rows, cols, self.dense[rows, cols], np.searchsorted(rows, np.arange(len(self) + 1))
+        return _frozen((rows, cols, self.dense[rows, cols],
+                        np.searchsorted(rows, np.arange(len(self) + 1))))
 
     def positions(self, rows: np.ndarray) -> np.ndarray:
         """Ordinal of each dense row in this set, -1 where it is absent."""
@@ -175,6 +181,16 @@ class IndexSet:
         _, cols, orders, bounds = self.support
         terms = [f"a{i}:{v}" for i, v in zip((cols + 1).tolist(), orders.tolist())]
         return ["|".join(terms[lo:hi]) or "0" for lo, hi in itertools.pairwise(bounds.tolist())]
+
+
+def _frozen(arrays: tuple) -> tuple:
+    """``arrays``, a tuple of arrays, each made read-only; ``TypeError`` for
+    anything else, whose arrays could not all be reached and frozen."""
+    if not (isinstance(arrays, tuple) and all(isinstance(a, np.ndarray) for a in arrays)):
+        raise TypeError(f"a kept result must be a tuple of arrays, got {type(arrays).__name__}")
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
@@ -228,20 +244,30 @@ def _nested_caps(spec: TruncationSpec) -> tuple[int, ...] | None:
 def enumerate_indices(spec: TruncationSpec) -> IndexSet:
     """Rows of order m <= p with a_i <= ``spec.caps(m)[i]``, in canonical order.
 
+    The set is built once per spec object and kept in its ``__dict__`` (a
+    frozen dataclass refuses ``setattr``), so it and what is ``cached`` on
+    it live as long as the spec; an equal but distinct spec builds its own.
+    A module-level spec, such as those of ``presets``, so keeps its set
+    until the process exits; ``dataclasses.replace(spec)`` gives a spec
+    without it, while ``copy.copy`` and pickling carry the kept set along.
+    Sets ``checked_count`` refuses raise before anything is allocated, and
+    nothing is kept for them.
     Nested caps grow every order at once, other caps each order alone.
-    Sets ``checked_count`` refuses raise before anything is allocated.
     Each reversed level is in canonical order with no sort: one parent's
     children descend as the raised coordinate ascends, and a later parent
     of the same order raises none before its first difference from an
     earlier one, so all its children come below the earlier one's.
     """
+    if "_index_set" in spec.__dict__:
+        return spec.__dict__["_index_set"]
     checked_count(spec)
     top = _nested_caps(spec)
     levels = (_capped_levels(top, spec.p) if top is not None else
               [_capped_levels(spec.caps(m), m)[-1] for m in range(spec.p + 1)])
     dense = np.concatenate([level[::-1] for level in levels])
     dense.flags.writeable = False  # no other holder: IndexSet keeps it uncopied
-    return IndexSet(dense)
+    spec.__dict__["_index_set"] = IndexSet(dense)
+    return spec.__dict__["_index_set"]
 
 
 def _order_count(caps: tuple[int, ...], m: int) -> int:

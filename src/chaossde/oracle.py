@@ -272,7 +272,7 @@ def euler_maruyama(model: SdeModel, n_steps: int, n_paths: int, rng: RngSpec,
     (b0, b1, b2), (g0, g1, g2) = model.drift, model.diffusion
 
     def worker(gen: np.random.Generator, size: int) -> np.ndarray:
-        x = np.full(size, float(model.x0))
+        x = np.full(size, model.x0)
         drift, diff, x_sq, tmp = (np.empty(size) for _ in range(4))
         for _ in range(n_steps):
             z = normal_draws(gen, size)

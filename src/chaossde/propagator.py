@@ -17,6 +17,7 @@ lower-triangular in chaos order for affine models.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,12 +32,22 @@ from .hermite import product_expansion  # noqa: F401
 from .integrator import ToleranceSpec, integrate, keep_states
 from .multiindex import IndexSet, TruncationSpec, enumerate_indices
 
+
+def _real(value) -> float:
+    """``value`` as a float; ``TypeError`` unless it is a real number."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"need a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SdeModel:
     """Scalar SDE with polynomial coefficients of degree <= 2.
 
     ``drift`` and ``diffusion`` are triples ``(c0, c1, c2)`` representing
-    c0 + c1 x + c2 x^2, stored as floats: a callable one raises ``TypeError``.
+    c0 + c1 x + c2 x^2.  Each coefficient and ``x0`` must be a real number
+    (``TypeError`` for text, a callable or another object, ``ValueError``
+    for a triple of another length), and all are stored as floats.
     """
 
     drift: tuple[float, float, float]
@@ -45,7 +56,11 @@ class SdeModel:
 
     def __post_init__(self):
         for name in ("drift", "diffusion"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+            values = tuple(getattr(self, name))
+            if len(values) != 3:
+                raise ValueError(f"{name} needs three coefficients c0, c1, c2, got {values!r}")
+            object.__setattr__(self, name, tuple(map(_real, values)))
+        object.__setattr__(self, "x0", _real(self.x0))
 
     @classmethod
     def gbm(cls, mu: float, sigma: float, x0: float) -> "SdeModel":
@@ -91,11 +106,14 @@ class PropagatorSystem:
     """Assembled right-hand side of the coefficient ODE system.
 
     The ladder structure (which diminished coefficient feeds which index,
-    and with what weight) and the Galerkin tensor for quadratic terms
-    (``hermite.galerkin_tensor``, kept with the index set) are precomputed,
-    so evaluating the system inside an adaptive integrator touches only
-    flat arrays.  Instances are callable as
-    ``system(t, y)`` and expose the assembly for inspection.
+    and with what weight, ``ladder``) and the Galerkin tensor for quadratic
+    terms (``hermite.galerkin_tensor``) depend on the index set alone, so
+    both are built once per set and kept with it: every system of one set,
+    whatever its model or basis, shares their read-only arrays, and a set
+    lives as long as the spec it was enumerated from.  A system binds the
+    model, the basis's element evaluator and its breakpoints, so evaluating
+    it inside an adaptive integrator touches only flat arrays.  Instances
+    are callable as ``system(t, y)`` and expose the assembly for inspection.
 
     On a basis with breakpoints (Haar, k >= 2) the ladder sum runs over one
     cell's entries: those whose element is non-zero in the cell of ``t``,
@@ -115,15 +133,8 @@ class PropagatorSystem:
         if self.needs_quadratic:
             (self.quad_targets, self.quad_left, self.quad_right,
              self.quad_weights) = galerkin_tensor(index_set)
-
-        self.ladder_rows, self.ladder_js, orders, _ = index_set.support
-        lowered = index_set.dense[self.ladder_rows]
-        lowered[np.arange(len(lowered)), self.ladder_js] -= 1
-        self.ladder_srcs = index_set.positions(lowered)
-        if np.any(self.ladder_srcs < 0):
-            raise InvalidSparseIndex("index set is not downward closed: an index "
-                                     "lowered by one unit is missing")
-        self.ladder_weights = np.sqrt(orders.astype(float))
+        (self.ladder_rows, self.ladder_js, self.ladder_srcs,
+         self.ladder_weights) = index_set.cached("ladder", ladder)
         self._e0 = np.zeros(self.n)
         self._e0[0] = 1.0  # the set is closed under lowering: row 0 is the zero index
         self._element_values = basis_mod.element_evaluator(basis, self.k)
@@ -168,6 +179,27 @@ class PropagatorSystem:
         keep = np.flatnonzero(e_at)
         return (cell, self.ladder_rows[keep], self.ladder_srcs[keep],
                 self.ladder_weights[keep] * e_at[keep])
+
+
+def ladder(index_set: IndexSet) -> tuple[np.ndarray, ...]:
+    """``(rows, js, srcs, weights)`` of the ladder sum, which systems keep
+    with the set (``IndexSet.cached``).
+
+    Entry e adds ``weights[e] * e_{js[e]}(t) * sigma[srcs[e]]`` to row
+    ``rows[e]``: srcs[e] is the ordinal of that row lowered by one unit at
+    coordinate js[e], and weights[e] the square root of that coordinate's
+    entry in the row.  The entries are the set's ``support``, by row then
+    coordinate.  A set that is not closed under lowering raises
+    ``InvalidSparseIndex``.
+    """
+    rows, js, orders, _ = index_set.support
+    lowered = index_set.dense[rows]
+    lowered[np.arange(len(lowered)), js] -= 1
+    srcs = index_set.positions(lowered)
+    if np.any(srcs < 0):
+        raise InvalidSparseIndex("index set is not downward closed: an index "
+                                 "lowered by one unit is missing")
+    return rows, js, srcs, np.sqrt(orders.astype(float))
 
 
 def build_rhs(model: SdeModel, index_set: IndexSet, basis: BasisSpec) -> PropagatorSystem:

@@ -4,6 +4,7 @@ import json
 import os
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -537,6 +538,27 @@ class TestTable1Command:
         assert run(["table1", "--rows", "k=2", "--out", str(a)]) == 0
         assert run(["table1", "--rows", "k=2", "--out", str(b)]) == 0
         assert strip_wall_time(str(a)) == strip_wall_time(str(b))
+
+    def test_keeps_no_set_past_its_row(self, tmp_path, monkeypatch):
+        # each row is solved on a copy of its spec, so its set is freed with
+        # the row, and none is kept with the module-level rows
+        rows = tuple(dataclasses.replace(r, spec=dataclasses.replace(r.spec))
+                     for r in BENCHMARK_ROWS if r.k == 2)
+        monkeypatch.setattr(cli, "BENCHMARK_ROWS", rows)
+        solved, live = [], []
+
+        def recording(row, *args):
+            solved.append(weakref.ref(row.spec))
+            live.append(len({id(spec) for spec in (ref() for ref in solved) if spec}))
+            return run_benchmark_row(row, *args)
+
+        run_benchmark_row = cli.run_benchmark_row
+        monkeypatch.setattr(cli, "run_benchmark_row", recording)
+        out = tmp_path / "t.csv"
+        assert run(["table1", "--rows", "k=2", "--out", str(out)]) == 0
+        assert len(read_report_csv(str(out))) == len(live) == 2 * len(rows)
+        assert max(live) == 1
+        assert not any("_index_set" in vars(r.spec) for r in rows)
 
     def test_largest_row_never_holds_the_trajectory(self):
         # klcos p=5, k=16 has n = 20,349: its 1001-point trajectory alone

@@ -437,9 +437,20 @@ class TestLadder:
     def test_set_not_closed_under_lowering_is_rejected(self):
         # (0, 2) has order 2 and fits row 2, but (0, 1) breaks row 1
         spec = SparseSecondOrder(((1, 0), (2, 2)))
-        with pytest.raises(InvalidSparseIndex):
-            build_rhs(SdeModel.gbm(1.0, 1.0, 1.0), enumerate_indices(spec),
-                      make_basis("trig"))
+        for _ in range(2):  # a refused ladder is not kept
+            with pytest.raises(InvalidSparseIndex):
+                build_rhs(SdeModel.gbm(1.0, 1.0, 1.0), enumerate_indices(spec),
+                          make_basis("trig"))
+
+    def test_shared_by_the_systems_of_one_spec(self):
+        spec = FullTruncation(p=3, k=4)
+        klcos, haar = (build_rhs(model, enumerate_indices(spec), make_basis(token))
+                       for model, token in ((SdeModel.gbm(1.0, 1.0, 1.0), "klcos"),
+                                            (LOGISTIC, "haar")))
+        for name in ("ladder_rows", "ladder_js", "ladder_srcs", "ladder_weights"):
+            assert getattr(klcos, name) is getattr(haar, name)
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(klcos, name)[0] = 0
 
 
 class TestGalerkinTensor:
@@ -485,8 +496,9 @@ class TestGalerkinTensor:
                                       SparseSecondOrder(((1, 1, 0), (2, 2, 2), (3, 1, 1)))],
                              ids=str)
     def test_blocks_do_not_change_the_bytes(self, spec, monkeypatch):
-        # one candidate per block: every b with candidates is its own block
-        index_set = enumerate_indices(spec)
+        # one candidate per block: every b with candidates is its own block;
+        # a set of its own, since the spec's may hold its tensor already
+        index_set = IndexSet(enumerate_indices(spec).dense)
         want = loop_tensor(index_set)
         monkeypatch.setattr(hermite, "BLOCK_CELLS", 1)
         assert_same_bytes(galerkin_tensor(index_set), want)
@@ -547,6 +559,9 @@ class TestGalerkinTensor:
         q = galerkin_tensor(index_set)
         assert system.quad_targets is q.targets and system.quad_weights is q.weights
         assert galerkin_tensor(index_set) is q
+        for array in q:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestThirdMoment:

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from chaossde.errors import InvalidSparseIndex
+from chaossde.errors import IndexSetTooLarge, InvalidSparseIndex
 from chaossde.multiindex import (FullTruncation, IndexSet, SparseFirstOrder,
                                  SparseSecondOrder, count_indices,
                                  enumerate_indices, parse_sparse_text)
@@ -43,14 +44,54 @@ class TestEnumerate:
         assert got == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
     def test_deterministic(self):
-        spec = SparseFirstOrder((3, 2, 2, 1, 1))
-        assert np.array_equal(enumerate_indices(spec).dense, enumerate_indices(spec).dense)
+        # two equal specs each enumerate their own set
+        first, second = (enumerate_indices(SparseFirstOrder((3, 2, 2, 1, 1))) for _ in range(2))
+        assert first is not second
+        assert first.dense.tobytes() == second.dense.tobytes()
 
     def test_no_duplicates_and_position_map(self):
         s = enumerate_indices(FullTruncation(p=4, k=4))
         assert len(set(rows(s))) == len(s)
         for n, row in enumerate(rows(s)):
             assert s.positions(np.array([row])) == n
+
+
+class TestKeptWithTheSpec:
+    @pytest.mark.parametrize("spec", [FullTruncation(p=2, k=3), SparseFirstOrder((2, 1, 1)),
+                                      SparseSecondOrder(((1, 1, 1), (2, 2, 0)))], ids=str)
+    def test_same_spec_object_same_set(self, spec):
+        index_set = enumerate_indices(spec)
+        assert enumerate_indices(spec) is index_set
+        # an equal spec is its own object and enumerates its own set
+        twin = dataclasses.replace(spec)
+        assert twin == spec and hash(twin) == hash(spec)
+        assert enumerate_indices(twin) is not index_set
+        assert enumerate_indices(twin).dense.tobytes() == index_set.dense.tobytes()
+
+    def test_refusal_is_raised_every_time_and_not_kept(self):
+        spec = FullTruncation(p=10, k=64)
+        for _ in range(2):
+            with pytest.raises(IndexSetTooLarge):
+                enumerate_indices(spec)
+        assert "_index_set" not in vars(spec)
+
+    def test_kept_arrays_are_read_only(self):
+        index_set = enumerate_indices(FullTruncation(p=2, k=3))
+        held = [index_set.dense, index_set.keys, *index_set.support]
+        held += index_set.cached("twice", lambda s: (2 * s.dense, s.dense + 1))
+        for array in held:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert enumerate_indices(FullTruncation(p=2, k=3)).labels() == index_set.labels()
+
+    @pytest.mark.parametrize("build", [lambda s: 2 * s.dense, lambda s: [s.dense + 1],
+                                       lambda s: (s.dense + 1, None)], ids=["array", "list", "None"])
+    def test_cached_refuses_anything_but_a_tuple_of_arrays(self, build):
+        # a bare array or a list would keep arrays that are not all frozen
+        index_set = enumerate_indices(FullTruncation(p=2, k=3))
+        for _ in range(2):  # a refused result is not kept
+            with pytest.raises(TypeError, match="tuple of arrays"):
+                index_set.cached("bad", build)
 
 
 class TestCount:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,9 @@ TIGHT = ToleranceSpec(rtol=1e-10, atol=1e-12)
 GRID = np.linspace(0.0, 1.0, 101)
 
 
+LOGISTIC = SdeModel((0.0, 1.0, -1.0), (0.0, 0.5, 0.0), 0.5)
+
+
 def gbm():
     return SdeModel.gbm(1.0, 1.0, 1.0)
 
@@ -33,10 +37,25 @@ class TestModelCoefficients:
         with pytest.raises(TypeError):
             SdeModel((lambda t: t, 0.0, 0.0), (0.0, 1.0, 0.0), 1.0)
 
+    @pytest.mark.parametrize("drift, diffusion, x0", [
+        (("0", "1", "0"), (0, 1), 1.0), (("0", "1", "0"), (0, 1, 0), 1.0),
+        ((0, 1, 0), (0, 1j, 0), 1.0), ((0, 1, 0), (0, 1, 0), "1"),
+        ((0, 1, 0), (0, 1, 0), None), ((0, 1, 0), (0, 1, 0), lambda: 1.0),
+        (1.0, (0, 1, 0), 1.0)], ids=repr)
+    def test_anything_but_real_numbers_is_refused(self, drift, diffusion, x0):
+        with pytest.raises(TypeError):
+            SdeModel(drift, diffusion, x0)
+
+    @pytest.mark.parametrize("drift, diffusion", [
+        ((0, 1, 0), (0, 1)), ((0, 1, 0, 0), (0, 1, 0)), ((), (0, 1, 0))], ids=repr)
+    def test_a_triple_of_another_length_is_refused(self, drift, diffusion):
+        with pytest.raises(ValueError, match="needs three coefficients"):
+            SdeModel(drift, diffusion, 1.0)
+
     def test_int_coefficients_are_stored_as_floats(self):
-        ints = SdeModel((0, 1, -1), (0, 1, 0), 0.5)
-        floats = SdeModel((0.0, 1.0, -1.0), (0.0, 1.0, 0.0), 0.5)
-        assert [type(c) for c in ints.drift + ints.diffusion] == [float] * 6
+        ints = SdeModel((0, 1, -1), (0, 1, 0), np.int64(1))
+        floats = SdeModel((0.0, 1.0, -1.0), (0.0, 1.0, 0.0), 1.0)
+        assert [type(c) for c in (*ints.drift, *ints.diffusion, ints.x0)] == [float] * 7
         spec, basis = FullTruncation(p=2, k=3), make_basis("klcos")
         got, want = (solve(m, spec, basis, GRID, TIGHT).coeffs for m in (ints, floats))
         assert got.tobytes() == want.tobytes()
@@ -101,6 +120,20 @@ class TestAssembledSystem:
         assert not indices.dense[0].any()  # the zero index is ordinal 0
         assert y0[0] == 1.0
         assert np.count_nonzero(y0) == 1
+
+
+class TestHeldSpec:
+    def test_repeated_solves_match_a_fresh_spec(self):
+        # one spec held across models and bases, as a sweep holds it: its
+        # set, ladder and tensor are reused, and no solve sees another's
+        spec = FullTruncation(p=2, k=4)
+        for model, token in itertools.product((gbm(), LOGISTIC), ("klcos", "haar")):
+            basis = make_basis(token)
+            held = [solve(model, spec, basis, GRID, TIGHT) for _ in range(2)]
+            fresh = solve(model, FullTruncation(p=2, k=4), basis, GRID, TIGHT)
+            assert held[0].index_set is held[1].index_set is not fresh.index_set
+            for sol in held:
+                assert sol.coeffs.tobytes() == fresh.coeffs.tobytes()
 
 
 class TestSolveAgainstClosedForms:
