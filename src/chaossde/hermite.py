@@ -109,7 +109,9 @@ class GalerkinTensor(NamedTuple):
     Entry e couples ordinals ``left[e] <= right[e]`` into ``targets[e]``;
     ``weights[e]`` is E[Psi^a Psi^b Psi^c], doubled when b != c so that
     sum_e weights[e] x[left[e]] x[right[e]] over the entries with
-    ``targets[e] == a`` is the a-th coefficient of X^2.
+    ``targets[e] == a`` is the a-th coefficient of X^2.  Entries come by
+    ``left`` (see ``galerkin_tensor``), a contract the right-hand side
+    relies on: it reads x[left] as ``np.repeat(x, runs)``.
     """
 
     targets: np.ndarray

@@ -43,7 +43,7 @@ _D = (
 )
 # The weights as columns against the (stages, n) block of stage values.
 _A_COLS = tuple(np.array(row).reshape(-1, 1) for row in _A)
-_E_COL = np.array(_E).reshape(-1, 1)
+_E_COL, _D_COL = (np.array(w).reshape(-1, 1) for w in (_E, _D))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -113,7 +113,9 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
 
     Returns the observed rows, shape ``(len(output_grid), m)``: with the
     default ``keep_states``, the states themselves; any other ``observe``
-    never holds all states.  Identical inputs produce bit-identical results.
+    never holds all states.  Identical inputs produce bit-identical results:
+    stage sums run ((0 + a_0 k_0) + a_1 k_1) + ... as ``sum()`` did, the
+    error and r5 sums ((w_0 k_0 + w_2 k_2) + w_3 k_3) + ... (w_1 = 0 skipped).
     """
     tol = tol or ToleranceSpec()
     grid = np.asarray(output_grid, dtype=float)
@@ -171,18 +173,15 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
             for s in range(1, 7):
                 ts = math.nextafter(t_new, t) if inside and _C[s] == 1.0 else t + _C[s] * h
                 np.multiply(k[:s], _A_COLS[s], out=terms[:s])
-                np.add(terms[0], 0.0, out=acc)  # sum()'s start 0 turns -0.0 into +0.0
-                for m in range(1, s):
-                    acc += terms[m]
+                np.add.reduce(terms[:s], axis=0, out=acc, initial=0.0)
                 acc *= h
                 ys = y + acc
                 k[s] = rhs(ts, ys)
             y_new = ys  # FSAL: the last stage is evaluated at the fifth-order solution
-            # h * (E0 k0 + E2 k2 + ... + E6 k6), left to right; E1 = 0 is skipped
+            # h * (E0 k0 + E2 k2 + ... + E6 k6): row 0 takes row 1's (E1 = 0); -0.0 adds exactly
             np.multiply(k, _E_COL, out=terms)
-            np.add(terms[0], terms[2], out=acc)
-            for m in range(3, 7):
-                acc += terms[m]
+            terms[1] = terms[0]
+            np.add.reduce(terms[1:], axis=0, out=acc, initial=-0.0)
             acc *= h
             sc = tol.atol + tol.rtol * np.maximum(np.abs(y), np.abs(y_new))
             err = _rms(np.divide(acc, sc, out=acc))
@@ -197,8 +196,10 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
                     ydiff = y_new - y
                     bspl = h * k[0] - ydiff
                     r4 = ydiff - h * k[6] - bspl
-                    r5 = h * (_D[0] * k[0] + _D[2] * k[2] + _D[3] * k[3]
-                              + _D[4] * k[4] + _D[5] * k[5] + _D[6] * k[6])
+                    np.multiply(k, _D_COL, out=terms)  # D1 = 0: summed as the error
+                    terms[1] = terms[0]
+                    r5 = np.add.reduce(terms[1:], axis=0, initial=-0.0)
+                    r5 *= h
                     lo = gi
                     while lo < end:  # blocks end where the stage fills
                         hi = min(end, base + block)

@@ -105,22 +105,23 @@ class ChaosSolution:
 class PropagatorSystem:
     """Assembled right-hand side of the coefficient ODE system.
 
-    The ladder structure (which diminished coefficient feeds which index,
-    and with what weight, ``ladder``) and the Galerkin tensor for quadratic
-    terms (``hermite.galerkin_tensor``) depend on the index set alone, so
-    both are built once per set and kept with it: every system of one set,
-    whatever its model or basis, shares their read-only arrays, and a set
-    lives as long as the spec it was enumerated from.  A system binds the
-    model, the basis's element evaluator and its breakpoints, so evaluating
-    it inside an adaptive integrator touches only flat arrays.  Instances
-    are callable as ``system(t, y)`` and expose the assembly for inspection.
+    The ladder (which diminished coefficient feeds which index, with what
+    weight: ``ladder``), the Galerkin tensor of quadratic terms and its
+    entry count per ``left`` ordinal depend on the index set alone: they are
+    built once per set, kept with it read-only and shared by its systems.
+    A system binds the model, the basis's element evaluator and breakpoints.
 
-    On a basis with breakpoints (Haar, k >= 2) the ladder sum runs over one
-    cell's entries: those whose element is non-zero in the cell of ``t``,
-    kept for one cell at a time (steps never cross a breakpoint).  A
-    skipped entry would add an exact +-0 to a bin sum that starts at +0.0,
-    which changes no bit; with non-finite diffusion coefficients the full
-    ladder keeps the NaN bits.
+    Each sum keeps one association.  A quadratic entry is (y_l w) y_r, the
+    bits of w y_l y_r, with y[left] read as ``np.repeat(y, runs)`` (the
+    tensor's entries come by ``left``); a ladder entry is (e_j w) sigma;
+    ``np.bincount`` adds each row's entries in entry order from +0.0; a
+    coefficient's c1, c0 and c2 terms are added in that order.
+
+    On a basis with breakpoints (Haar, k >= 2) the ladder sum runs over the
+    entries, sigma (w e_j), whose element is non-zero in the cell of ``t``,
+    kept for one cell at a time (steps never cross a breakpoint).  A skipped
+    entry would add an exact +-0 to a bin sum that starts at +0.0; with
+    non-finite diffusion the full ladder keeps the NaNs.
     """
 
     def __init__(self, model: SdeModel, index_set: IndexSet, basis: BasisSpec):
@@ -133,6 +134,8 @@ class PropagatorSystem:
         if self.needs_quadratic:
             (self.quad_targets, self.quad_left, self.quad_right,
              self.quad_weights) = galerkin_tensor(index_set)
+            self.quad_runs, = index_set.cached("galerkin_runs", lambda s: (
+                np.bincount(galerkin_tensor(s).left, minlength=len(s)),))
         (self.ladder_rows, self.ladder_js, self.ladder_srcs,
          self.ladder_weights) = index_set.cached("ladder", ladder)
         self._e0 = np.zeros(self.n)
@@ -146,19 +149,19 @@ class PropagatorSystem:
                  quad: np.ndarray | None) -> np.ndarray:
         out = c1 * y if c1 != 0.0 else np.zeros_like(y)
         if c0 != 0.0:
-            out = out + c0 * self._e0
+            out += c0 * self._e0
         if c2 != 0.0:
-            out = out + c2 * quad
+            out += c2 * quad
         return out
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         (b0, b1, b2), (g0, g1, g2) = self.model.drift, self.model.diffusion
         quad = None
         if self.needs_quadratic and (b2 != 0.0 or g2 != 0.0):
-            quad = np.bincount(
-                self.quad_targets,
-                weights=self.quad_weights * y[self.quad_left] * y[self.quad_right],
-                minlength=self.n)
+            products = np.repeat(y, self.quad_runs)  # y[left]
+            products *= self.quad_weights
+            products *= y[self.quad_right]
+            quad = np.bincount(self.quad_targets, weights=products, minlength=self.n)
         out = self._project(b0, b1, b2, y, quad)
         sigma_coeffs = self._project(g0, g1, g2, y, quad)
         if self._breaks and np.isfinite(sigma_coeffs).all():
@@ -166,10 +169,13 @@ class PropagatorSystem:
             if cell != self._cell_ladder[0]:
                 self._cell_ladder = self._ladder_in(cell, t)
             _, rows, srcs, products = self._cell_ladder
-            out += np.bincount(rows, weights=products * sigma_coeffs[srcs], minlength=self.n)
+            contrib = sigma_coeffs[srcs]
+            contrib *= products
+            out += np.bincount(rows, weights=contrib, minlength=self.n)
             return out
-        e_vals = self._element_values(t)
-        contrib = self.ladder_weights * e_vals[self.ladder_js] * sigma_coeffs[self.ladder_srcs]
+        contrib = self._element_values(t)[self.ladder_js]
+        contrib *= self.ladder_weights
+        contrib *= sigma_coeffs[self.ladder_srcs]
         out += np.bincount(self.ladder_rows, weights=contrib, minlength=self.n)
         return out
 

@@ -2,8 +2,8 @@
 
 Scalar Hermite values and triple products, the Brownian-motion model, the
 exact GBM and Brownian-motion coefficients, a Monte Carlo check of the
-Karhunen-Loeve partial sums, and readers of the CLI's CSV output for
-round-trip and reference checks.
+Karhunen-Loeve partial sums, readers of the CLI's CSV output for
+round-trip and reference checks, and a strategy drawing random truncations.
 """
 import csv
 import math
@@ -11,12 +11,13 @@ import typing
 from typing import Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from chaossde.basis import BasisSpec, antiderivative_grid, kl_partial_grid
 from chaossde.cli import ExperimentReport
 from chaossde.errors import ChaosError
 from chaossde.hermite import _check_order, triple_scalar
-from chaossde.multiindex import IndexSet
+from chaossde.multiindex import FullTruncation, IndexSet, SparseFirstOrder, SparseSecondOrder
 from chaossde.oracle import RngSpec, _chunk_sums, normal_draws, pool_size
 from chaossde.propagator import SdeModel, gbm_parameters
 
@@ -151,3 +152,31 @@ def read_curve_csv(path: str) -> dict[str, np.ndarray]:
     header = lines[0].split(",")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     return {name: data[:, i] for i, name in enumerate(header)}
+
+
+@st.composite
+def specs(draw, max_p=4, max_k=6, closed=False):
+    """Random full, first-order and second-order sparse truncations.
+
+    With ``closed``, second-order rows never raise a cap beyond the first
+    coordinate from one order to the next, which keeps the set closed under
+    lowering any coordinate by one (other second-order sets need not be).
+    """
+    kind = draw(st.sampled_from(("full", "sp1", "sp2")))
+    k = draw(st.integers(1, max_k))
+    p = draw(st.integers(0 if kind != "sp2" else 1, max_p))
+    if kind == "full":
+        return FullTruncation(p=p, k=k)
+    if kind == "sp1":
+        caps = [p]
+        while len(caps) < k:
+            caps.append(draw(st.integers(0, caps[-1])))
+        return SparseFirstOrder(tuple(caps))
+    rows = []
+    for j in range(1, p + 1):
+        row = [j]
+        while len(row) < k:
+            top = row[-1] if not (closed and rows) else min(row[-1], rows[-1][len(row)])
+            row.append(draw(st.integers(0, top)))
+        rows.append(tuple(row))
+    return SparseSecondOrder(tuple(rows))

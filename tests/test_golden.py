@@ -40,6 +40,9 @@ FILE_OUTPUTS = {
     # and the quadratic Euler update
     "solve_logistic_klcos_p3_k4.csv": ["solve", *LOGISTIC, "--basis", "klcos", "--p", "3",
                                        "--k", "4", "--grid", "11"],
+    # the Haar cell ladder fed by the Galerkin tensor of the quadratic drift
+    "solve_logistic_haar_p2_k8.csv": ["solve", *LOGISTIC, "--basis", "haar", "--p", "2",
+                                      "--k", "8", "--grid", "33"],
     "mc_logistic_klcos_p2_k4.json": ["mc", *LOGISTIC, "--basis", "klcos", "--p", "2",
                                      "--k", "4", "--paths", "70000", "--steps", "8",
                                      "--seed", "7", "--format", "json"],

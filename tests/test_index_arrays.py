@@ -7,6 +7,7 @@ the Galerkin tensor, and the triple loop for the third moment.  Arithmetic
 order is unchanged for the first four, so they must agree bit for bit; the
 third moment sums in another order and is held to a relative 1e-12.
 """
+import dataclasses
 import itertools
 import math
 import time
@@ -27,6 +28,7 @@ from chaossde.multiindex import (INDEX_DTYPE, MAX_DENSE_CELLS, MAX_INDICES, MAX_
                                  checked_count, count_indices, enumerate_indices, row_keys)
 from chaossde.presets import BENCHMARK_ROWS, SPARSE_PRESETS
 from chaossde.propagator import ChaosSolution, SdeModel, build_rhs
+from reference import specs
 
 LOGISTIC = SdeModel((0.0, 1.0, -1.0), (0.0, 0.5, 0.0), 0.5)
 
@@ -161,34 +163,6 @@ def old_third_moment(index_set, x):
                     total += term
                     scale += abs(term)
     return total, scale
-
-
-@st.composite
-def specs(draw, max_p=4, max_k=6, closed=False):
-    """Random full, first-order and second-order sparse truncations.
-
-    With ``closed``, second-order rows never raise a cap beyond the first
-    coordinate from one order to the next, which keeps the set closed under
-    lowering any coordinate by one (other second-order sets need not be).
-    """
-    kind = draw(st.sampled_from(("full", "sp1", "sp2")))
-    k = draw(st.integers(1, max_k))
-    p = draw(st.integers(0 if kind != "sp2" else 1, max_p))
-    if kind == "full":
-        return FullTruncation(p=p, k=k)
-    if kind == "sp1":
-        caps = [p]
-        while len(caps) < k:
-            caps.append(draw(st.integers(0, caps[-1])))
-        return SparseFirstOrder(tuple(caps))
-    rows = []
-    for j in range(1, p + 1):
-        row = [j]
-        while len(row) < k:
-            top = row[-1] if not (closed and rows) else min(row[-1], rows[-1][len(row)])
-            row.append(draw(st.integers(0, top)))
-        rows.append(tuple(row))
-    return SparseSecondOrder(tuple(rows))
 
 
 class TestEnumeration:
@@ -562,6 +536,24 @@ class TestGalerkinTensor:
         for array in q:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    @pytest.mark.parametrize("spec", sorted(
+        {*(FullTruncation(p, k) for p in range(5) for k in range(1, 7)), *SPARSE_PRESETS.values(),
+         *(row.spec for row in BENCHMARK_ROWS
+           if count_indices(row.spec) <= count_indices(FullTruncation(4, 16)))},
+        key=lambda spec: (count_indices(spec), str(spec))), ids=str)
+    def test_entries_come_by_left(self, spec):
+        # the right-hand side reads y[left] as np.repeat(y, runs); a spec of
+        # its own, so the largest tensor (p=4, k=16) is freed after the test
+        index_set = enumerate_indices(dataclasses.replace(spec))
+        system = build_rhs(LOGISTIC, index_set, make_basis("klcos"))
+        left, runs = galerkin_tensor(index_set).left, system.quad_runs
+        assert np.all(left[1:] >= left[:-1])
+        assert runs.sum() == len(left)
+        assert np.array_equal(np.repeat(np.arange(len(index_set)), runs), left)
+        assert build_rhs(LOGISTIC, index_set, make_basis("haar")).quad_runs is runs
+        with pytest.raises(ValueError, match="read-only"):
+            runs[0] = 0
 
 
 class TestThirdMoment:
