@@ -81,7 +81,7 @@ def third_moment(sol: ChaosSolution, t: float) -> float:
     """
     x = sol.coeffs_at(t)
     q = galerkin_tensor(sol.index_set)
-    return float(np.dot(q.weights * x[q.left] * x[q.right], x[q.targets]))
+    return float(np.dot(q.products(x), x[q.targets]))
 
 
 def gbm_variance_exact(mu: float, sigma: float, x0: float, t) -> np.ndarray | float:

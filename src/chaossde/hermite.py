@@ -18,12 +18,12 @@ from .errors import IndexSetTooLarge, OrderTooLarge
 from .multiindex import INDEX_DTYPE, IndexSet
 
 MAX_ORDER = 64
-# Largest Galerkin tensor built, in entries (32 bytes each, so 1 GiB): a
+# Largest Galerkin tensor built, in entries (24 bytes each, so 768 MiB): a
 # full p=5, k=16 set (32,261,733 entries) fits, p=6, k=16 (598,753,821) not.
 MAX_TENSOR_ENTRIES = 1 << 25
 # Candidate targets formed at a time, in dense cells: holds the working
 # memory of the tensor build to about 20 MB above its output (at p=4, k=16
-# the build peaks at 88 MB for 66 MB of output).
+# the build peaks at 70.7 MB for 52.1 MB of output).
 BLOCK_CELLS = 1 << 20
 
 
@@ -106,18 +106,22 @@ def product_expansion(beta: Sequence[int], gamma: Sequence[int]):
 class GalerkinTensor(NamedTuple):
     """Entries of Psi^b Psi^c = sum_a weight * Psi^a projected onto a set.
 
-    Entry e couples ordinals ``left[e] <= right[e]`` into ``targets[e]``;
-    ``weights[e]`` is E[Psi^a Psi^b Psi^c], doubled when b != c so that
-    sum_e weights[e] x[left[e]] x[right[e]] over the entries with
-    ``targets[e] == a`` is the a-th coefficient of X^2.  Entries come by
-    ``left`` (see ``galerkin_tensor``), a contract the right-hand side
-    relies on: it reads x[left] as ``np.repeat(x, runs)``.
+    Entries come by their left factor b, ``runs[b]`` in a row, each coupling
+    b with ``right[e] >= b`` into ``targets[e]``; ``weights[e]`` is
+    E[Psi^a Psi^b Psi^c], doubled when b != c, so that ``products(x)``
+    summed over the entries with ``targets[e] == a`` is a's coefficient of X^2.
     """
 
     targets: np.ndarray
-    left: np.ndarray
+    runs: np.ndarray
     right: np.ndarray
     weights: np.ndarray
+
+    def products(self, x: np.ndarray) -> np.ndarray:
+        """Per-entry (x_b w) x_c, the bits of w x_b x_c, in a new array."""
+        out = np.repeat(x, self.runs)  # x_b of each entry
+        out *= self.weights
+        return np.multiply(out, x[self.right], out=out)
 
 
 def galerkin_tensor(index_set: IndexSet) -> GalerkinTensor:
@@ -222,14 +226,14 @@ def _build_galerkin_tensor(index_set: IndexSet) -> GalerkinTensor:
     done = np.cumsum(per_b) - per_b
     block = done // max(BLOCK_CELLS // (k + 1), 1)
     b_bounds = np.append(np.flatnonzero(np.diff(block, prepend=-1)), n)
-    out = GalerkinTensor(np.empty(total, dtype=np.intp), np.empty(total, dtype=np.intp),
+    out = GalerkinTensor(np.empty(total, dtype=np.intp), np.empty(n, dtype=np.intp),
                          np.empty(total, dtype=np.intp), np.empty(total))
     filled = 0
     for b0, b1 in zip(b_bounds[:-1], b_bounds[1:]):
         r0, r1 = rel_bounds[b0], rel_bounds[b1]
-        runs = count[r0:r1]
-        pair = np.repeat(np.arange(r0, r1), runs)
-        offset = np.arange(len(pair)) - np.repeat(np.cumsum(runs) - runs, runs)
+        per_pair = count[r0:r1]
+        pair = np.repeat(np.arange(r0, r1), per_pair)
+        offset = np.arange(len(pair)) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
         left = rel_x[pair]
         right = member[start[pair] + offset]
         alpha = padded[right]
@@ -251,12 +255,13 @@ def _build_galerkin_tensor(index_set: IndexSet) -> GalerkinTensor:
         left, right, weights = left[keep], right[keep], weights[keep]
         end = filled + len(keep)
         out.targets[filled:end] = targets[keep]
-        out.left[filled:end] = left
+        out.runs[b0:b1] = np.bincount(left - b0, minlength=b1 - b0)
         out.right[filled:end] = right
         out.weights[filled:end] = np.where(left == right, weights, 2.0 * weights)
         filled = end
     # on full sets every candidate is an entry
-    return out if filled == total else GalerkinTensor(*(a[:filled].copy() for a in out))
+    return out if filled == total else out._replace(**{
+        name: getattr(out, name)[:filled].copy() for name in ("targets", "right", "weights")})
 
 
 def full_candidates(p: int, k: int) -> int:

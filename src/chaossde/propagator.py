@@ -106,14 +106,13 @@ class PropagatorSystem:
     """Assembled right-hand side of the coefficient ODE system.
 
     The ladder (which diminished coefficient feeds which index, with what
-    weight: ``ladder``), the Galerkin tensor of quadratic terms and its
-    entry count per ``left`` ordinal depend on the index set alone: they are
-    built once per set, kept with it read-only and shared by its systems.
-    A system binds the model, the basis's element evaluator and breakpoints.
+    weight: ``ladder``) and the Galerkin tensor of quadratic terms depend on
+    the index set alone: they are built once per set, kept with it
+    read-only and shared by its systems.  A system binds the model, the
+    basis's element evaluator and breakpoints.
 
-    Each sum keeps one association.  A quadratic entry is (y_l w) y_r, the
-    bits of w y_l y_r, with y[left] read as ``np.repeat(y, runs)`` (the
-    tensor's entries come by ``left``); a ladder entry is (e_j w) sigma;
+    Each sum keeps one association.  A quadratic entry is the tensor's
+    ``products``, (y_b w) y_c; a ladder entry is (e_j w) sigma;
     ``np.bincount`` adds each row's entries in entry order from +0.0; a
     coefficient's c1, c0 and c2 terms are added in that order.
 
@@ -132,10 +131,9 @@ class PropagatorSystem:
         # the tensor first: an oversized one is refused before the ladder is built
         self.needs_quadratic = not model.is_affine
         if self.needs_quadratic:
-            (self.quad_targets, self.quad_left, self.quad_right,
-             self.quad_weights) = galerkin_tensor(index_set)
-            self.quad_runs, = index_set.cached("galerkin_runs", lambda s: (
-                np.bincount(galerkin_tensor(s).left, minlength=len(s)),))
+            self._quad = galerkin_tensor(index_set)
+            (self.quad_targets, self.quad_runs, self.quad_right,
+             self.quad_weights) = self._quad
         (self.ladder_rows, self.ladder_js, self.ladder_srcs,
          self.ladder_weights) = index_set.cached("ladder", ladder)
         self._e0 = np.zeros(self.n)
@@ -157,11 +155,8 @@ class PropagatorSystem:
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         (b0, b1, b2), (g0, g1, g2) = self.model.drift, self.model.diffusion
         quad = None
-        if self.needs_quadratic and (b2 != 0.0 or g2 != 0.0):
-            products = np.repeat(y, self.quad_runs)  # y[left]
-            products *= self.quad_weights
-            products *= y[self.quad_right]
-            quad = np.bincount(self.quad_targets, weights=products, minlength=self.n)
+        if self.needs_quadratic:
+            quad = np.bincount(self.quad_targets, weights=self._quad.products(y), minlength=self.n)
         out = self._project(b0, b1, b2, y, quad)
         sigma_coeffs = self._project(g0, g1, g2, y, quad)
         if self._breaks and np.isfinite(sigma_coeffs).all():

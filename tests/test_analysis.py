@@ -73,6 +73,15 @@ class TestThirdMoment:
         stats = sample_expansion(sol, t, 1_000_000, RngSpec(seed=91))
         assert abs(stats.third - exact) <= 4 * stats.third_se
 
+    @pytest.mark.parametrize("token,p,k,want", [("klcos", 3, 8, "0x1.fb1ee635aefe1p-2"),
+                                                ("haar", 2, 16, "0x1.01fd1c10494eap-1")])
+    def test_logistic_bits(self, token, p, k, want):
+        # the galerkin benchmark's two cases at T = 1, bit for bit: the
+        # solve's quadratic sums and the third moment keep one association
+        sol = solve(SdeModel((0.0, 1.0, -1.0), (0.0, 0.5, 0.0), 0.5), FullTruncation(p=p, k=k),
+                    make_basis(token), GRID, ToleranceSpec(rtol=1e-6, atol=1e-9))
+        assert third_moment(sol, 1.0).hex() == want
+
 
 class TestStreamedSolution:
     """A solution solved with ``observe`` holds moment columns, no coefficients."""

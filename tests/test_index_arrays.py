@@ -148,6 +148,14 @@ def assert_same_bytes(got, want):
         assert have.tobytes() == expected.tobytes()
 
 
+def assert_same_tensor(got, want, n):
+    """A tensor against a reference ``(targets, left, right, weights)`` of a
+    set of ``n`` indices: its entries come by left, counted in ``runs``."""
+    targets, left, right, weights = want
+    assert np.all(left[1:] >= left[:-1])
+    assert_same_bytes(got, (targets, np.bincount(left, minlength=n), right, weights))
+
+
 def old_third_moment(index_set, x):
     """The triple loop; also returns the sum of the terms' magnitudes."""
     alphas = row_tuples(index_set)
@@ -432,10 +440,7 @@ class TestGalerkinTensor:
     @given(specs(max_p=3, max_k=5, closed=True))
     def test_matches_pair_loop_bit_for_bit(self, spec):
         index_set = enumerate_indices(spec)
-        got = galerkin_tensor(index_set)
-        for have, want in zip(got, old_tensor(index_set)):
-            assert have.dtype == want.dtype
-            assert np.array_equal(have, want)
+        assert_same_tensor(galerkin_tensor(index_set), old_tensor(index_set), len(index_set))
 
     @settings(max_examples=60, deadline=None)
     @given(specs(max_p=3, max_k=5, closed=True))
@@ -446,9 +451,10 @@ class TestGalerkinTensor:
         q = galerkin_tensor(index_set)
         n = len(index_set)
         full = np.zeros((n, n, n))
-        weights = np.where(q.left == q.right, q.weights, q.weights / 2.0)
-        full[q.targets, q.left, q.right] = weights
-        full[q.targets, q.right, q.left] = weights
+        left = np.repeat(np.arange(n), q.runs)
+        weights = np.where(left == q.right, q.weights, q.weights / 2.0)
+        full[q.targets, left, q.right] = weights
+        full[q.targets, q.right, left] = weights
         for axes in ((1, 0, 2), (2, 1, 0), (0, 2, 1)):
             assert np.array_equal(full, full.transpose(axes))
 
@@ -457,14 +463,14 @@ class TestGalerkinTensor:
     def test_matches_per_index_builder_bytes(self, spec):
         # includes second-order sets that are not closed under lowering
         index_set = enumerate_indices(spec)
-        assert_same_bytes(galerkin_tensor(index_set), loop_tensor(index_set))
+        assert_same_tensor(galerkin_tensor(index_set), loop_tensor(index_set), len(index_set))
 
     @pytest.mark.parametrize("spec", sorted(
         {spec for spec in [row.spec for row in BENCHMARK_ROWS] + list(SPARSE_PRESETS.values())
          if count_indices(spec) <= 1287}, key=count_indices), ids=str)
     def test_benchmark_rows_and_presets_match_per_index_builder(self, spec):
         index_set = enumerate_indices(spec)
-        assert_same_bytes(galerkin_tensor(index_set), loop_tensor(index_set))
+        assert_same_tensor(galerkin_tensor(index_set), loop_tensor(index_set), len(index_set))
 
     @pytest.mark.parametrize("spec", [FullTruncation(p=3, k=4), SPARSE_PRESETS["sp8"],
                                       SparseSecondOrder(((1, 1, 0), (2, 2, 2), (3, 1, 1)))],
@@ -475,11 +481,12 @@ class TestGalerkinTensor:
         index_set = IndexSet(enumerate_indices(spec).dense)
         want = loop_tensor(index_set)
         monkeypatch.setattr(hermite, "BLOCK_CELLS", 1)
-        assert_same_bytes(galerkin_tensor(index_set), want)
+        assert_same_tensor(galerkin_tensor(index_set), want, len(index_set))
 
     def test_peak_memory_at_p4_k16(self):
-        # 2,170,917 entries, 69 MB of output; the per-index builder peaked
-        # at 142 MB here, the join at 88 MB
+        # 2,170,917 entries, 52.1 MB of output; the per-index builder peaked
+        # at 142 MB here, the join at 88 MB with a stored left column (69.5
+        # MB of output) and at 70.7 MB with the runs
         index_set = enumerate_indices(FullTruncation(p=4, k=16))
         tracemalloc.start()
         try:
@@ -488,10 +495,10 @@ class TestGalerkinTensor:
         finally:
             tracemalloc.stop()
         assert len(q.targets) == 2_170_917
-        assert peak < 170_000_000
+        assert peak < 80_000_000
 
     def test_quadratic_model_on_p6_k16_is_refused_quickly(self):
-        # 598,753,821 entries (about 19 GB); p=5, k=16 has 32,261,733
+        # 598,753,821 entries (about 14 GB); p=5, k=16 has 32,261,733 (0.77 GB)
         started = time.perf_counter()
         index_set = enumerate_indices(FullTruncation(p=6, k=16))
         with pytest.raises(IndexSetTooLarge, match="598753821 .* cap of 33554432"):
@@ -525,7 +532,7 @@ class TestGalerkinTensor:
         with pytest.raises(IndexSetTooLarge, match="cap of 20"):
             galerkin_tensor(index_set)
         monkeypatch.setattr(hermite, "MAX_TENSOR_ENTRIES", len(old_tensor(index_set)[0]))
-        assert_same_bytes(galerkin_tensor(index_set), old_tensor(index_set))
+        assert_same_tensor(galerkin_tensor(index_set), old_tensor(index_set), len(index_set))
 
     def test_cached_per_set_and_shared_with_the_system(self):
         index_set = enumerate_indices(FullTruncation(p=2, k=3))
@@ -543,17 +550,18 @@ class TestGalerkinTensor:
            if count_indices(row.spec) <= count_indices(FullTruncation(4, 16)))},
         key=lambda spec: (count_indices(spec), str(spec))), ids=str)
     def test_entries_come_by_left(self, spec):
-        # the right-hand side reads y[left] as np.repeat(y, runs); a spec of
-        # its own, so the largest tensor (p=4, k=16) is freed after the test
+        # the entries of row b are runs[b] in a row; a spec of its own, so
+        # the largest tensor (p=4, k=16) is freed after the test
         index_set = enumerate_indices(dataclasses.replace(spec))
         system = build_rhs(LOGISTIC, index_set, make_basis("klcos"))
-        left, runs = galerkin_tensor(index_set).left, system.quad_runs
-        assert np.all(left[1:] >= left[:-1])
-        assert runs.sum() == len(left)
-        assert np.array_equal(np.repeat(np.arange(len(index_set)), runs), left)
-        assert build_rhs(LOGISTIC, index_set, make_basis("haar")).quad_runs is runs
+        q = galerkin_tensor(index_set)
+        assert q.runs.sum() == len(q.targets)
+        assert system.quad_runs is q.runs
+        assert build_rhs(LOGISTIC, index_set, make_basis("haar")).quad_runs is q.runs
         with pytest.raises(ValueError, match="read-only"):
-            runs[0] = 0
+            q.runs[0] = 0
+        # 24 bytes per entry and 8 per index: no left column is kept
+        assert sum(a.nbytes for a in q) == 24 * len(q.targets) + 8 * len(index_set)
 
 
 class TestThirdMoment:

@@ -70,7 +70,8 @@ def old_rhs(system):
         if system.needs_quadratic and (b2 != 0.0 or g2 != 0.0):
             quad = np.bincount(
                 system.quad_targets,
-                weights=system.quad_weights * y[system.quad_left] * y[system.quad_right],
+                weights=(system.quad_weights * np.repeat(y, system.quad_runs)
+                         * y[system.quad_right]),
                 minlength=system.n)
         out = project(b0, b1, b2, y, quad)
         sigma_coeffs = project(g0, g1, g2, y, quad)
