@@ -62,7 +62,9 @@ def moment_columns(coeffs: np.ndarray) -> np.ndarray:
     An ``observe`` function for ``solve``: a solution solved with it holds
     these two columns as its rows instead of the trajectory.
     """
-    return np.column_stack((coeffs[:, 0], np.einsum("ij,ij->i", coeffs, coeffs)))
+    out = np.empty((len(coeffs), 2))
+    out[:, 0], out[:, 1] = coeffs[:, 0], np.einsum("ij,ij->i", coeffs, coeffs)
+    return out
 
 
 def moment_curves(sol: ChaosSolution) -> tuple[np.ndarray, np.ndarray]:

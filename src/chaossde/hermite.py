@@ -119,7 +119,7 @@ class GalerkinTensor(NamedTuple):
 
     def products(self, x: np.ndarray) -> np.ndarray:
         """Per-entry (x_b w) x_c, the bits of w x_b x_c, in a new array."""
-        out = np.repeat(x, self.runs)  # x_b of each entry
+        out = x.repeat(self.runs)  # x_b of each entry
         out *= self.weights
         return np.multiply(out, x[self.right], out=out)
 

@@ -149,6 +149,7 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
         t = t0
         f_now = np.asarray(rhs(t, y), dtype=float)
         h_prop = _initial_step(rhs, t0, y, f_now, t_end, tol)
+        abs_y = np.abs(y)  # |y| of the step start, kept from the last accepted step
 
         k = np.empty((7, n))
         terms = np.empty((7, n))  # tableau weight times stage, row by row
@@ -183,14 +184,15 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
             terms[1] = terms[0]
             np.add.reduce(terms[1:], axis=0, out=acc, initial=-0.0)
             acc *= h
-            sc = tol.atol + tol.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            abs_new = np.abs(y_new)
+            sc = tol.atol + tol.rtol * np.maximum(abs_y, abs_new)
             err = _rms(np.divide(acc, sc, out=acc))
             if not math.isfinite(err):
                 err = math.inf  # overflow/nan in the rhs: force a strong shrink
             n_attempts += 1
 
             if err <= 1.0:
-                stop = int(np.searchsorted(grid, t_new, side="right"))
+                stop = int(grid.searchsorted(t_new, side="right"))
                 end = stop - 1 if grid[stop - 1] == t_new else stop
                 if end > gi:
                     ydiff = y_new - y
@@ -218,7 +220,7 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec | None = None,
                     flush(stop)
                 gi = stop
                 t = t_new
-                y = y_new
+                y, abs_y = y_new, abs_new
                 if t < t_end:
                     # FSAL: the last stage already evaluated f at the step end (copied:
                     # a rejected attempt overwrites k[6]), except at a breakpoint.

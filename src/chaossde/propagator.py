@@ -17,6 +17,7 @@ lower-triangular in chaos order for affine models.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -112,15 +113,17 @@ class PropagatorSystem:
     basis's element evaluator and breakpoints.
 
     Each sum keeps one association.  A quadratic entry is the tensor's
-    ``products``, (y_b w) y_c; a ladder entry is (e_j w) sigma;
-    ``np.bincount`` adds each row's entries in entry order from +0.0; a
-    coefficient's c1, c0 and c2 terms are added in that order.
+    ``products``, (y_b w) y_c; a ladder entry is (e_j w) sigma, its e_j
+    repeated ``counts[j]`` times as the ladder's entries come by
+    coordinate; ``np.bincount`` adds each row's entries in entry order
+    (ascending coordinate) from +0.0; a coefficient's c1, c0 and c2 terms
+    are added in that order.
 
     On a basis with breakpoints (Haar, k >= 2) the ladder sum runs over the
     entries, sigma (w e_j), whose element is non-zero in the cell of ``t``,
     kept for one cell at a time (steps never cross a breakpoint).  A skipped
-    entry would add an exact +-0 to a bin sum that starts at +0.0; with
-    non-finite diffusion the full ladder keeps the NaNs.
+    entry would add an exact +-0 to a bin sum that starts at +0.0; a sigma
+    without a finite sum, as any NaN or inf has, takes the full ladder.
     """
 
     def __init__(self, model: SdeModel, index_set: IndexSet, basis: BasisSpec):
@@ -134,8 +137,9 @@ class PropagatorSystem:
             self._quad = galerkin_tensor(index_set)
             (self.quad_targets, self.quad_runs, self.quad_right,
              self.quad_weights) = self._quad
-        (self.ladder_rows, self.ladder_js, self.ladder_srcs,
+        (self.ladder_rows, self.ladder_counts, self.ladder_srcs,
          self.ladder_weights) = index_set.cached("ladder", ladder)
+        self._coefficients = model.drift, model.diffusion
         self._e0 = np.zeros(self.n)
         self._e0[0] = 1.0  # the set is closed under lowering: row 0 is the zero index
         self._element_values = basis_mod.element_evaluator(basis, self.k)
@@ -153,13 +157,13 @@ class PropagatorSystem:
         return out
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        (b0, b1, b2), (g0, g1, g2) = self.model.drift, self.model.diffusion
+        (b0, b1, b2), (g0, g1, g2) = self._coefficients
         quad = None
         if self.needs_quadratic:
             quad = np.bincount(self.quad_targets, weights=self._quad.products(y), minlength=self.n)
         out = self._project(b0, b1, b2, y, quad)
         sigma_coeffs = self._project(g0, g1, g2, y, quad)
-        if self._breaks and np.isfinite(sigma_coeffs).all():
+        if self._breaks and math.isfinite(np.add.reduce(sigma_coeffs)):
             cell = basis_mod.haar_cell(self.basis, self._breaks, t)
             if cell != self._cell_ladder[0]:
                 self._cell_ladder = self._ladder_in(cell, t)
@@ -168,7 +172,7 @@ class PropagatorSystem:
             contrib *= products
             out += np.bincount(rows, weights=contrib, minlength=self.n)
             return out
-        contrib = self._element_values(t)[self.ladder_js]
+        contrib = self._element_values(t).repeat(self.ladder_counts)
         contrib *= self.ladder_weights
         contrib *= sigma_coeffs[self.ladder_srcs]
         out += np.bincount(self.ladder_rows, weights=contrib, minlength=self.n)
@@ -176,31 +180,39 @@ class PropagatorSystem:
 
     def _ladder_in(self, cell: int, t: float) -> tuple:
         """``cell`` (holding ``t``) and its ladder entries whose element is non-zero."""
-        e_at = self._element_values(t)[self.ladder_js]
+        e_at = self._element_values(t).repeat(self.ladder_counts)
         keep = np.flatnonzero(e_at)
         return (cell, self.ladder_rows[keep], self.ladder_srcs[keep],
                 self.ladder_weights[keep] * e_at[keep])
 
 
 def ladder(index_set: IndexSet) -> tuple[np.ndarray, ...]:
-    """``(rows, js, srcs, weights)`` of the ladder sum, which systems keep
+    """``(rows, counts, srcs, weights)`` of the ladder sum, which systems keep
     with the set (``IndexSet.cached``).
 
-    Entry e adds ``weights[e] * e_{js[e]}(t) * sigma[srcs[e]]`` to row
-    ``rows[e]``: srcs[e] is the ordinal of that row lowered by one unit at
-    coordinate js[e], and weights[e] the square root of that coordinate's
-    entry in the row.  The entries are the set's ``support``, by row then
-    coordinate.  A set that is not closed under lowering raises
-    ``InvalidSparseIndex``.
+    The entries come by coordinate, then row: the first ``counts[0]`` lower
+    coordinate 0, the next ``counts[1]`` coordinate 1, and so on, so
+    ``np.repeat(e, counts)`` is each entry's element value.  Entry e adds
+    ``weights[e] * e_j(t) * sigma[srcs[e]]`` to row ``rows[e]``: srcs[e] is
+    the ordinal of that row lowered by one unit at its coordinate j, and
+    weights[e] the square root of the row's entry at j.  A row has at most
+    one entry per coordinate, so each row's entries still come in ascending
+    coordinate order, as by row, and ``np.bincount`` adds the same values
+    in the same order.  Within a coordinate the rows ascend, and lowering
+    one coordinate keeps canonical order, so the sources ascend too.  A
+    set that is not closed under lowering raises ``InvalidSparseIndex``.
     """
-    rows, js, orders, _ = index_set.support
+    # copies of np.nonzero's strided views: np.bincount copies those on every call
+    js, rows = map(np.ascontiguousarray, np.nonzero(index_set.dense.T))
+    orders = index_set.dense[rows, js]
     lowered = index_set.dense[rows]
-    lowered[np.arange(len(lowered)), js] -= 1
+    lowered[np.arange(len(rows)), js] -= 1
+    del js  # the lookup below sets the build's peak
     srcs = index_set.positions(lowered)
     if np.any(srcs < 0):
         raise InvalidSparseIndex("index set is not downward closed: an index "
                                  "lowered by one unit is missing")
-    return rows, js, srcs, np.sqrt(orders.astype(float))
+    return rows, np.count_nonzero(index_set.dense, axis=0), srcs, np.sqrt(orders.astype(float))
 
 
 def build_rhs(model: SdeModel, index_set: IndexSet, basis: BasisSpec) -> PropagatorSystem:

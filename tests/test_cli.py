@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from chaossde import __version__, cli, multiindex, oracle
-from chaossde.analysis import gbm_variance_order_limit
+from chaossde.analysis import gbm_variance_order_limit, moment_columns
 from chaossde.basis import make_basis
 from chaossde.errors import StepSizeUnderflow
 from chaossde.integrator import ToleranceSpec
+from chaossde.multiindex import FullTruncation
 from chaossde.presets import BENCHMARK_ROWS
-from chaossde.propagator import SdeModel
+from chaossde.propagator import PropagatorSystem, SdeModel, solve
 from reference import read_curve_csv, read_report_csv
 
 GALERKIN_REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -573,6 +574,23 @@ class TestTable1Command:
             tracemalloc.stop()
         assert report.n_coeff == 20349
         assert peak < 32 * 2**20
+
+    def test_rhs_calls_are_pinned(self, tmp_path, monkeypatch):
+        # the work of the solves: a faster right-hand side must be cheaper
+        # calls, not fewer
+        calls = []
+        rhs = PropagatorSystem.__call__
+        monkeypatch.setattr(PropagatorSystem, "__call__",
+                            lambda system, t, y: calls.append(t) or rhs(system, t, y))
+        assert run(["table1", "--rows", "all", "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(calls) == 30_156
+        spec = FullTruncation(p=5, k=16)
+        for token, want in (("klcos", 452), ("haar", 341)):
+            calls.clear()
+            solve(SdeModel.gbm(1.0, 1.0, 1.0), spec, make_basis(token),
+                  np.linspace(0.0, 1.0, 1001), ToleranceSpec(rtol=1e-6, atol=1e-9),
+                  observe=moment_columns)
+            assert len(calls) == want
 
     def test_all_accepts_every_row(self):
         accept = cli._parse_row_filter("all", cli.build_parser())

@@ -5,21 +5,23 @@ whose element is non-zero in the finest dyadic cell of ``t``, built when the
 cell changes.  For finite states the skipped contributions are exact zeros,
 so every derivative must equal the full ladder's (``old_rhs``) bit for bit:
 in every cell, at each breakpoint and one ulp to the left of it, whatever
-order the cells are visited in.  The cell index itself must agree with the
+order the cells are visited in.  A diffusion without a finite sum takes
+the full ladder itself.  The cell index itself must agree with the
 breakpoints at any horizon.
 """
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_index_arrays import specs
+from test_index_arrays import ladder_js, specs
 from test_solver_bytes import MODELS, old_rhs
 
 from chaossde.basis import BasisSpec, breakpoints, element_values, haar_cell
 from chaossde.integrator import ToleranceSpec, integrate
 from chaossde.multiindex import FullTruncation, enumerate_indices
-from chaossde.propagator import build_rhs, initial_state
+from chaossde.propagator import SdeModel, build_rhs, initial_state
 
 HAAR = [BasisSpec("haar", horizon) for horizon in (1.0, 2.0)]
 # sizes that keep the quadratic models' Galerkin tensors small
@@ -36,7 +38,7 @@ def cell_times(basis, k):
 
 def active_entries(system, t):
     """Positions of the ladder entries whose element is non-zero at ``t``."""
-    return np.flatnonzero(element_values(system.basis, system.k, t)[system.ladder_js])
+    return np.flatnonzero(element_values(system.basis, system.k, t)[ladder_js(system)])
 
 
 def held_bytes(system):
@@ -77,9 +79,9 @@ class TestCellPath:
                 assert srcs.tolist() == system.ladder_srcs[keep].tolist()
                 assert products.tobytes() == (
                     system.ladder_weights[keep]
-                    * element_values(basis, 16, t)[system.ladder_js[keep]]).tobytes()
+                    * element_values(basis, 16, t)[ladder_js(system)[keep]]).tobytes()
                 # e_1 and one element on each of the 4 levels
-                assert len(np.unique(system.ladder_js[keep])) == 1 + 4
+                assert len(np.unique(ladder_js(system)[keep])) == 1 + 4
 
     def test_a_solve_leaves_one_cell(self):
         index_set = enumerate_indices(FullTruncation(p=2, k=8))
@@ -96,6 +98,21 @@ class TestCellPath:
         # beyond the assembly, the solve left only the last cell's arrays
         assert vars(system).keys() == vars(fresh).keys()
         assert held_bytes(system) - held_bytes(fresh) == sum(a.nbytes for a in arrays)
+
+
+class TestFullLadder:
+    @pytest.mark.parametrize("value", ["overflow", math.inf, -math.inf, math.nan])
+    def test_runs_unless_sigma_has_a_finite_sum(self, value):
+        # sigma = y: 45 finite terms of 1e308 overflow their sum, the others are not finite
+        index_set = enumerate_indices(FullTruncation(p=2, k=8))
+        system = build_rhs(SdeModel.gbm(1.0, 1.0, 1.0), index_set, HAAR[0])
+        y = np.full(len(index_set), 1e308) if value == "overflow" else np.ones(len(index_set))
+        if value != "overflow":
+            y[4] = value
+        for t in cell_times(HAAR[0], index_set.k):
+            with np.errstate(over="ignore", invalid="ignore"):  # as integrate calls it
+                assert system(t, y).tobytes() == old_rhs(system)(t, y).tobytes()
+        assert system._cell_ladder[0] == -1  # no cell ladder was built
 
 
 class TestCellIndex:

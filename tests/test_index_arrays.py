@@ -1,11 +1,12 @@
 """Array-native index sets, ladder and Galerkin tensor against loop oracles.
 
 The oracles are the loops the array code replaced: a recursive
-composition enumerator, the per-row lowering ladder, the
-``product_expansion`` pair loop and the per-index lowered-box builder for
-the Galerkin tensor, and the triple loop for the third moment.  Arithmetic
-order is unchanged for the first four, so they must agree bit for bit; the
-third moment sums in another order and is held to a relative 1e-12.
+composition enumerator, the per-row lowering ladder (compared in the
+ladder's order, by coordinate then row), the ``product_expansion`` pair
+loop and the per-index lowered-box builder for the Galerkin tensor, and
+the triple loop for the third moment.  Arithmetic order is unchanged
+for the first four, so they must agree bit for bit; the third moment
+sums in another order and is held to a relative 1e-12.
 """
 import dataclasses
 import itertools
@@ -85,6 +86,18 @@ def old_ladder(index_set):
                 ws.append(np.sqrt(float(value)))
     return (np.asarray(rows, dtype=np.intp), np.asarray(js, dtype=np.intp),
             np.asarray(srcs, dtype=np.intp), np.asarray(ws, dtype=float))
+
+
+def by_coordinate(ladder):
+    """``(rows, js, srcs, weights)`` in the order of ``propagator.ladder``:
+    a stable sort on js keeps the rows ascending within each coordinate."""
+    order = np.argsort(ladder[1], kind="stable")
+    return tuple(column[order] for column in ladder)
+
+
+def ladder_js(system):
+    """The coordinate of each of ``system``'s ladder entries."""
+    return np.repeat(np.arange(system.k), system.ladder_counts)
 
 
 def old_tensor(index_set):
@@ -287,7 +300,7 @@ class TestEnumeration:
         index_set = enumerate_indices(SparseFirstOrder((12, 12) + (0,) * 298))
         assert len(index_set) == 91
         system = build_rhs(SdeModel.gbm(1.0, 1.0, 1.0), index_set, make_basis("trig"))
-        assert np.array_equal(system.ladder_srcs, old_ladder(index_set)[2])
+        assert np.array_equal(system.ladder_srcs, by_coordinate(old_ladder(index_set))[2])
 
     def test_oversized_sets_fail_before_enumerating(self):
         with pytest.raises(IndexSetTooLarge):
@@ -404,17 +417,37 @@ class TestLadder:
     def test_matches_decremented_lookup(self, spec):
         index_set = enumerate_indices(spec)
         system = build_rhs(SdeModel.gbm(1.0, 1.0, 1.0), index_set, make_basis("trig"))
-        got = (system.ladder_rows, system.ladder_js, system.ladder_srcs,
+        got = (system.ladder_rows, ladder_js(system), system.ladder_srcs,
                system.ladder_weights)
-        for have, want in zip(got, old_ladder(index_set)):
+        for have, want in zip(got, by_coordinate(old_ladder(index_set))):
             assert have.dtype == want.dtype
             assert np.array_equal(have, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(specs(closed=True))
+    def test_entries_come_by_coordinate_then_row(self, spec):
+        index_set = enumerate_indices(spec)
+        system = build_rhs(SdeModel.gbm(1.0, 1.0, 1.0), index_set, make_basis("trig"))
+        rows, counts, srcs = system.ladder_rows, system.ladder_counts, system.ladder_srcs
+        assert counts.sum() == len(rows) == len(srcs) == len(system.ladder_weights)
+        assert np.array_equal(counts, np.count_nonzero(index_set.dense, axis=0))
+        js = ladder_js(system)
+        same_j = js[1:] == js[:-1]
+        assert np.all(js[1:] >= js[:-1])
+        # within a coordinate the rows ascend, and so do their lowered sources
+        assert np.all(rows[1:][same_j] > rows[:-1][same_j])
+        assert np.all(srcs[1:][same_j] > srcs[:-1][same_j])
+        for array in (rows, counts, srcs, system.ladder_weights):
+            assert not array.flags.writeable
+        # np.bincount copies a strided index array on every call
+        assert rows.flags.c_contiguous and srcs.flags.c_contiguous
+        assert "support" not in vars(index_set)  # a GBM system never builds it
 
     @pytest.mark.parametrize("name", sorted(SPARSE_PRESETS))
     def test_presets(self, name):
         index_set = enumerate_indices(SPARSE_PRESETS[name])
         system = build_rhs(SdeModel.gbm(1.0, 1.0, 1.0), index_set, make_basis("haar"))
-        assert np.array_equal(system.ladder_srcs, old_ladder(index_set)[2])
+        assert np.array_equal(system.ladder_srcs, by_coordinate(old_ladder(index_set))[2])
 
     def test_set_not_closed_under_lowering_is_rejected(self):
         # (0, 2) has order 2 and fits row 2, but (0, 1) breaks row 1
@@ -429,7 +462,7 @@ class TestLadder:
         klcos, haar = (build_rhs(model, enumerate_indices(spec), make_basis(token))
                        for model, token in ((SdeModel.gbm(1.0, 1.0, 1.0), "klcos"),
                                             (LOGISTIC, "haar")))
-        for name in ("ladder_rows", "ladder_js", "ladder_srcs", "ladder_weights"):
+        for name in ("ladder_rows", "ladder_counts", "ladder_srcs", "ladder_weights"):
             assert getattr(klcos, name) is getattr(haar, name)
             with pytest.raises(ValueError, match="read-only"):
                 getattr(klcos, name)[0] = 0

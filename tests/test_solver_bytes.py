@@ -3,7 +3,8 @@
 The oracles are the code the buffered versions replaced: the DOPRI5 loop
 with generator stage sums and per-point dense output, the right-hand side
 that reads the SDE coefficients and the basis values afresh on every call,
-and the per-call basis formulas.  The operation order is unchanged, so
+over the system's ladder or the row-major one it replaced, and the
+per-call basis formulas.  The operation order is unchanged, so
 every trajectory, derivative and basis value must agree bit for bit, NaNs
 and signed zeros included, and the integrator must call the right-hand
 side exactly as often.  Moments streamed out of the dense output must equal
@@ -25,6 +26,7 @@ from chaossde.integrator import _A, _C, _D, _E, ToleranceSpec, integrate
 from chaossde.multiindex import FullTruncation, enumerate_indices
 from chaossde.propagator import SdeModel, build_rhs, initial_state
 from reference import bm_model, specs
+from test_index_arrays import old_ladder
 
 
 def old_element_values(spec, k, t):
@@ -53,8 +55,17 @@ def old_element_values(spec, k, t):
     return out * scale
 
 
-def old_rhs(system):
-    """``system``'s right-hand side, reading everything afresh per call."""
+def old_rhs(system, ladder=None):
+    """``system``'s right-hand side, reading everything afresh per call.
+
+    ``ladder`` is ``(rows, js, srcs, weights)``, by default the system's own
+    with each entry's coordinate j spelt out.
+    """
+    if ladder is None:
+        ladder = (system.ladder_rows, np.repeat(np.arange(system.k), system.ladder_counts),
+                  system.ladder_srcs, system.ladder_weights)
+    rows, js, srcs, weights = ladder
+
     def project(c0, c1, c2, y, quad):
         out = c1 * y if c1 != 0.0 else np.zeros_like(y)
         if c0 != 0.0:
@@ -76,9 +87,8 @@ def old_rhs(system):
         out = project(b0, b1, b2, y, quad)
         sigma_coeffs = project(g0, g1, g2, y, quad)
         e_vals = old_element_values(system.basis, system.k, t)
-        contrib = (system.ladder_weights * e_vals[system.ladder_js]
-                   * sigma_coeffs[system.ladder_srcs])
-        out += np.bincount(system.ladder_rows, weights=contrib, minlength=system.n)
+        contrib = weights * e_vals[js] * sigma_coeffs[srcs]
+        out += np.bincount(rows, weights=contrib, minlength=system.n)
         return out
 
     return rhs
@@ -266,6 +276,25 @@ class TestRhs:
                                             max_size=len(index_set))))
             with np.errstate(all="ignore"):
                 assert system(t, y).tobytes() == old_rhs(system)(t, y).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(problems(), st.data())
+    def test_matches_the_row_major_ladder(self, problem, data):
+        # by coordinate or by row, each bin adds the same values in the same order
+        model, basis, index_set = problem
+        system = build_rhs(model, index_set, basis)
+        by_row = old_rhs(system, old_ladder(index_set))
+        finite = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+        special = finite | st.sampled_from([math.nan, math.inf, -math.inf])
+        times = st.sampled_from([0.0, *breakpoints(basis, index_set.k).tolist()])
+        for _ in range(3):
+            t = data.draw(times | st.floats(0.0, basis.horizon))
+            # finite states take the Haar cell path, the others the full ladder
+            for values in (finite, special):
+                y = np.array(data.draw(st.lists(values, min_size=len(index_set),
+                                                max_size=len(index_set))))
+                with np.errstate(all="ignore"):
+                    assert system(t, y).tobytes() == by_row(t, y).tobytes()
 
 
 class TestIntegrate:
