@@ -313,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--drift", type=_coefficients, default="0,1,0")
         p.add_argument("--diffusion", type=_coefficients, default="0,1,0")
         p.add_argument("--x0", type=float, default=1.0)
-        p.add_argument("--rtol", type=float, default=1e-6)
-        p.add_argument("--atol", type=float, default=1e-9)
+        p.add_argument("--rtol", type=float, default=ToleranceSpec.rtol)
+        p.add_argument("--atol", type=float, default=ToleranceSpec.atol)
         p.add_argument("--out", required=True)
         if formats:  # fig1 writes a directory of CSV curves
             p.add_argument("--format", choices=("csv", "json"), default="csv")

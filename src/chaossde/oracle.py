@@ -30,6 +30,9 @@ CHUNK = 1 << 16  # paths per substream; fixed so results never depend on threadi
 MAX_THREADS = 64
 # Working set of a sampling worker: it tabulates a chunk in the fewest equal
 # path blocks whose Hermite table fits in this many bytes (p=5, k=8 makes two).
+# Smaller blocks make more per-term numpy calls, which contend for the GIL: at
+# p=5, k=8, 262,144 paths (2-core host, median of 5) 16 MiB took 0.54 s on 1
+# thread and 0.37 s on 2, where 2 MiB took 0.70 s and 1.13 s.
 SAMPLE_BLOCK_BYTES = 1 << 24
 
 
@@ -267,6 +270,8 @@ def euler_maruyama(model: SdeModel, n_steps: int, n_paths: int, rng: RngSpec,
     Each step is X <- X + b(X) dt + sigma(X) sqrt(dt) Z.
     """
     threads = pool_size(n_paths, n_steps)
+    if not 0 < t_end < math.inf:  # false for NaN; inf and NaN reach no error until every step ran
+        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
     dt = t_end / n_steps
     sqrt_dt = math.sqrt(dt)
     (b0, b1, b2), (g0, g1, g2) = model.drift, model.diffusion

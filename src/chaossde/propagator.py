@@ -237,7 +237,7 @@ def checked_grid(grid, horizon: float) -> np.ndarray:
 
 
 def solve(model: SdeModel, spec: TruncationSpec, basis: BasisSpec,
-          grid, tol: ToleranceSpec | None = None, observe=keep_states) -> ChaosSolution:
+          grid, tol: ToleranceSpec = ToleranceSpec(), observe=keep_states) -> ChaosSolution:
     """Integrate the coefficient system and sample it on ``grid``.
 
     The grid must increase strictly from 0 to the basis horizon.  Haar

@@ -117,6 +117,15 @@ class TestSolveCommand:
                               "--out", str(tmp_path / "x.csv")]) == 3
         assert solved == [multiindex.parse_sparse_text(text)]
 
+    @pytest.mark.parametrize("command", UNWRITABLE_COMMANDS, ids=lambda c: c[0])
+    def test_default_tolerance_is_tolerance_spec(self, tmp_path, monkeypatch, command):
+        # --rtol and --atol left out: every command runs at ToleranceSpec()
+        built = []
+        monkeypatch.setattr(cli, f"cmd_{command[0]}",
+                            lambda args, parser, model, tol: built.append(tol) or 0)
+        assert run([*command, "--out", str(tmp_path / "x.csv")]) == 0
+        assert built == [ToleranceSpec()]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_are_written_one_at_a_time(self, tmp_path, monkeypatch, fmt):
         # klcos p=3, k=16 on 1001 points is a 7.8 MB trajectory; a copy of

@@ -172,6 +172,18 @@ class TestRunSizes:
         with pytest.raises(ValueError, match="n_steps"):
             euler_maruyama(SdeModel.gbm(1.0, 1.0, 1.0), n_steps, 10, RngSpec(seed=0))
 
+    @pytest.mark.parametrize("t_end", [-1.0, 0.0, -0.0, math.inf, math.nan])
+    def test_t_end_not_finite_and_positive_rejected(self, monkeypatch, t_end):
+        # refused before the first draw: left to the statistics, inf and NaN
+        # would run all 4,096 steps before being found not finite
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before t_end was checked")
+
+        monkeypatch.setattr(oracle, "normal_draws", refuse)
+        with pytest.raises(ValueError, match="t_end must be finite and positive"):
+            euler_maruyama(SdeModel.gbm(1.0, 1.0, 1.0), 4096, 65536, RngSpec(seed=0),
+                           t_end=t_end)
+
 
 class TestSampleExpansion:
     def test_order_zero_truncation_is_deterministic(self):

@@ -136,6 +136,18 @@ class TestHeldSpec:
                 assert sol.coeffs.tobytes() == fresh.coeffs.tobytes()
 
 
+class TestDefaultTolerance:
+    @pytest.mark.parametrize("model", [gbm(), LOGISTIC], ids=["gbm", "logistic"])
+    @pytest.mark.parametrize("token", ["klcos", "haar"])
+    def test_is_the_cli_tolerance(self, model, token):
+        # a script that leaves out the tolerance solves as tightly as the CLI
+        basis = make_basis(token)
+        spec = FullTruncation(p=2, k=4)
+        default = solve(model, spec, basis, GRID)
+        explicit = solve(model, spec, basis, GRID, ToleranceSpec(rtol=1e-6, atol=1e-9))
+        assert default.coeffs.tobytes() == explicit.coeffs.tobytes()
+
+
 class TestSolveAgainstClosedForms:
     def test_gbm_mean_coefficient(self):
         sol = solve(gbm(), FullTruncation(p=1, k=2), make_basis("trig"), GRID,

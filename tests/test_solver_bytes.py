@@ -340,8 +340,8 @@ class TestIntegrate:
 
         y0 = np.array([1.0, -0.0, 0.0])
         grid = np.linspace(0.0, 1.0, 41)
-        got = outcome(integrate, rhs, y0, grid, None, [0.5])
-        want = outcome(old_integrate, rhs, y0, (0.0, 1.0), grid, None, [0.5])
+        got = outcome(integrate, rhs, y0, grid, ToleranceSpec(), [0.5])
+        want = outcome(old_integrate, rhs, y0, (0.0, 1.0), grid, ToleranceSpec(), [0.5])
         assert got == want
         assert got[0][0] is StepSizeUnderflow
 
@@ -379,6 +379,6 @@ class TestStreamedMoments:
         system = build_rhs(model, index_set, basis)
         grid = np.linspace(0.0, 1.0, 26)
         streamed, whole = streamed_and_whole(system, initial_state(model, index_set), grid,
-                                             ToleranceSpec(rtol=1e-6, atol=1e-9), None)
+                                             ToleranceSpec(rtol=1e-6, atol=1e-9), ())
         assert len(index_set) == 20349
         assert streamed == whole
