@@ -146,7 +146,7 @@ def loglog_fit(xs, ys) -> tuple[float, float, float]:
     ys = np.asarray(ys, dtype=float)
     if len(np.unique(xs)) < 3:
         raise ValueError("need at least 3 distinct x values")
-    if np.any(xs <= 0) or np.any(ys <= 0):
+    if not (np.all(xs > 0) and np.all(ys > 0)):  # NaN is not positive either
         raise NonPositiveValue("log-log fit needs positive data")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)

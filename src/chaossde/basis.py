@@ -191,17 +191,21 @@ def composite_simpson(values: np.ndarray, xs: np.ndarray) -> float:
                             + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()))
 
 
+# Points of the Simpson grid of ``tail_sum``, which holds a (TAIL_POINTS, k) float64 matrix.
+TAIL_POINTS = 1025
+
+
 def tail_sum(spec: BasisSpec, k: int, t: float) -> float:
     """Basis-truncation tail  sum_{l>k} (E_l(t)^2 + int_0^t E_l(tau)^2 dtau).
 
     By Parseval the full sum over l of E_l(tau)^2 equals tau exactly, so the
     tail is the complement tau - kl_partial(k, tau); the time integral is
-    evaluated by composite Simpson on 1025 equidistant points of [0, t].
+    evaluated by composite Simpson on ``TAIL_POINTS`` equidistant points of [0, t].
     For the trigonometric family this tail decays like 1/k; for Haar with
     k = 2^n it halves per level.
     """
     _check_domain(spec, t)
-    grid = np.linspace(0.0, t, 1025)
+    grid = np.linspace(0.0, t, TAIL_POINTS)
     point_part = max(t - kl_partial(spec, k, t), 0.0)
     integrand = np.maximum(grid - kl_partial_grid(spec, k, grid), 0.0)
     return point_part + composite_simpson(integrand, grid)

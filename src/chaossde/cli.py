@@ -30,10 +30,11 @@ import numpy as np
 from . import __version__
 from .analysis import (error_curve, gbm_variance_exact, gbm_variance_order_limit,
                        loglog_fit, moment_columns, moments)
-from .basis import KINDS, BasisSpec, breakpoints, make_basis, tail_sum
+from .basis import KINDS, TAIL_POINTS, BasisSpec, breakpoints, make_basis, tail_sum
 from .errors import ChaosError, IndexSetTooLarge, IntegratorFailure
 from .integrator import ToleranceSpec
-from .multiindex import FullTruncation, TruncationSpec, checked_count, parse_sparse_text
+from .multiindex import (MAX_DENSE_CELLS, FullTruncation, TruncationSpec, checked_count,
+                         parse_sparse_text)
 from .oracle import RngSpec, block_paths, euler_maruyama, pool_size, sample_expansion
 from .presets import BENCHMARK_ROWS, BenchmarkRow
 from .propagator import SdeModel, checked_grid, gbm_parameters, solve
@@ -291,11 +292,16 @@ def cmd_mc(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
 
 def cmd_rates(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
     ks = [int(v) for v in args.k.split(",")]
+    specs = [FullTruncation(p=args.p, k=k) for k in ks]
+    for spec in specs:  # every set and tail grid is refused before the first tail
+        checked_count(spec)
+        if TAIL_POINTS * spec.k > MAX_DENSE_CELLS:
+            raise IndexSetTooLarge(f"a tail sum over k={spec.k} needs {TAIL_POINTS * spec.k} "
+                                   f"grid cells, above the cap of {MAX_DENSE_CELLS}")
     tails = [tail_sum(make_basis(args.basis, 1.0), k, 1.0) for k in ks]
     tail_slope, _, tail_r2 = loglog_fit(ks, tails)  # before the solves: it checks the ks
     grid = np.linspace(0.0, 1.0, 201)
-    errors = [_gbm_error(model, FullTruncation(p=args.p, k=k), args.basis, grid, tol)[1]
-              .error_at_T for k in ks]
+    errors = [_gbm_error(model, spec, args.basis, grid, tol)[1].error_at_T for spec in specs]
     rows = [(args.basis, args.p, k, tl, er) for k, tl, er in zip(ks, tails, errors)]
     _write(args, tol, ("basis", "p", "k", "tail_sum", "error_at_T"), rows,
            {"basis": args.basis, "p": args.p, "k": ks, "tail_sum": tails,

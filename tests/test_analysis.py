@@ -251,6 +251,13 @@ class TestRateFit:
         with pytest.raises(NonPositiveValue):
             loglog_fit([1.0, 2.0, 4.0], [1.0, -2.0, 3.0])
 
+    @pytest.mark.parametrize("xs,ys", [([1.0, 2.0, 3.0], [1.0, np.nan, 3.0]),
+                                       ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])])
+    def test_rejects_nan(self, xs, ys):
+        # NaN compares False with 0 either way: a fit through it was all NaN
+        with pytest.raises(NonPositiveValue, match="log-log fit needs positive data"):
+            loglog_fit(xs, ys)
+
     @pytest.mark.parametrize("xs", [[4.0, 4.0, 4.0], [2.0, 4.0], [2.0, 4.0, 2.0, 4.0]])
     def test_rejects_fewer_than_three_distinct_x(self, xs):
         # a line through one or two distinct x values is not a rate

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from chaossde import __version__, cli, multiindex, oracle
+from chaossde import __version__, basis, cli, multiindex, oracle
 from chaossde.analysis import gbm_variance_order_limit, moment_columns
 from chaossde.basis import make_basis
 from chaossde.errors import StepSizeUnderflow
@@ -363,6 +363,26 @@ class TestExitCodes:
                  "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert "dense cells, above the cap" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--basis", "klcos", "--k", "8,16,200000"],
+         "truncation p=1, k=200000 has 200001 indices, above the cap of 200000"),
+        (["--p", "0", "--k", "8,16,1000000"],
+         "a tail sum over k=1000000 needs 1025000000 grid cells, above the cap of 33554432")],
+        ids=["set", "tail_grid"])
+    def test_rates_oversized_k_is_2_before_any_tail(self, tmp_path, capsys, monkeypatch, argv,
+                                                     message):
+        # every k's set and (1025, k) tail grid are checked before the first
+        # tail: those tails would need 1.53 and 7.64 GiB of float64
+        def refuse(*args):
+            raise AssertionError("computed a tail")
+
+        monkeypatch.setattr(basis, "antiderivative_grid", refuse)
+        with pytest.raises(SystemExit) as exc:
+            run(["rates", *argv, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", [

@@ -231,12 +231,14 @@ class TestEnumeration:
     @settings(max_examples=100, deadline=None)
     @given(specs())
     def test_levels_descend(self, spec):
-        # every level of every order's caps, nested or not, is strictly
-        # descending, so enumeration only reverses them
-        for m in range(spec.p + 1):
-            for level in multiindex._capped_levels(spec.caps(m), m):
-                keys = row_keys(level)
-                assert np.all(keys[1:] < keys[:-1])
+        # every order's level, nested caps or not, is strictly descending,
+        # so enumeration only reverses them
+        levels = multiindex._capped_levels([spec.caps(m) for m in range(spec.p + 1)])
+        assert len(levels) == spec.p + 1
+        for m, level in enumerate(levels):
+            keys = row_keys(level)
+            assert np.all(keys[1:] < keys[:-1])
+            assert np.all(level.sum(axis=1) == m) and np.all(level <= spec.caps(m))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda k: st.lists(
@@ -330,6 +332,16 @@ class TestEnumeration:
         index_set = enumerate_indices(SparseFirstOrder((1,) + (0,) * 999_999))
         assert time.perf_counter() - started < 2.0
         assert len(index_set) == 2
+
+    def test_non_nesting_caps_enumerate_quickly(self):
+        # rows alternating (j, 1) and (j, 0) never nest: one chain walk serves
+        # every order, where a walk per order grew like p^2 (3-4 s on 2 cores)
+        spec = SparseSecondOrder(tuple((j, j % 2) for j in range(1, 601)))
+        started = time.perf_counter()
+        index_set = enumerate_indices(spec)
+        assert time.perf_counter() - started < 0.5
+        assert len(index_set) == count_indices(spec) == 901
+        assert row_tuples(index_set) == old_enumerate(spec)
 
     def test_million_caps_validate_quickly(self):
         # one numpy pass per check, not a Python loop over the coordinates
