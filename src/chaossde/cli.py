@@ -8,8 +8,8 @@ fig1     per-time error curves for a (basis, p, k) grid
 rates    tail-sum and measured-error decay slopes over a k sweep
 mc       Monte Carlo cross-check (expansion sampling + Euler scheme)
 
-Every command takes dX = b(X) dt + sigma(X) dW as ``--drift``, ``--diffusion`` (each
-``c0,c1,c2`` of c0 + c1 x + c2 x^2) and ``--x0``; table1, fig1 and rates need GBM.
+Every command takes dX = b(X) dt + sigma(X) dW as ``--drift``, ``--diffusion`` (each ``c0,c1,c2``
+of c0 + c1 x + c2 x^2) and ``--x0``; table1, fig1 and rates refuse a non-GBM model before any work.
 
 Exit codes: 0 success, 2 usage error or unwritable output, 3 numerical
 failure.  All file output is UTF-8 with LF line endings and 17-significant-digit reals.
@@ -212,7 +212,6 @@ def run_benchmark_row(row: BenchmarkRow, basis_token: str, model: SdeModel,
 
 
 def cmd_table1(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
-    gbm_parameters(model)  # another shape is refused whatever rows match
     accept = _parse_row_filter(args.rows, parser)
     # a copy of each row's spec, made as the row is reached: its bases share one
     # set, freed after them, where the module-level spec would keep it for good
@@ -229,6 +228,7 @@ def _write_curve(path: str, model: SdeModel, spec: FullTruncation, token: str, g
                  tol: ToleranceSpec) -> None:
     """Solve one fig1 curve and write it, ``_CURVE_BLOCK_ROWS`` rows at a time."""
     curve = _gbm_error(model, spec, token, grid, tol)[1]  # the solution is freed here
+    mu, sigma = gbm_parameters(model)
     cells = len(breakpoints(make_basis(token, 1.0), spec.k)) + 1  # Haar's dyadic cells
     intervals = len(grid) - 1
 
@@ -239,7 +239,7 @@ def _write_curve(path: str, model: SdeModel, spec: FullTruncation, token: str, g
             columns = [t, curve.exact_var[block], approx, curve.values[block]]
             if token == "haar":  # grid point m sits at t = m / intervals: flag it
                 # when t is a multiple of 1 / cells, in exact integers
-                limit = gbm_variance_order_limit(*gbm_parameters(model), model.x0, spec.p, t)
+                limit = gbm_variance_order_limit(mu, sigma, model.x0, spec.p, t)
                 m = np.arange(start, start + len(t))
                 columns += [limit, np.abs(approx - limit),
                             (m * cells % intervals == 0).astype(int)]
@@ -254,8 +254,7 @@ def cmd_fig1(args, parser, model: SdeModel, tol: ToleranceSpec) -> int:
     specs = [FullTruncation(p=p, k=k) for p in ps for k in ks]
     for spec in specs:
         checked_count(spec)  # every set is refused before the first curve is written
-    gbm_parameters(model)  # so is another shape, and a bad grid: none makes the directory
-    grid = _grid(_CURVE_COLUMNS, 1.0, args.grid)
+    grid = _grid(_CURVE_COLUMNS, 1.0, args.grid)  # and so is a bad grid: none makes the directory
     os.makedirs(args.out, exist_ok=True)  # before the first solve
     for token in args.basis:
         for spec in specs:
@@ -374,8 +373,10 @@ def main(argv=None) -> int:
         out_dir = os.path.dirname(args.out) or "."
         if args.command != "fig1" and (os.path.isdir(args.out) or not os.path.isdir(out_dir)):
             raise OSError(f"cannot write {args.out}: not a file in an existing directory")
-        return handlers[args.command](args, parser, SdeModel(args.drift, args.diffusion, args.x0),
-                                      ToleranceSpec(rtol=args.rtol, atol=args.atol))
+        model = SdeModel(args.drift, args.diffusion, args.x0)
+        if args.command in ("table1", "fig1", "rates"):
+            gbm_parameters(model)  # their closed form: another shape is refused before any work
+        return handlers[args.command](args, parser, model, ToleranceSpec(args.rtol, args.atol))
     except IntegratorFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

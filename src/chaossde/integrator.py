@@ -125,7 +125,7 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec = ToleranceSpec(),
         raise ValueError("output grid must be strictly increasing")
     t0, t_end = float(grid[0]), float(grid[-1])
 
-    y = np.array(y0, dtype=float).copy()
+    y = np.array(y0, dtype=float)
     n = y.size
     block = max(BLOCK_CELLS // max(n, 1), 2)
     stage = np.zeros((block, n))  # grid rows land here and flush through observe

@@ -20,6 +20,12 @@ import numpy as np
 from .errors import IndexSetTooLarge, InvalidSparseIndex
 
 
+def _clipped(caps: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """min(c, m) of each of the non-increasing ``caps``."""
+    above = bisect.bisect_left(caps, -m, key=lambda c: -c)  # the leading caps above m
+    return (m,) * above + caps[above:]
+
+
 def _checked_caps(values, name: str, head: int | None = None) -> tuple[int, ...]:
     """``values`` as ints, refused unless non-negative, non-increasing and led by ``head``."""
     caps = np.array(values)
@@ -71,8 +77,7 @@ class SparseFirstOrder:
 
     def caps(self, m: int) -> tuple[int, ...]:
         """The k caps of the rows of total order m <= p: min(r_i, m)."""
-        above = bisect.bisect_left(self.r, -m, key=lambda c: -c)  # the leading r_i > m
-        return (m,) * above + self.r[above:]
+        return _clipped(self.r, m)
 
 
 @dataclass(frozen=True)
@@ -244,8 +249,7 @@ def _capped_levels(caps) -> list[np.ndarray]:
 def _nested_caps(spec: TruncationSpec) -> tuple[int, ...] | None:
     """``spec.caps(p)`` if every order m caps at ``min(caps(p), m)``, else None."""
     top = spec.caps(spec.p)
-    nested = all(spec.caps(m) == tuple(min(c, m) for c in top) for m in range(1, spec.p))
-    return top if nested else None
+    return top if all(spec.caps(m) == _clipped(top, m) for m in range(1, spec.p)) else None
 
 
 def enumerate_indices(spec: TruncationSpec) -> IndexSet:

@@ -113,14 +113,14 @@ class PropagatorSystem:
     basis's element evaluator and breakpoints.
 
     Each sum keeps one association.  A quadratic entry is the tensor's
-    ``products``, (y_b w) y_c; a ladder entry is (e_j w) sigma, its e_j
+    ``products``, (y_b w) y_c; a ladder entry is sigma (w e_j), its e_j
     repeated ``counts[j]`` times as the ladder's entries come by
     coordinate; ``np.bincount`` adds each row's entries in entry order
     (ascending coordinate) from +0.0; a coefficient's c1, c0 and c2 terms
     are added in that order.
 
     On a basis with breakpoints (Haar, k >= 2) the ladder sum runs over the
-    entries, sigma (w e_j), whose element is non-zero in the cell of ``t``,
+    slice of the products w e_j whose element is non-zero in the cell of ``t``,
     kept for one cell at a time (steps never cross a breakpoint).  A skipped
     entry would add an exact +-0 to a bin sum that starts at +0.0; a sigma
     without a finite sum, as any NaN or inf has, takes the full ladder.
@@ -139,7 +139,6 @@ class PropagatorSystem:
              self.quad_weights) = self._quad
         (self.ladder_rows, self.ladder_counts, self.ladder_srcs,
          self.ladder_weights) = index_set.cached("ladder", ladder)
-        self._coefficients = model.drift, model.diffusion
         self._e0 = np.zeros(self.n)
         self._e0[0] = 1.0  # the set is closed under lowering: row 0 is the zero index
         self._element_values = basis_mod.element_evaluator(basis, self.k)
@@ -157,33 +156,29 @@ class PropagatorSystem:
         return out
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        (b0, b1, b2), (g0, g1, g2) = self._coefficients
+        (b0, b1, b2), (g0, g1, g2) = self.model.drift, self.model.diffusion
         quad = None
         if self.needs_quadratic:
             quad = np.bincount(self.quad_targets, weights=self._quad.products(y), minlength=self.n)
         out = self._project(b0, b1, b2, y, quad)
         sigma_coeffs = self._project(g0, g1, g2, y, quad)
+        rows, srcs, products = self.ladder_rows, self.ladder_srcs, None
         if self._breaks and math.isfinite(np.add.reduce(sigma_coeffs)):
             cell = basis_mod.haar_cell(self.basis, self._breaks, t)
             if cell != self._cell_ladder[0]:
-                self._cell_ladder = self._ladder_in(cell, t)
+                products = self._ladder_products(t)
+                keep = np.flatnonzero(products)  # every weight is at least 1
+                self._cell_ladder = (cell, rows[keep], srcs[keep], products[keep])
             _, rows, srcs, products = self._cell_ladder
-            contrib = sigma_coeffs[srcs]
-            contrib *= products
-            out += np.bincount(rows, weights=contrib, minlength=self.n)
-            return out
-        contrib = self._element_values(t).repeat(self.ladder_counts)
-        contrib *= self.ladder_weights
-        contrib *= sigma_coeffs[self.ladder_srcs]
-        out += np.bincount(self.ladder_rows, weights=contrib, minlength=self.n)
+        contrib = sigma_coeffs[srcs]  # full-ladder products are freed before the scatter
+        contrib *= self._ladder_products(t) if products is None else products
+        out += np.bincount(rows, weights=contrib, minlength=self.n)
         return out
 
-    def _ladder_in(self, cell: int, t: float) -> tuple:
-        """``cell`` (holding ``t``) and its ladder entries whose element is non-zero."""
+    def _ladder_products(self, t: float) -> np.ndarray:
+        """Each ladder entry's ``weights * e_j(t)``, in one new array."""
         e_at = self._element_values(t).repeat(self.ladder_counts)
-        keep = np.flatnonzero(e_at)
-        return (cell, self.ladder_rows[keep], self.ladder_srcs[keep],
-                self.ladder_weights[keep] * e_at[keep])
+        return np.multiply(e_at, self.ladder_weights, out=e_at)
 
 
 def ladder(index_set: IndexSet) -> tuple[np.ndarray, ...]:

@@ -886,9 +886,10 @@ class TestModelOptions:
         ["fig1", "--p", "1", "--k", "2"], ["rates"]])
     def test_gbm_commands_refuse_another_shape(self, tmp_path, capsys, monkeypatch, command):
         def refuse(*args, **kwargs):
-            raise AssertionError("solved a model that is not GBM")
+            raise AssertionError("worked on a model that is not GBM")
 
         monkeypatch.setattr(cli, "solve", refuse)
+        monkeypatch.setattr(cli, "tail_sum", refuse)  # rates refuses before its first tail
         out = tmp_path / "x"
         with pytest.raises(SystemExit) as exc:
             run([*command, "--drift", "0,1,-1", "--out", str(out)])

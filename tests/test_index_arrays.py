@@ -391,11 +391,14 @@ class TestPerOrderCaps:
         (FullTruncation(p=1, k=1_000_000), refuse_count, None),
         (FullTruncation(p=MAX_STORED_ORDER, k=2), count_indices,
          math.comb(MAX_STORED_ORDER + 2, 2)),
-        (SparseFirstOrder((MAX_STORED_ORDER, 5, 3)), count_indices, 393_120)],
-        ids=["full_p1_k1e6_refused", "full_pmax_k2", "first_order_pmax_5_3"])
+        (SparseFirstOrder((MAX_STORED_ORDER, 5, 3)), count_indices, 393_120),
+        (SparseFirstOrder((31,) + (0,) * 50_000), count_indices, 32)],
+        ids=["full_p1_k1e6_refused", "full_pmax_k2", "first_order_pmax_5_3",
+             "first_order_p31_k50001"])
     def test_counts_quickly(self, spec, count, want):
         # a run of equal caps is one factor, and caps that never bind are
-        # one stars-and-bars binomial, whatever the order or the run length
+        # one stars-and-bars binomial, whatever the order or the run length;
+        # the nesting check clips the caps once per order, not cap by cap
         times = []
         for _ in range(3):
             started = time.perf_counter()
