@@ -146,11 +146,11 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec = ToleranceSpec(),
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed step is rejected
         t = t0
-        f_now = np.asarray(rhs(t, y), dtype=float)
-        h_prop = _initial_step(rhs, t0, y, f_now, t_end, tol)
+        k = np.empty((7, n))  # k[0] is f at the step start: a rejected attempt keeps it
+        k[0] = rhs(t, y)
+        h_prop = _initial_step(rhs, t0, y, k[0], t_end, tol)
         abs_y = np.abs(y)  # |y| of the step start, kept from the last accepted step
 
-        k = np.empty((7, n))
         terms = np.empty((7, n))  # tableau weight times stage, row by row
         acc = np.empty(n)
         n_attempts = 0
@@ -169,7 +169,6 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec = ToleranceSpec(),
             t_new = target if forced else t + h
             inside = forced and si < len(stops) - 1  # keep right-end stages in this piece
 
-            k[0] = f_now
             for s in range(1, 7):
                 ts = math.nextafter(t_new, t) if inside and _C[s] == 1.0 else t + _C[s] * h
                 np.multiply(k[:s], _A_COLS[s], out=terms[:s])
@@ -214,6 +213,8 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec = ToleranceSpec(),
                         rows += y
                         flush(hi)
                         lo = hi
+                    # freed now, so the next step's stage temporaries do not sit beside them
+                    del ydiff, bspl, r4, r5, theta, theta1, rows
                 if stop > end:
                     stage[end - base] = y_new  # a point at the step end takes its end state
                     flush(stop)
@@ -221,9 +222,9 @@ def integrate(rhs, y0, output_grid, tol: ToleranceSpec = ToleranceSpec(),
                 t = t_new
                 y, abs_y = y_new, abs_new
                 if t < t_end:
-                    # FSAL: the last stage already evaluated f at the step end (copied:
-                    # a rejected attempt overwrites k[6]), except at a breakpoint.
-                    f_now = np.asarray(rhs(t, y), dtype=float) if forced else k[6].copy()
+                    # FSAL: the last stage already evaluated f at the step end, except
+                    # at a breakpoint; k[0] takes a copy, as a rejected attempt overwrites k[6]
+                    k[0] = rhs(t, y) if forced else k[6]
                 factor = _MAX_FACTOR if err == 0.0 else min(
                     _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_EXPONENT))
                 h_prop = h * factor

@@ -119,8 +119,9 @@ class PropagatorSystem:
     (ascending coordinate) from +0.0; a coefficient's c1, c0 and c2 terms
     are added in that order.
 
-    On a basis with breakpoints (Haar, k >= 2) the ladder sum runs over the
-    slice of the products w e_j whose element is non-zero in the cell of ``t``,
+    On a basis with breakpoints (Haar, k >= 2) the ladder sum runs over only
+    the coordinates whose element is non-zero in the cell of ``t``: their
+    contiguous ranges of the ladder and their products w e_j are gathered and
     kept for one cell at a time (steps never cross a breakpoint).  A skipped
     entry would add an exact +-0 to a bin sum that starts at +0.0; a sigma
     without a finite sum, as any NaN or inf has, takes the full ladder.
@@ -166,19 +167,31 @@ class PropagatorSystem:
         if self._breaks and math.isfinite(np.add.reduce(sigma_coeffs)):
             cell = basis_mod.haar_cell(self.basis, self._breaks, t)
             if cell != self._cell_ladder[0]:
-                products = self._ladder_products(t)
-                keep = np.flatnonzero(products)  # every weight is at least 1
-                self._cell_ladder = (cell, rows[keep], srcs[keep], products[keep])
+                self._cell_ladder = (cell, *self._live_entries(t))
             _, rows, srcs, products = self._cell_ladder
         contrib = sigma_coeffs[srcs]  # full-ladder products are freed before the scatter
-        contrib *= self._ladder_products(t) if products is None else products
+        contrib *= products if products is not None else _products(
+            self._element_values(t), self.ladder_counts, self.ladder_weights)
         out += np.bincount(rows, weights=contrib, minlength=self.n)
         return out
 
-    def _ladder_products(self, t: float) -> np.ndarray:
-        """Each ladder entry's ``weights * e_j(t)``, in one new array."""
-        e_at = self._element_values(t).repeat(self.ladder_counts)
-        return np.multiply(e_at, self.ladder_weights, out=e_at)
+    def _live_entries(self, t: float) -> tuple[np.ndarray, ...]:
+        """``rows``, ``srcs`` and products of the entries whose element is non-zero
+        at ``t``, read from those coordinates' contiguous ranges of the ladder."""
+        e = self._element_values(t)
+        live = np.flatnonzero(e)
+        counts, ends = self.ladder_counts[live], np.cumsum(self.ladder_counts)[live]
+        spans = [slice(end - count, end) for end, count in zip(ends.tolist(), counts.tolist())]
+        arrays = (self.ladder_rows, self.ladder_srcs, self.ladder_weights)
+        rows, srcs, weights = (np.concatenate([a[span] for span in spans]) for a in arrays)
+        return rows, srcs, _products(e[live], counts, weights)
+
+
+def _products(e: np.ndarray, counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each ladder entry's ``e_j * weights``, its ``e_j`` repeated ``counts[j]``
+    times, in one new array."""
+    e_at = e.repeat(counts)
+    return np.multiply(e_at, weights, out=e_at)
 
 
 def ladder(index_set: IndexSet) -> tuple[np.ndarray, ...]:
@@ -197,17 +210,25 @@ def ladder(index_set: IndexSet) -> tuple[np.ndarray, ...]:
     one coordinate keeps canonical order, so the sources ascend too.  A
     set that is not closed under lowering raises ``InvalidSparseIndex``.
     """
-    # copies of np.nonzero's strided views: np.bincount copies those on every call
-    js, rows = map(np.ascontiguousarray, np.nonzero(index_set.dense.T))
-    orders = index_set.dense[rows, js]
-    lowered = index_set.dense[rows]
-    lowered[np.arange(len(rows)), js] -= 1
-    del js  # the lookup below sets the build's peak
-    srcs = index_set.positions(lowered)
+    dense = index_set.dense
+    counts = np.count_nonzero(dense, axis=0)
+    rows = np.empty(counts.sum(), dtype=np.intp)
+    srcs = np.empty_like(rows)
+    weights = np.empty(len(rows))
+    start = 0
+    # one lookup per coordinate with entries: only its lowered rows are held at once
+    for j in np.flatnonzero(counts).tolist():
+        stop = start + int(counts[j])
+        rows[start:stop] = np.flatnonzero(dense[:, j])
+        lowered = dense[rows[start:stop]]
+        weights[start:stop] = lowered[:, j]
+        lowered[:, j] -= 1
+        srcs[start:stop] = index_set.positions(lowered)
+        start = stop
     if np.any(srcs < 0):
         raise InvalidSparseIndex("index set is not downward closed: an index "
                                  "lowered by one unit is missing")
-    return rows, np.count_nonzero(index_set.dense, axis=0), srcs, np.sqrt(orders.astype(float))
+    return rows, counts, srcs, np.sqrt(weights, out=weights)
 
 
 def build_rhs(model: SdeModel, index_set: IndexSet, basis: BasisSpec) -> PropagatorSystem:

@@ -28,7 +28,7 @@ from chaossde.multiindex import (INDEX_DTYPE, MAX_DENSE_CELLS, MAX_INDICES, MAX_
                                  FullTruncation, IndexSet, SparseFirstOrder, SparseSecondOrder,
                                  checked_count, count_indices, enumerate_indices, row_keys)
 from chaossde.presets import BENCHMARK_ROWS, SPARSE_PRESETS
-from chaossde.propagator import ChaosSolution, SdeModel, build_rhs
+from chaossde.propagator import ChaosSolution, SdeModel, build_rhs, ladder
 from reference import specs
 
 LOGISTIC = SdeModel((0.0, 1.0, -1.0), (0.0, 0.5, 0.0), 0.5)
@@ -471,6 +471,30 @@ class TestLadder:
             with pytest.raises(InvalidSparseIndex):
                 build_rhs(SdeModel.gbm(1.0, 1.0, 1.0), enumerate_indices(spec),
                           make_basis("trig"))
+
+    @pytest.mark.parametrize("spec", [FullTruncation(p=5, k=16), FullTruncation(p=3, k=64)])
+    def test_build_peaks_under_twice_what_it_keeps(self, spec):
+        # one lookup per coordinate: 2.4 MB for 1.86 MB kept at p=5, k=16 and
+        # 4.2 MB for 3.30 MB at p=3, k=64, where one lookup of every lowered
+        # row peaked at 9.2 and 55.9 MB
+        index_set = enumerate_indices(spec)
+        tracemalloc.start()
+        try:
+            kept = ladder(index_set)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * sum(array.nbytes for array in kept)
+
+    def test_one_entry_among_a_million_coordinates(self):
+        # only the coordinates with entries are looked up: a loop over every
+        # coordinate took about 1 s at 100,000 of them
+        index_set = enumerate_indices(SparseFirstOrder((1,) + (0,) * 999_999))
+        started = time.perf_counter()
+        rows, counts, srcs, weights = ladder(index_set)
+        assert time.perf_counter() - started < 0.5
+        assert (rows.tolist(), srcs.tolist(), weights.tolist()) == ([1], [0], [1.0])
+        assert counts[0] == 1 and counts.sum() == 1 and len(counts) == 1_000_000
 
     def test_shared_by_the_systems_of_one_spec(self):
         spec = FullTruncation(p=3, k=4)
